@@ -25,7 +25,7 @@ class RunSummary:
 
 
 def summarize(label: str, result) -> RunSummary:
-    """Build a RunSummary from an HourlyResult or EventResult."""
+    """Build a RunSummary from a :class:`~repro.api.RunResult`."""
     return RunSummary(
         label=label,
         energy_kwh=result.total_energy_kwh,

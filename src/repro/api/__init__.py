@@ -17,12 +17,12 @@ string-keyed extension registries and typed lifecycle observers:
   engines used to take as bare callables.
 """
 
+from ..core.result import RunResult
 from ..obs import Telemetry, TelemetryConfig
 from .backends import EventBackend, HourlyBackend, ShardedBackend, backends
 from .controllers import SWEEP_CONTROLLERS, build_controller, controllers
 from .observers import CallableObserver, Observer, as_observer
 from .registry import Registry
-from .result import RunResult
 from .sharded import ShardedConfig
 from .simulation import Simulation
 

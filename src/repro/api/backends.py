@@ -2,8 +2,7 @@
 
 A backend adapter owns everything engine-specific the
 :class:`~repro.api.Simulation` façade needs: the config dataclass, seed
-threading, engine construction, the conversion to the unified
-:class:`~repro.api.RunResult`, and the small administrative surface
+threading, engine construction, and the small administrative surface
 scenario churn uses (force-awake, check reinstatement, departed-VM
 notice).  New engines (async, distributed) plug in by registering an
 adapter — no consumer changes.
@@ -21,7 +20,6 @@ from dataclasses import replace
 from ..cluster.power import PowerState
 from ..core.params import DrowsyParams
 from .registry import Registry
-from .result import RunResult
 
 #: Name -> backend adapter.
 backends: Registry = Registry("backend")
@@ -38,10 +36,10 @@ class _DirectFleetAdmin:
         engine.dc.place(vm, dest)
 
     def power_off_host(self, engine, host, now: float) -> None:
-        host.power_off(now)
+        host.power_off(host.meter_time(now))
 
     def power_on_host(self, engine, host, now: float) -> None:
-        host.power_on(now)
+        host.power_on(host.meter_time(now))
 
 
 class HourlyBackend(_DirectFleetAdmin):
@@ -68,14 +66,12 @@ class HourlyBackend(_DirectFleetAdmin):
         return HourlySimulator(dc, controller, params, config,
                                hour_hooks=hour_hooks)
 
-    def to_run_result(self, native) -> RunResult:
-        return RunResult.from_hourly(native)
-
     # -- administrative surface (scenario churn) -----------------------
     def force_awake(self, engine, host, now: float) -> None:
         """Administrative wake at hour resolution: zero-latency resume,
         no grace (matches the event engine's ``_force_awake``)."""
         if host.state is PowerState.SUSPENDED:
+            now = host.meter_time(now)
             host.begin_resume(now)
             host.finish_resume(now, 0.0)
 
@@ -111,9 +107,6 @@ class EventBackend(_DirectFleetAdmin):
 
         return EventDrivenSimulation(dc, controller, params, config,
                                      hour_hooks=hour_hooks)
-
-    def to_run_result(self, native) -> RunResult:
-        return RunResult.from_event(native)
 
     # -- administrative surface (scenario churn) -----------------------
     def force_awake(self, engine, host, now: float) -> None:
@@ -176,9 +169,6 @@ class ShardedBackend:
 
         return ShardedCoordinator(dc, controller, params, config,
                                   hour_hooks=hour_hooks)
-
-    def to_run_result(self, native) -> RunResult:
-        return native  # the coordinator's reduction is already unified
 
     # -- administrative surface (scenario churn) -----------------------
     def force_awake(self, engine, host, now: float) -> None:

@@ -47,8 +47,8 @@ import numpy as np
 from ...cluster.power import PowerState
 from ...core.binding import FleetBinding
 from ...core.calendar import time_of_hour
+from ...core.result import RunResult
 from ...resilience import ShardCrashError, ShardTimeoutError
-from ..result import RunResult
 from .config import ShardedConfig
 from .guard import WakingVerifier
 from .partition import clone_shard_dc, detach_fleet_models, partition_hosts
@@ -678,8 +678,9 @@ class ShardedCoordinator:
         # SUSPENDING host resumes shard-side when its transition
         # completes; the next digest refreshes the replica.
         if host.state is PowerState.SUSPENDED:
-            host.begin_resume(self._now)
-            host.finish_resume(self._now, 0.0)
+            now = host.meter_time(self._now)
+            host.begin_resume(now)
+            host.finish_resume(now, 0.0)
             if self._verifier is not None:
                 self._verifier.surgery_wake(host.mac_address, self._now)
 
@@ -775,12 +776,12 @@ class ShardedCoordinator:
         self._ops[k].append(("place", vm, dest.name))
 
     def power_off_host(self, host, now: float) -> None:
-        host.power_off(now)
+        host.power_off(host.meter_time(now))
         self._ops[self._shard_of_host[host.name]].append(
             ("power_off", host.name))
 
     def power_on_host(self, host, now: float) -> None:
-        host.power_on(now)
+        host.power_on(host.meter_time(now))
         self._ops[self._shard_of_host[host.name]].append(
             ("power_on", host.name))
 

@@ -208,11 +208,7 @@ class ShardPort:
             # Migration-triggered extraction wakes the source first,
             # exactly like the engine's own migration executor.
             engine._force_awake(host)
-        host.sync_meter(now)
-        host.remove_vm(vm)
-        dc._placement.pop(vm_name, None)
-        dc._vm_by_name.pop(vm_name, None)
-        dc._note_detach(vm, host)
+        dc.remove(vm, now)
         bundle: dict = {"vm": pickle_vm(vm)}
         if self._event:
             bundle["stream"] = engine._request_streams._streams.pop(
@@ -282,9 +278,11 @@ class ShardPort:
                 engine.note_vm_departed(op[1])
             self._population_changed = True
         elif kind == "power_off":
-            dc.host(op[1]).power_off(now)
+            host = dc.host(op[1])
+            host.power_off(host.meter_time(now))
         elif kind == "power_on":
-            dc.host(op[1]).power_on(now)
+            host = dc.host(op[1])
+            host.power_on(host.meter_time(now))
         elif kind == "reinstate":
             if self._event:
                 engine._schedule_check(dc.host(op[1]),
@@ -300,6 +298,7 @@ class ShardPort:
         elif host.state is PowerState.SUSPENDED:
             # The hourly backend's force-awake: an immediate zero-grace
             # resume (matches HourlyBackend.force_awake).
+            now = host.meter_time(now)
             host.begin_resume(now)
             host.finish_resume(now, 0.0)
 
@@ -312,7 +311,7 @@ class ShardPort:
         dest = dc.host(dest_name)
         if wake and self._event:
             engine._force_awake(dest)
-        dest.sync_meter(now)
+        dest.sync_meter(dest.meter_time(now))
         dc.place(vm, dest)
         vm.migrations += 1
         dc.migrations.append(MigrationRecord(
@@ -349,24 +348,18 @@ class ShardPort:
         for mv in moves:
             name = mv["vm_name"]
             if name not in self._bundles:
-                vm, src = dc.find_vm(name)
-                src.remove_vm(vm)
-                dc._placement.pop(name, None)
-                dc._note_detach(vm, src)
+                vm, _ = dc.find_vm(name)
+                dc.remove(vm, now)
                 local[name] = vm
         records = []
         for mv in moves:
             name = mv["vm_name"]
-            dest = dc.host(mv["destination"])
             vm = local.get(name)
             bundle = None
             if vm is None:
                 bundle = self._bundles.pop(name)
                 vm = unpickle_vm(bundle["vm"])
-            dest.add_vm(vm)
-            dc._placement[name] = dest
-            dc._vm_by_name[name] = vm
-            dc._note_attach(vm, dest)
+            dc.place(vm, dc.host(mv["destination"]))
             vm.migrations += 1
             record = MigrationRecord(
                 time=mv["time"], vm_name=name, source=mv["source"],
@@ -377,6 +370,5 @@ class ShardPort:
                 self._install_sidecars(vm, bundle)
                 inserted.append(vm)
                 self._population_changed = True
-        dc.check_invariants()
         if self._event:
             engine._refresh_waking_after_bulk(records)

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from ..cluster.datacenter import DataCenter
 from ..core.params import DrowsyParams
+from ..core.result import RunResult
 from .backends import backends
 from .controllers import build_controller
 from .observers import Observer, as_observer, hour_hook
-from .result import RunResult
 
 
 class Simulation:
@@ -256,11 +256,10 @@ class Simulation:
         return self._finish(self.engine.run(n_hours,
                                             start_hour=start_hour))
 
-    def _finish(self, native) -> RunResult:
-        """The shared run tail: unify the native result, finalize
-        faults, fire ``on_run_end``.  Pure function of engine state, so
-        a resumed run's tail is identical to the uninterrupted one's."""
-        result = self.backend.to_run_result(native)
+    def _finish(self, result: RunResult) -> RunResult:
+        """The shared run tail: finalize faults, fire ``on_run_end``.
+        Pure function of engine state, so a resumed run's tail is
+        identical to the uninterrupted one's."""
         if self.faults is not None and not self.faults.plan.is_zero:
             # Zero plans leave the field None so their results compare
             # equal (==) to fault-free runs, not just field-by-field.

@@ -6,10 +6,10 @@ still walked ``hosts × vms`` in Python for the host-level quantities:
 SLATAH), ``all_vms_idle`` (suspend checks) and ``mean_raw_ip`` (grace
 windows, IP-aware placement).  :class:`HostAccounting` derives all of
 them for every host at once from the fleet binding's columnar state plus
-a placement incidence structure kept in sync by the
-:class:`~repro.cluster.datacenter.DataCenter` placement index —
-migrations, placements and removals update it incrementally through the
-data center's notification hooks.
+a placement incidence structure built once from host membership and
+then kept in sync by the :class:`~repro.cluster.datacenter.DataCenter`
+— migrations, placements and removals update it incrementally through
+the data center's attach/detach pair, its only writer.
 
 Bit-for-bit equivalence with the scalar :class:`~repro.cluster.host.Host`
 properties is a hard requirement (the scalar per-host property loop is
@@ -65,8 +65,16 @@ class HostAccounting:
         #: (same VMs, same order).  This is the placement incidence
         #: structure; :meth:`incidence_matrix` materializes it as the
         #: classic 0/1 ``(n_hosts, n_vms)`` matrix.
-        self._rows: list[list[int]] = [[] for _ in self.hosts]
-        self._stale = False
+        index = binding.index
+        try:
+            self._rows: list[list[int]] = [
+                [index[vm.name] for vm in host.vms] for host in self.hosts]
+            self._stale = False
+        except KeyError:
+            # A placed VM outside the binding: the view stays invalid
+            # until the simulators rebind the fleet.
+            self._rows = [[] for _ in self.hosts]
+            self._stale = True
         #: Monotonic placement epoch; every placement change bumps it
         #: and invalidates the derived caches.
         self.epoch = 0
@@ -75,7 +83,6 @@ class HostAccounting:
         self._hour_cache: dict = {}
         self._ip_cache: dict = {}
         self._blocked_cache: tuple | None = None
-        self.resync()
 
     # ------------------------------------------------------------------
     # synchronization with the DataCenter placement index
@@ -130,31 +137,6 @@ class HostAccounting:
             self._stale = True
             return
         self._bump()
-
-    def resync(self) -> None:
-        """Rebuild the incidence rows from actual host membership.
-
-        Called by :meth:`DataCenter.check_invariants` so code that wires
-        ``host.vms`` directly converges back to a consistent view, like
-        the O(1) placement index does.  A successful rebuild also clears
-        staleness: once every placed VM resolves in the binding again
-        (e.g. an out-of-binding VM arrived and has since departed), the
-        columnar view recovers instead of staying disabled forever."""
-        index = self.binding.index
-        rows: list[list[int]] = []
-        for host in self.hosts:
-            row = []
-            for vm in host.vms:
-                idx = index.get(vm.name)
-                if idx is None:
-                    self._stale = True
-                    return
-                row.append(idx)
-            rows.append(row)
-        self._stale = False
-        if rows != self._rows:
-            self._rows = rows
-            self._bump()
 
     def _bump(self) -> None:
         self.epoch += 1
@@ -352,10 +334,11 @@ class HostAccounting:
     # ------------------------------------------------------------------
     def verify(self) -> None:
         """Assert the incidence rows mirror actual host membership
-        (property-test helper; O(hosts × vms))."""
+        (the accounting clause of ``DataCenter.check_invariants``;
+        O(hosts × vms))."""
         index = self.binding.index
         for host, row in zip(self.hosts, self._rows):
-            expected = [index[vm.name] for vm in host.vms]
+            expected = [index.get(vm.name) for vm in host.vms]
             if row != expected:
                 raise AssertionError(
                     f"accounting rows diverged on {host.name}: "

@@ -1,7 +1,10 @@
 """Data-center registry: hosts, VMs, placement and migrations.
 
 The :class:`DataCenter` is the single source of truth for "which VM runs
-where".  Consolidation controllers express decisions as migration lists;
+where" and the only code that changes it: every placement change goes
+through one attach/detach pair that updates ``host.vms``, the O(1)
+indexes and the columnar accounting together, so the indexes never need
+repair.  Consolidation controllers express decisions as migration lists;
 the data center validates and applies them, keeping the records Fig. 2
 is built from.
 """
@@ -58,11 +61,19 @@ class DataCenter:
         self._accounting = None
 
     # ------------------------------------------------------------------
-    def _note_attach(self, vm: VM, host: Host) -> None:
+    # the single placement writer
+    # ------------------------------------------------------------------
+    def _attach(self, vm: VM, host: Host) -> None:
+        host.add_vm(vm)
+        self._placement[vm.name] = host
+        self._vm_by_name[vm.name] = vm
         if self._accounting is not None:
             self._accounting.on_place(vm.name, host)
 
-    def _note_detach(self, vm: VM, host: Host) -> None:
+    def _detach(self, vm: VM, host: Host) -> None:
+        host.remove_vm(vm)
+        del self._placement[vm.name]
+        del self._vm_by_name[vm.name]
         if self._accounting is not None:
             self._accounting.on_remove(vm.name, host)
 
@@ -74,16 +85,9 @@ class DataCenter:
 
     def host_of(self, vm: VM) -> Host:
         host = self._placement.get(vm.name)
-        if host is not None and vm in host.vms:
-            return host
-        # Index miss or staleness (e.g. tests wiring host.vms directly):
-        # fall back to the scan once and repair the index.
-        for host in self.hosts:
-            if vm in host.vms:
-                self._placement[vm.name] = host
-                return host
-        self._placement.pop(vm.name, None)
-        raise PlacementError(f"{vm.name} is not placed")
+        if host is None or self._vm_by_name[vm.name] is not vm:
+            raise PlacementError(f"{vm.name} is not placed")
+        return host
 
     def host(self, name: str) -> Host:
         try:
@@ -95,42 +99,20 @@ class DataCenter:
         """O(1) ``(vm, host)`` lookup by VM name (the per-packet path).
 
         Raises ``KeyError`` for unknown VMs (the request path's
-        contract).  Index misses — a VM wired onto ``host.vms`` directly
-        by tests — fall back to one scan that repairs the registry, like
-        :meth:`host_of` does for the placement index.
+        contract).
         """
         vm = self._vm_by_name.get(vm_name)
-        if vm is not None:
-            host = self._placement.get(vm_name)
-            if host is not None and vm in host.vms:
-                return vm, host
-        for host in self.hosts:
-            for vm in host.vms:
-                if vm.name == vm_name:
-                    self._vm_by_name[vm_name] = vm
-                    self._placement[vm_name] = host
-                    return vm, host
-        self._vm_by_name.pop(vm_name, None)
-        raise KeyError(f"unknown VM {vm_name}")
+        if vm is None:
+            raise KeyError(f"unknown VM {vm_name}")
+        return vm, self._placement[vm_name]
 
     # ------------------------------------------------------------------
     def place(self, vm: VM, host: Host) -> None:
         """Initial placement of an unplaced VM."""
         current = self._placement.get(vm.name)
-        if current is not None and vm in current.vms:
+        if current is not None:
             raise PlacementError(f"{vm.name} already placed on {current.name}")
-        # Index miss/stale: scan, so VMs wired onto a host directly (the
-        # pattern host_of's repair fallback supports) are still rejected
-        # instead of double-placed.  Placement is a cold path; O(1)
-        # lookups matter on the migration/request paths (host_of).
-        for h in self.hosts:
-            if vm in h.vms:
-                self._placement[vm.name] = h
-                raise PlacementError(f"{vm.name} already placed on {h.name}")
-        host.add_vm(vm)
-        self._placement[vm.name] = host
-        self._vm_by_name[vm.name] = vm
-        self._note_attach(vm, host)
+        self._attach(vm, host)
 
     def migrate(self, vm: VM, destination: Host, now: float) -> MigrationRecord:
         """Move ``vm`` to ``destination``, recording the migration.
@@ -144,13 +126,10 @@ class DataCenter:
         if not destination.can_host(vm):
             raise PlacementError(f"{vm.name} does not fit on {destination.name}")
         duration = self.migration_model.duration_s(vm)
-        source.sync_meter(now)
-        destination.sync_meter(now)
-        source.remove_vm(vm)
-        destination.add_vm(vm)
-        self._placement[vm.name] = destination
-        self._note_detach(vm, source)
-        self._note_attach(vm, destination)
+        source.sync_meter(source.meter_time(now))
+        destination.sync_meter(destination.meter_time(now))
+        self._detach(vm, source)
+        self._attach(vm, destination)
         vm.migrations += 1
         record = MigrationRecord(time=now, vm_name=vm.name,
                                  source=source.name,
@@ -165,32 +144,27 @@ class DataCenter:
         Used by the periodic-relocation evaluation mode (section VI-A.1),
         where whole groups of VMs swap hosts at once: per-move capacity
         checking would deadlock on swaps, so VMs are detached first and
-        the *final* state is validated instead.  Only VMs that actually
-        change host are recorded as migrations.
+        each destination's capacity is checked as the VMs land.  Only
+        VMs that actually change host are recorded as migrations.
         """
-        vm_by_name = {vm.name: vm for vm in self.vms}
         moves: list[tuple[VM, Host, Host]] = []
         for name, dest in assignment.items():
-            vm = vm_by_name.get(name)
-            if vm is None:
-                raise PlacementError(f"unknown VM {name}")
-            src = self.host_of(vm)
+            try:
+                vm, src = self.find_vm(name)
+            except KeyError:
+                raise PlacementError(f"unknown VM {name}") from None
             if src is not dest:
                 moves.append((vm, src, dest))
         self.sync_meters(now)
         for vm, src, _ in moves:
-            src.remove_vm(vm)
-            self._placement.pop(vm.name, None)
-            self._note_detach(vm, src)
+            self._detach(vm, src)
         records = []
         for vm, src, dest in moves:
             if not dest.can_host(vm):
                 # Roll forward is impossible; surface the planning bug.
                 raise PlacementError(
                     f"assignment overfills {dest.name} with {vm.name}")
-            dest.add_vm(vm)
-            self._placement[vm.name] = dest
-            self._note_attach(vm, dest)
+            self._attach(vm, dest)
             vm.migrations += 1
             record = MigrationRecord(
                 time=now, vm_name=vm.name, source=src.name,
@@ -198,7 +172,6 @@ class DataCenter:
                 duration_s=self.migration_model.duration_s(vm))
             self.migrations.append(record)
             records.append(record)
-        self.check_invariants()
         return records
 
     def evacuate(self, host: Host, now: float,
@@ -224,18 +197,12 @@ class DataCenter:
         return migrated, stranded
 
     def remove(self, vm: VM, now: float) -> None:
-        """Terminate a VM (e.g. an SLMU task completing): meters are
-        charged up to ``now`` and the VM leaves its host.
-
-        The hourly simulator may have pre-charged a transition a few
-        seconds past the hour boundary; removal never rewinds the meter.
-        """
+        """Detach a VM from the fleet (an SLMU task completing, a churn
+        departure, a sharded transfer out): its host's meter is charged
+        up to ``now`` and the VM leaves the host."""
         host = self.host_of(vm)
-        host.sync_meter(max(now, host.meter.last_time))
-        host.remove_vm(vm)
-        self._placement.pop(vm.name, None)
-        self._vm_by_name.pop(vm.name, None)
-        self._note_detach(vm, host)
+        host.sync_meter(host.meter_time(now))
+        self._detach(vm, host)
 
     # ------------------------------------------------------------------
     def available_hosts(self) -> list[Host]:
@@ -273,13 +240,18 @@ class DataCenter:
                 vm.current_activity = vm.activity_at(hour_index)
 
     def check_invariants(self) -> None:
-        """Structural sanity: each VM on exactly one host, capacity held.
+        """Assert the placement is sound and every index mirrors it.
 
-        The walk also reconciles the O(1) placement index with the real
-        host membership, so code that wires ``host.vms`` directly (tests,
-        failure injection) converges back to a consistent index.
+        Capacity holds on every host, each VM sits on exactly one host,
+        and the placement index, VM registry, MAC index and (when valid)
+        columnar accounting rows all agree with ``host.vms``.  Only this
+        class changes placement, so a disagreement means some code wired
+        ``host.vms`` behind its back: the check raises
+        :class:`PlacementError` and repairs nothing.  A test/debug
+        assertion — O(hosts x vms), never called per simulated hour.
         """
         seen: dict[str, Host] = {}
+        registry: dict[str, VM] = {}
         for host in self.hosts:
             cpus = 0
             memory_mb = 0
@@ -295,9 +267,15 @@ class DataCenter:
                     raise PlacementError(
                         f"{vm.name} on both {seen[vm.name].name} and {host.name}")
                 seen[vm.name] = host
-        self._placement = seen
-        self._vm_by_name = {vm.name: vm for host in self.hosts
-                            for vm in host.vms}
-        self.host_by_mac = {h.mac_address: h for h in self.hosts}
-        if self._accounting is not None:
-            self._accounting.resync()
+                registry[vm.name] = vm
+        if self._placement != seen or self._vm_by_name != registry:
+            raise PlacementError(
+                "placement index disagrees with host membership")
+        if self.host_by_mac != {h.mac_address: h for h in self.hosts}:
+            raise PlacementError("MAC index disagrees with the host list")
+        acc = self._accounting
+        if acc is not None and acc.valid:
+            try:
+                acc.verify()
+            except AssertionError as exc:
+                raise PlacementError(str(exc)) from None

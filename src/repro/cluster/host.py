@@ -210,6 +210,16 @@ class Host:
         """
         self._advance(now, utilization)
 
+    def meter_time(self, now: float) -> float:
+        """When an administrative action requested at ``now`` happens:
+        ``now``, or the meter clock if that is already later.
+
+        The hourly power step charges a transition a few seconds past
+        the hour start; a migration, forced wake, power change, removal
+        or crash at that hour start must never rewind the meter.
+        """
+        return max(now, self.meter.last_time)
+
     def in_grace(self, now: float) -> bool:
         """Within the post-resume grace period? (no suspend allowed)."""
         return now < self.grace_until

@@ -95,7 +95,6 @@ class DrowsyController(NeatController):
                     break
                 executor(vm, dest)
                 moved += 1
-        self.dc.check_invariants()
         return moved
 
     def _most_extreme_vm(self, host: Host, hour_index: int,

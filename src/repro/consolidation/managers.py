@@ -112,15 +112,11 @@ class GlobalManager:
         self.dc = dc
         self.placer = placer or PowerAwareBestFitDecreasing()
 
-    def _vm_by_name(self) -> dict[str, VM]:
-        return {vm.name: vm for vm in self.dc.vms}
-
     def step(self, reports: list[LocalManagerReport], hour_index: int,
              now: float, executor: MigrationExecutor) -> int:
         """Resolve one round of reports.  Overloads first (QoS), then
         underload evacuations least-utilized first, skipping hosts that
         just received VMs (the monolithic controller's ping-pong guard)."""
-        vm_by_name = self._vm_by_name()
         by_name = {h.name: h for h in self.dc.hosts}
         moved = 0
 
@@ -130,7 +126,7 @@ class GlobalManager:
         sources: dict[str, Host] = {}
         for r in overloaded:
             for name in r.migration_candidates:
-                vm = vm_by_name[name]
+                vm, _ = self.dc.find_vm(name)
                 to_place.append(vm)
                 sources[name] = by_name[r.host_name]
         targets = [h for h in self.dc.hosts
@@ -159,8 +155,7 @@ class GlobalManager:
             host = by_name[r.host_name]
             if host.name in receivers or not host.vms:
                 continue
-            vms = [vm_by_name[n] for n in r.migration_candidates
-                   if n in vm_by_name]
+            vms = [self.dc.find_vm(n)[0] for n in r.migration_candidates]
             targets = [h for h in self.dc.hosts
                        if h.state in MANAGED_STATES and h is not host]
             current = {vm.name: host for vm in vms}
@@ -214,7 +209,5 @@ class DistributedNeat:
             executor = lambda vm, dest: self.dc.migrate(vm, dest, now)
         self.last_reports = [lm.report(hour_index)
                              for lm in self.locals.values()]
-        moved = self.global_manager.step(self.last_reports, hour_index, now,
-                                         executor)
-        self.dc.check_invariants()
-        return moved
+        return self.global_manager.step(self.last_reports, hour_index, now,
+                                        executor)

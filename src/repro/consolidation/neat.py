@@ -84,20 +84,14 @@ class NeatController:
     def managed_hosts(self) -> list[Host]:
         return [h for h in self.dc.hosts if h.state in MANAGED_STATES]
 
-    def _current_host_map(self) -> dict[str, Host]:
-        return {vm.name: host for host in self.dc.hosts for vm in host.vms}
-
     # ------------------------------------------------------------------
     def step(self, hour_index: int, now: float,
              executor: MigrationExecutor | None = None) -> int:
         """One consolidation round.  Returns the number of migrations."""
         if executor is None:
             executor = lambda vm, dest: self.dc.migrate(vm, dest, now)
-        moved = 0
-        moved += self._handle_overloaded(hour_index, executor)
-        moved += self._handle_underloaded(hour_index, executor)
-        self.dc.check_invariants()
-        return moved
+        return (self._handle_overloaded(hour_index, executor)
+                + self._handle_underloaded(hour_index, executor))
 
     def _handle_overloaded(self, hour_index: int,
                            executor: MigrationExecutor) -> int:

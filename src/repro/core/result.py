@@ -1,10 +1,11 @@
-"""The unified run result: one schema over both simulation backends.
+"""The run result: one schema that every simulation engine returns.
 
-:class:`RunResult` is the superset of the hourly simulator's
-``HourlyResult`` and the event-driven simulator's ``EventResult``.
-Quantities both backends produce (energy, suspended fractions, suspend
-cycles, migrations) are always populated; backend-specific quantities
-are ``None`` when the backend does not measure them:
+The hourly engine, the event-driven engine and the sharded coordinator
+all build a :class:`RunResult` directly.  Quantities every backend
+produces (energy, suspended fractions, suspend cycles, migrations) are
+always populated; backend-specific quantities are ``None`` when the
+backend does not measure them (the sharded backend fills the columns
+of its inner engine):
 
 ============================  =======  ======
 field                          hourly   event
@@ -20,8 +21,8 @@ field                          hourly   event
 Derived properties (``total_energy_kwh``, ``slatah``, ``esv``, …) are
 defined once here and behave identically for every backend; the ones
 built on backend-absent fields return ``None`` instead of guessing.
-Every populated field is a verbatim copy of the native result — the
-golden parity suite (``tests/test_api.py``) holds bit-identically.
+The façade returns the engine's result object itself, so direct engine
+runs and façade runs compare equal (``tests/test_api.py``).
 """
 
 from __future__ import annotations
@@ -82,11 +83,12 @@ def _decode(kind: str, value: str):
 
 @dataclass
 class RunResult:
-    """Aggregated outcome of one :class:`~repro.api.Simulation` run."""
+    """Aggregated outcome of one simulation run (any backend)."""
 
     hours: int
     controller_name: str
-    #: Which backend produced this result (``"hourly"`` / ``"event"``).
+    #: Which backend produced this result (``"hourly"`` / ``"event"`` /
+    #: ``"sharded"``).
     backend: str
     energy_kwh_by_host: dict[str, float]
     suspended_fraction_by_host: dict[str, float]
@@ -154,44 +156,6 @@ class RunResult:
         if slatah is None:
             return None
         return self.total_energy_kwh * slatah
-
-    # ------------------------------------------------------------------
-    # conversions from the backends' native results
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_hourly(cls, result) -> "RunResult":
-        """Wrap a :class:`~repro.sim.hourly.HourlyResult` verbatim."""
-        return cls(
-            hours=result.hours,
-            controller_name=result.controller_name,
-            backend="hourly",
-            energy_kwh_by_host=result.energy_kwh_by_host,
-            suspended_fraction_by_host=result.suspended_fraction_by_host,
-            suspend_cycles_by_host=result.suspend_cycles_by_host,
-            migrations=result.migrations,
-            vm_migrations=result.vm_migrations,
-            overload_host_hours=result.overload_host_hours,
-            active_host_hours=result.active_host_hours,
-        )
-
-    @classmethod
-    def from_event(cls, result) -> "RunResult":
-        """Wrap an :class:`~repro.sim.event_driven.EventResult`
-        verbatim."""
-        return cls(
-            hours=result.hours,
-            controller_name=result.controller_name,
-            backend="event",
-            energy_kwh_by_host=result.energy_kwh_by_host,
-            suspended_fraction_by_host=result.suspended_fraction_by_host,
-            suspend_cycles_by_host=result.suspend_cycles_by_host,
-            migrations=result.migrations,
-            vm_migrations=result.vm_migrations,
-            resume_cycles_by_host=result.resume_cycles_by_host,
-            request_summary=result.request_summary,
-            wol_sent=result.wol_sent,
-            events_processed=result.events_processed,
-        )
 
     # ------------------------------------------------------------------
     # persistence (suffix dispatch through the sweep-table machinery)

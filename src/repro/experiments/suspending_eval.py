@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
 from ..cluster.resources import HostCapacity, ResourceSpec
 from ..cluster.vm import VM, ServiceTimer
@@ -82,7 +83,7 @@ def _mini_host(params: DrowsyParams, trace: ActivityTrace) -> tuple[Host, VM]:
     vm = VM("eval-vm", trace, ResourceSpec(cpus=2, memory_mb=4096), params=params,
             timers=(ServiceTimer("backup", period_s=24 * 3600.0,
                                  first_fire_s=2 * 3600.0),))
-    host.add_vm(vm)
+    DataCenter([host], params).place(vm, host)
     return host, vm
 
 

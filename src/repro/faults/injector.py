@@ -166,7 +166,7 @@ class FaultInjector(Observer):
                 if host.state is PowerState.CRASHED:
                     # The hourly meter sync has already charged the host
                     # as crashed up to the hour start; recover there.
-                    host.recover(max(at, host.meter.last_time))
+                    host.recover(host.meter_time(at))
                     self._hourly_recover_count += 1
         hour_end = now + 3600.0
         while self._hourly_crashes and self._hourly_crashes[0][0] < hour_end:
@@ -178,7 +178,7 @@ class FaultInjector(Observer):
             # The power step may have advanced this host's meter past the
             # hour start (transition latencies land at fractional times);
             # never let the crash rewind its clock.
-            crash_t = max(at, host.meter.last_time)
+            crash_t = host.meter_time(at)
             host.crash(crash_t)
             self._hourly_crash_count += 1
             self._hourly_recoveries.append(

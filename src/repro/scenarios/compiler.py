@@ -96,10 +96,10 @@ class ChurnInjector(Observer):
         return self.dc.evacuate(host, now, targets)
 
     def _power_off_direct(self, host, now) -> None:
-        host.power_off(now)
+        host.power_off(host.meter_time(now))
 
     def _power_on_direct(self, host, now) -> None:
-        host.power_on(now)
+        host.power_on(host.meter_time(now))
 
     # ------------------------------------------------------------------
     def bind(self, simulation: Simulation) -> None:

@@ -32,6 +32,7 @@ from ..cluster.vm import VM
 from ..core.binding import FleetBinding
 from ..core.calendar import time_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
+from ..core.result import RunResult
 from ..network.requests import PerVMRequestStreams, Request, RequestProfile
 from ..network.sdn import ReliableWolChannel, SDNSwitch
 from ..suspend.columnar import (
@@ -129,32 +130,6 @@ class EventConfig:
             raise ValueError("adaptive_max_factor must be >= 1")
 
 
-@dataclass
-class EventResult:
-    """Outcome of an event-driven run."""
-
-    hours: int
-    controller_name: str
-    energy_kwh_by_host: dict[str, float]
-    suspended_fraction_by_host: dict[str, float]
-    suspend_cycles_by_host: dict[str, int]
-    resume_cycles_by_host: dict[str, int]
-    migrations: int
-    vm_migrations: dict[str, int]
-    request_summary: dict[str, float]
-    wol_sent: int
-    events_processed: int
-
-    @property
-    def total_energy_kwh(self) -> float:
-        return sum(self.energy_kwh_by_host.values())
-
-    @property
-    def global_suspended_fraction(self) -> float:
-        vals = list(self.suspended_fraction_by_host.values())
-        return sum(vals) / len(vals) if vals else 0.0
-
-
 class EventDrivenSimulation:
     """Full-stack Drowsy-DC simulation."""
 
@@ -234,7 +209,7 @@ class EventDrivenSimulation:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, n_hours: int, start_hour: int = 0) -> EventResult:
+    def run(self, n_hours: int, start_hour: int = 0) -> RunResult:
         if n_hours <= 0:
             raise ValueError("n_hours must be positive")
         if self.config.use_fleet_model and (
@@ -255,7 +230,7 @@ class EventDrivenSimulation:
                 self._schedule_check(host, delay=self.params.suspend_check_period_s)
         return self.continue_run()
 
-    def continue_run(self) -> EventResult:
+    def continue_run(self) -> RunResult:
         """Run (or finish) the scheduled horizon.  The event heap holds
         every piece of in-flight state — hour ticks, suspend checks,
         request arrivals, transitions — so a run restored from a
@@ -620,8 +595,7 @@ class EventDrivenSimulation:
     # wake path
     # ------------------------------------------------------------------
     def _on_wol(self, packet: WoLPacket, now: float) -> None:
-        # O(1) MAC index (kept consistent by DataCenter.check_invariants)
-        # instead of the old O(hosts) scan per WoL packet.
+        # O(1) MAC index (host MACs are construction-time constants).
         host = self.dc.host_by_mac.get(packet.mac_address)
         if host is None:
             return
@@ -770,10 +744,11 @@ class EventDrivenSimulation:
             self._resume_pending.add(host.name)
 
     # ------------------------------------------------------------------
-    def _result(self, n_hours: int, migrations_before: int) -> EventResult:
-        return EventResult(
+    def _result(self, n_hours: int, migrations_before: int) -> RunResult:
+        return RunResult(
             hours=n_hours,
             controller_name=self.controller.name,
+            backend="event",
             energy_kwh_by_host={h.name: h.meter.energy_kwh for h in self.dc.hosts},
             suspended_fraction_by_host={
                 h.name: h.meter.suspended_fraction for h in self.dc.hosts},

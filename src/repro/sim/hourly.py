@@ -25,6 +25,7 @@ from ..cluster.power import PowerState
 from ..core.binding import FleetBinding
 from ..core.calendar import time_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
+from ..core.result import RunResult
 from ..suspend.grace import grace_from_raw_ip
 
 HourHook = Callable[[int, float], None]
@@ -89,46 +90,6 @@ class HourlyConfig:
         validate_shared_config(self)
 
 
-@dataclass
-class HourlyResult:
-    """Aggregated outcome of one simulation run."""
-
-    hours: int
-    controller_name: str
-    energy_kwh_by_host: dict[str, float]
-    suspended_fraction_by_host: dict[str, float]
-    suspend_cycles_by_host: dict[str, int]
-    migrations: int
-    vm_migrations: dict[str, int]
-    #: Host-hours an active host spent at saturated CPU, and host-hours
-    #: hosts were active at all (Beloglazov's SLATAH numerator and
-    #: denominator).
-    overload_host_hours: int = 0
-    active_host_hours: int = 0
-
-    @property
-    def total_energy_kwh(self) -> float:
-        return sum(self.energy_kwh_by_host.values())
-
-    @property
-    def global_suspended_fraction(self) -> float:
-        vals = list(self.suspended_fraction_by_host.values())
-        return sum(vals) / len(vals) if vals else 0.0
-
-    @property
-    def slatah(self) -> float:
-        """SLA violation Time per Active Host (Beloglazov's QoS metric):
-        fraction of active host-hours spent at 100 % CPU."""
-        if self.active_host_hours == 0:
-            return 0.0
-        return self.overload_host_hours / self.active_host_hours
-
-    @property
-    def esv(self) -> float:
-        """Energy-SLA-Violation product (lower is better)."""
-        return self.total_energy_kwh * self.slatah
-
-
 class HourlySimulator:
     """Drive a data center and a consolidation controller hour by hour."""
 
@@ -166,7 +127,7 @@ class HourlySimulator:
         self._obs = None
 
     # ------------------------------------------------------------------
-    def run(self, n_hours: int, start_hour: int = 0) -> HourlyResult:
+    def run(self, n_hours: int, start_hour: int = 0) -> RunResult:
         if n_hours <= 0:
             raise ValueError("n_hours must be positive")
         if self.config.use_fleet_model and (
@@ -184,7 +145,7 @@ class HourlySimulator:
         self._migrations_before = len(self.dc.migrations)
         return self._drive()
 
-    def continue_run(self) -> HourlyResult:
+    def continue_run(self) -> RunResult:
         """Finish a run restored from a checkpoint: re-enter the hour
         loop at the recorded boundary.  All loop state lives on the
         engine, so the remaining hours execute exactly as the
@@ -193,7 +154,7 @@ class HourlySimulator:
             raise RuntimeError("no run in progress to continue")
         return self._drive()
 
-    def _drive(self) -> HourlyResult:
+    def _drive(self) -> RunResult:
         start_hour, n_hours = self._horizon
         for t in range(self._next_hour, start_hour + n_hours):
             self._hour(t)
@@ -383,10 +344,11 @@ class HourlySimulator:
         return grace_from_raw_ip(mean_ip, self.params)
 
     # ------------------------------------------------------------------
-    def _result(self, n_hours: int, migrations_before: int) -> HourlyResult:
-        return HourlyResult(
+    def _result(self, n_hours: int, migrations_before: int) -> RunResult:
+        return RunResult(
             hours=n_hours,
             controller_name=self.controller.name,
+            backend="hourly",
             energy_kwh_by_host={h.name: h.meter.energy_kwh for h in self.dc.hosts},
             suspended_fraction_by_host={
                 h.name: h.meter.suspended_fraction for h in self.dc.hosts},

@@ -36,7 +36,7 @@ interleaving test enforce this empirically):
 
 The sweep handler credits ``k - 1`` coalesced events to the kernel (it
 stands in for ``k`` per-host check events), keeping
-``EventResult.events_processed`` — and thus the events/s throughput
+``RunResult.events_processed`` — and thus the events/s throughput
 metric — directly comparable with the per-host oracle path.
 """
 

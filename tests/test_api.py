@@ -17,7 +17,6 @@ The acceptance contract of the API redesign:
 
 import pathlib
 import re
-from dataclasses import fields
 
 import pytest
 
@@ -32,8 +31,8 @@ from repro.api import (
     controllers,
 )
 from repro.experiments.common import build_fleet, build_testbed
-from repro.sim.event_driven import EventConfig, EventDrivenSimulation, EventResult
-from repro.sim.hourly import HourlyConfig, HourlyResult, HourlySimulator
+from repro.sim.event_driven import EventConfig, EventDrivenSimulation
+from repro.sim.hourly import HourlyConfig, HourlySimulator
 from repro.sim.sweep import CONTROLLER_NAMES
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -61,15 +60,10 @@ class TestGoldenParity:
             dc1.params).run(12)
         dc2 = _dc(seed)
         unified = Simulation(dc2, controller, "hourly").run(12)
-        assert isinstance(direct, HourlyResult)
+        # Engines return RunResult themselves: whole-result equality.
+        assert isinstance(direct, RunResult)
         assert isinstance(unified, RunResult)
-        for f in fields(HourlyResult):
-            assert getattr(unified, f.name) == getattr(direct, f.name), f.name
-        # Derived metrics agree with the native result's own.
-        assert unified.total_energy_kwh == direct.total_energy_kwh
-        assert unified.global_suspended_fraction == direct.global_suspended_fraction
-        assert unified.slatah == direct.slatah
-        assert unified.esv == direct.esv
+        assert unified == direct
         # Backend provenance: event-only fields are None, not zero.
         assert unified.backend == "hourly"
         assert unified.request_summary is None
@@ -86,9 +80,8 @@ class TestGoldenParity:
             dc1.params, EventConfig(seed=seed)).run(6)
         dc2 = _dc(seed)
         unified = Simulation(dc2, controller, "event", seed=seed).run(6)
-        assert isinstance(direct, EventResult)
-        for f in fields(EventResult):
-            assert getattr(unified, f.name) == getattr(direct, f.name), f.name
+        assert isinstance(direct, RunResult)
+        assert unified == direct
         assert unified.backend == "event"
         # Hourly-only accounting is absent, so its derived metrics say
         # "not measured" instead of a fake zero.
@@ -111,8 +104,7 @@ class TestGoldenParity:
             dc2, "drowsy", config=config,
             observers=(lambda t, now: seen_unified.append(t),)).run(8)
         assert seen_direct == seen_unified == list(range(8))
-        for f in fields(HourlyResult):
-            assert getattr(unified, f.name) == getattr(direct, f.name), f.name
+        assert unified == direct
 
     def test_from_scenario_matches_compiler(self):
         from repro.scenarios import ScenarioCompiler, get_scenario
@@ -364,3 +356,23 @@ class TestSingleConstructionPath:
         assert not offenders, (
             f"direct simulator construction outside repro.sim/repro.api: "
             f"{offenders}")
+
+
+class TestSinglePlacementWriter:
+    def test_no_placement_writes_outside_datacenter(self):
+        """``DataCenter`` is the only placement writer: no other source
+        module touches its indexes or attach hooks, or edits a host's VM
+        list through ``Host.add_vm``/``Host.remove_vm``."""
+        pattern = re.compile(
+            r"\._placement\b|\._vm_by_name\b|\._note_(?:attach|detach)\b"
+            r"|\.add_vm\(|\.remove_vm\(")
+        owner = REPO / "src" / "repro" / "cluster" / "datacenter.py"
+        offenders = []
+        for path in (REPO / "src").rglob("*.py"):
+            if path == owner:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if pattern.search(line):
+                    offenders.append(f"{path.relative_to(REPO)}:{lineno}")
+        assert not offenders, (
+            f"placement state written outside DataCenter: {offenders}")

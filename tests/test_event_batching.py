@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Host, VM
+from repro.cluster.datacenter import PlacementError
 from repro.cluster.events import EventSimulator
 from repro.consolidation.drowsy import DrowsyController
 from repro.core.binding import FleetBinding
@@ -34,11 +35,11 @@ from repro.waking.packets import WoLPacket
 
 from dataclasses import fields as dataclass_fields
 
-from repro.sim.event_driven import EventResult
+from repro.api import RunResult
 
-#: Every EventResult field is a parity observable — derived, not
+#: Every RunResult field is a parity observable — derived, not
 #: hardcoded, so fields added later are covered automatically.
-RESULT_FIELDS = tuple(f.name for f in dataclass_fields(EventResult))
+RESULT_FIELDS = tuple(f.name for f in dataclass_fields(RunResult))
 
 
 def assert_results_equal(a, b):
@@ -315,21 +316,23 @@ class TestIndexes:
         dc.check_invariants()
         assert len(dc.host_by_mac) == len(dc.hosts)
 
-    def test_find_vm_o1_and_repair(self):
+    def test_find_vm_o1_and_detects_wiring(self):
         dc = build_fleet(n_hosts=2, n_vms=4, llmi_fraction=0.5,
                          hours=24, seed=5)
         vm = dc.vms[0]
         found, host = dc.find_vm(vm.name)
         assert found is vm and host is dc.host_of(vm)
-        # Wire a VM onto a host directly (bypassing place): the lookup
-        # repairs itself via the scan fallback.
+        # Wire a VM onto a host directly (bypassing place): the registry
+        # is authoritative, so the lookup misses and the invariant check
+        # reports the divergence instead of healing it.
         rogue = VM("rogue", vm.trace, vm.resources, params=DEFAULT_PARAMS)
         dc.hosts[1].vms.append(rogue)
-        found, host = dc.find_vm("rogue")
-        assert found is rogue and host is dc.hosts[1]
-        dc.hosts[1].vms.remove(rogue)
         with pytest.raises(KeyError):
             dc.find_vm("rogue")
+        with pytest.raises(PlacementError):
+            dc.check_invariants()
+        dc.hosts[1].vms.remove(rogue)
+        dc.check_invariants()
         with pytest.raises(KeyError):
             dc.find_vm("never-existed")
 

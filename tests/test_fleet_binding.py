@@ -331,38 +331,55 @@ class TestPlacementIndex:
                     assert dc.host_of(vm) is expected
             dc.check_invariants()
 
-    def test_place_rejects_directly_wired_vm(self):
-        """A VM appended to host.vms behind the DC's back must not be
-        double-placed through dc.place (index miss falls back to scan)."""
+    def test_check_invariants_detects_directly_wired_vm(self):
+        """A VM appended to host.vms behind the DC's back is unknown to
+        the (authoritative) index and is reported, not healed."""
         dc = _make_dc(2)
         vm = _vm("wired")
         dc.hosts[0].vms.append(vm)
+        with pytest.raises(PlacementError, match="index disagrees"):
+            dc.check_invariants()
+        # The check only asserts: nothing was rebuilt behind our back.
+        assert vm.name not in dc._placement
         with pytest.raises(PlacementError):
-            dc.place(vm, dc.hosts[1])
-        assert sum(vm in h.vms for h in dc.hosts) == 1
+            dc.check_invariants()
 
-    def test_host_of_survives_direct_wiring(self):
-        """Tests that append to host.vms directly still resolve."""
+    def test_host_of_rejects_directly_wired_vm(self):
+        """host_of answers from the index alone: no scan fallback."""
         dc = _make_dc(2)
         vm = _vm("direct")
         dc.hosts[1].vms.append(vm)
-        assert dc.host_of(vm) is dc.hosts[1]
-        # Index repaired: second lookup is a pure dict hit.
-        assert dc._placement[vm.name] is dc.hosts[1]
+        with pytest.raises(PlacementError, match="not placed"):
+            dc.host_of(vm)
+        with pytest.raises(KeyError):
+            dc.find_vm(vm.name)
 
     def test_host_of_unplaced_raises(self):
         dc = _make_dc(2)
         with pytest.raises(PlacementError):
             dc.host_of(_vm("ghost"))
 
-    def test_stale_index_entry_repaired_after_manual_move(self):
+    def test_check_invariants_detects_manual_move(self):
         dc = _make_dc(2)
         vm = _vm("mover")
         dc.place(vm, dc.hosts[0])
-        # Move behind the data center's back.
+        dc.check_invariants()
+        # Move behind the data center's back: the index still says h0.
         dc.hosts[0].vms.remove(vm)
         dc.hosts[1].vms.append(vm)
-        assert dc.host_of(vm) is dc.hosts[1]
+        assert dc.host_of(vm) is dc.hosts[0]
+        with pytest.raises(PlacementError, match="index disagrees"):
+            dc.check_invariants()
+
+    def test_same_name_different_vm_is_not_placed(self):
+        dc = _make_dc(2)
+        vm = _vm("twin")
+        dc.place(vm, dc.hosts[0])
+        impostor = _vm("twin")
+        with pytest.raises(PlacementError, match="not placed"):
+            dc.host_of(impostor)
+        with pytest.raises(PlacementError, match="already placed"):
+            dc.place(impostor, dc.hosts[1])
 
     def test_apply_assignment_failure_leaves_detached_vm_unindexed(self):
         dc = _make_dc(3)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.accounting import HostAccounting, columnar_host_view
-from repro.cluster.datacenter import DataCenter
+from repro.cluster.datacenter import DataCenter, PlacementError
 from repro.cluster.host import Host
 from repro.cluster.resources import HostCapacity, ResourceSpec
 from repro.cluster.vm import VM
@@ -127,26 +127,17 @@ class TestColumnarParityProperties:
                 dc.remove(vm, now=float(clock))
                 spare.append(vm)
 
+            # The single writer keeps every index and (valid) row set
+            # in step after each op — nothing to reconcile.
+            dc.check_invariants()
             acc = columnar_host_view(dc)
             if acc is None:
                 # An arrival outside the binding marks the accounting
-                # stale.  The simulators recover through the controller
-                # check_invariants resync (same-fleet membership) or a
-                # rebind at the next tick (grown fleet) — mirror that:
-                dc.check_invariants()
-                if binding.covers(dc.vms):
-                    acc = columnar_host_view(dc)
-                    assert acc is not None
-                else:
-                    continue
+                # stale until the next tick rebinds the fleet, as the
+                # simulators' rebind_fleet does.
+                continue
             if loaded and binding.covers(dc.vms):
                 _assert_host_parity(dc, acc, max(hour - 1, 0))
-
-        # Final resync path: the walk must agree with membership too.
-        dc.check_invariants()
-        acc = columnar_host_view(dc)
-        if acc is not None:
-            acc.verify()
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 12))
@@ -280,13 +271,17 @@ class TestHostAccountingUnit:
     def test_verify_raises_on_direct_wiring(self):
         dc, _ = self._bound()
         acc = dc._accounting
+        dc.check_invariants()
         vm = dc.hosts[0].vms.pop()  # behind the data center's back
         dc.hosts[1].vms.append(vm)
         with pytest.raises(AssertionError):
             acc.verify()
-        # check_invariants reconciles the rows, like the placement index.
-        dc.check_invariants()
-        acc.verify()
+        # check_invariants only asserts: it reports the divergence and
+        # leaves the rows as they were.
+        with pytest.raises(PlacementError):
+            dc.check_invariants()
+        with pytest.raises(AssertionError):
+            acc.verify()
 
     def test_hourly_simulator_attaches_accounting(self):
         dc = build_fleet(n_hosts=4, n_vms=12, llmi_fraction=0.5, hours=24)

@@ -10,7 +10,11 @@ Philox stream — is the same under both simulators.
 import numpy as np
 import pytest
 
+from repro.api import Simulation, backends
+from repro.cluster import VM, DataCenter, Host
 from repro.cluster.power import PowerState
+from repro.cluster.resources import TESTBED_VM
+from repro.core.calendar import time_of_hour
 from repro.network.requests import ArrivalShape, RequestProfile
 from repro.scenarios import (
     ChurnSpec,
@@ -30,6 +34,7 @@ from repro.scenarios import (
     stable_seed,
 )
 from repro.traces.replay import trace_from_csv
+from repro.traces.synthetic import always_idle_trace
 
 SMALL = dict(scale=0.25, hours=12)
 
@@ -423,6 +428,52 @@ class TestCompiler:
         result = run.run()
         assert result.request_summary["requests"] > 0
         assert run.churn.vms_removed > 0
+
+
+# ----------------------------------------------------------------------
+# administrative actions never rewind a host's meter
+# ----------------------------------------------------------------------
+
+#: The seeds of ``maintenance-with-crashes`` in 0-59 whose hourly runs
+#: used to raise "time went backwards": a maintenance drain at an hour
+#: start acted on a host whose meter the hourly power step had already
+#: charged a few seconds past that hour start (after a suspend or a
+#: resume).
+PRECHARGED_DRAIN_SEEDS = (3, 6, 10, 11, 21, 23, 43, 45, 51)
+
+
+class TestMeterClock:
+    def test_admin_ops_at_the_hour_start_keep_the_meter_clock(self):
+        a, b = Host("a"), Host("b")
+        dc = DataCenter([a, b])
+        vm = VM("v", always_idle_trace(24), TESTBED_VM)
+        dc.place(vm, a)
+        # An hourly-style power step suspends ``a`` past the hour start.
+        a.begin_suspend(2.5)
+        a.finish_suspend(5.5)
+        hourly = backends.get("hourly")
+        hourly.force_awake(None, a, 0.0)
+        assert a.state is PowerState.ON
+        assert a.transitions[-1].time == 5.5
+        dc.migrate(vm, b, now=0.0)
+        assert dc.host_of(vm) is b
+        assert b.meter.last_time == 0.0
+        assert dc.migrations[-1].time == 0.0
+        hourly.power_off_host(None, a, 0.0)
+        assert a.state is PowerState.OFF
+        assert a.meter.last_time == 5.5
+        dc.remove(vm, now=0.0)
+        dc.check_invariants()
+
+    @pytest.mark.parametrize("seed", PRECHARGED_DRAIN_SEEDS)
+    def test_maintenance_with_crashes_finishes(self, seed):
+        sim = Simulation.from_scenario("maintenance-with-crashes",
+                                       seed=seed, backend="hourly")
+        result = sim.run()
+        assert result.hours == sim.hours
+        sim.dc.check_invariants()
+        end = time_of_hour(sim.hours)
+        assert all(h.meter.last_time == end for h in sim.dc.hosts)
 
 
 # ----------------------------------------------------------------------
