@@ -16,6 +16,7 @@ from ..cluster.accounting import columnar_host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
 from ..cluster.vm import VM
+from ..core.calendar import slot_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .detection import OverloadDetector
 from .neat import MANAGED_STATES, MigrationExecutor, NeatController
@@ -125,77 +126,205 @@ class DrowsyController(NeatController):
         vms = [vm for h in hosts for vm in h.vms]
         if not vms:
             return 0
-        # Predicted raw IP of each VM over the next day of hourly slots
-        # (models trained on the past only — no oracle).  A whole-day
-        # profile separates patterns that a single slot cannot: two VMs
-        # can tie at 3 am yet differ at 9 am.
-        window = 24
-        ips = {vm.name: np.array([vm.raw_ip(hour_index + k)
-                                  for k in range(window)]) for vm in vms}
-        groups: dict[str, list[VM]] = {h.name: list(h.vms) for h in hosts}
-        host_by_name = {h.name: h for h in hosts}
+        rows = iter(range(len(vms)))
+        groups = [[next(rows) for _ in h.vms] for h in hosts]
+        search = _SwapSearch(
+            profile=ip_profiles(vms, hour_index),
+            groups=groups,
+            mem=[vm.resources.memory_mb for vm in vms],
+            cpu=[vm.resources.cpus for vm in vms],
+            caps=[(h.capacity.memory_mb, h.capacity.schedulable_cpus)
+                  for h in hosts],
+            threshold=self.params.ip_distance_tolerance)
+        # Host pairs in name order, as the search visits them.
+        order = sorted(range(len(hosts)), key=lambda k: hosts[k].name)
+        search.run([(i, j) for n, i in enumerate(order) for j in order[n + 1:]],
+                   max_passes=len(vms))
+        assignment = {vms[r].name: host
+                      for host, group in zip(hosts, search.groups)
+                      for r in group}
+        records = self.dc.apply_assignment(assignment, now)
+        return len(records)
 
-        def dispersion(group: list[VM]) -> float:
-            """Summed per-slot IP spread of a host's VMs over the window."""
-            if len(group) < 2:
-                return 0.0
-            vals = np.stack([ips[vm.name] for vm in group])
-            mean = vals.mean(axis=0)
-            return float(np.abs(vals - mean).sum())
 
-        threshold = self.params.ip_distance_tolerance
-        names = sorted(groups)
-        for _ in range(len(vms)):  # convergence bound
+#: Hourly slots in a VM's relocation profile.  A whole day separates
+#: patterns that a single slot cannot: two VMs can tie at 3 am yet
+#: differ at 9 am.
+PROFILE_HOURS = 24
+
+
+def ip_profiles(vms: list[VM], hour_index: int,
+                window: int = PROFILE_HOURS) -> np.ndarray:
+    """``(len(vms), window)`` predicted raw IPs over the next ``window``
+    hourly slots (models trained on the past only -- no oracle).
+
+    VMs bound to one fleet model are read off its cached raw-IP column,
+    one gather per slot: the very floats ``FleetVMView.raw_ip`` returns.
+    Anything else falls back to one ``vm.raw_ip`` query per VM and slot.
+    """
+    models = [vm.model for vm in vms]
+    fleet = getattr(models[0], "fleet", None)
+    if fleet is not None and all(getattr(m, "fleet", None) is fleet
+                                 for m in models):
+        rows = np.array([m.fleet_index for m in models], dtype=np.intp)
+        return np.stack([fleet.raw_ip_column(slot_of_hour(hour_index + k))[rows]
+                         for k in range(window)], axis=1)
+    return np.array([[vm.raw_ip(hour_index + k) for k in range(window)]
+                     for vm in vms])
+
+
+def group_dispersion(stacked: np.ndarray) -> np.ndarray:
+    """Summed per-slot IP spread of ``C`` groups of ``k`` VMs each.
+
+    ``stacked`` is ``(C, k, window)``; entry ``c`` is bit-identical to
+    ``float(np.abs(v - v.mean(0)).sum())`` for ``v = stacked[c]``: the
+    axis-1 mean adds the ``k`` rows in order exactly like a 2-D axis-0
+    mean, and the flattened row sum is numpy's pairwise sum over the
+    same contiguous ``k * window`` block.  Groups under two VMs have no
+    spread.
+    """
+    c, k = stacked.shape[:2]
+    if k < 2:
+        return np.zeros(c)
+    spread = stacked - stacked.mean(axis=1)[:, None]
+    np.abs(spread, out=spread)
+    return spread.reshape(c, -1).sum(axis=1)
+
+
+#: Candidate profile rows scored per batch: bounds the search's
+#: ``(rows, PROFILE_HOURS)`` temporaries whatever the fleet size.
+BATCH_ROWS = 4096
+
+
+class _SwapSearch:
+    """First-improvement local search behind ``relocate_all``.
+
+    A pass visits the host pairs in order and, per pair, applies the
+    candidate (a swap, a move ``a ->`` or a move ``<- b``) whose
+    dispersion gain is largest and above the threshold -- the first
+    such candidate on ties.  A pair's best move depends only on its two
+    groups, so the search scores all pairs of a pass up front, in
+    batches, and after a move re-scores just the later pairs touching
+    the two changed hosts.  Groups are lists of profile rows in host
+    order.
+    """
+
+    def __init__(self, profile: np.ndarray, groups: list[list[int]],
+                 mem: list, cpu: list, caps: list[tuple],
+                 threshold: float) -> None:
+        self.profile = profile
+        self.groups = groups
+        self.mem, self.cpu, self.caps = mem, cpu, caps
+        self.threshold = threshold
+        #: Pair -> best move ``(a, b)`` (rows, ``-1`` for none) or None.
+        self.best: dict[tuple[int, int], tuple[int, int] | None] = {}
+
+    def run(self, pairs: list[tuple[int, int]], max_passes: int) -> None:
+        stale = dict.fromkeys(pairs)
+        for _ in range(max_passes):
+            self._score(list(stale))
+            stale = {}
             improved = False
-            for i, n1 in enumerate(names):
-                for n2 in names[i + 1:]:
-                    g1, g2 = groups[n1], groups[n2]
-                    h1, h2 = host_by_name[n1], host_by_name[n2]
-                    mem1 = sum(v.resources.memory_mb for v in g1)
-                    cpu1 = sum(v.resources.cpus for v in g1)
-                    mem2 = sum(v.resources.memory_mb for v in g2)
-                    cpu2 = sum(v.resources.cpus for v in g2)
-                    base = dispersion(g1) + dispersion(g2)
-                    best: tuple[float, VM | None, VM | None] | None = None
-                    # Swaps and one-way moves into genuinely free slots
-                    # (never onto an emptied host: splitting a group
-                    # onto idle metal is anti-consolidation).
-                    candidates: list[tuple[VM | None, VM | None]] = [
-                        (a, b) for a in g1 for b in g2]
-                    if g2:
-                        candidates += [(a, None) for a in g1]
-                    if g1:
-                        candidates += [(None, b) for b in g2]
-                    for a, b in candidates:
-                        am, ac = ((a.resources.memory_mb, a.resources.cpus)
-                                  if a is not None else (0, 0))
-                        bm, bc = ((b.resources.memory_mb, b.resources.cpus)
-                                  if b is not None else (0, 0))
-                        # Capacity is a hard constraint in *both*
-                        # directions: with heterogeneous flavors (the
-                        # scenario fleets) even a swap is not
-                        # capacity-neutral.  O(1) deltas off the hoisted
-                        # group sums; always true for uniform flavors,
-                        # so the E8 search is unchanged.
-                        if (mem1 - am + bm > h1.capacity.memory_mb
-                                or cpu1 - ac + bc > h1.capacity.schedulable_cpus
-                                or mem2 - bm + am > h2.capacity.memory_mb
-                                or cpu2 - bc + ac > h2.capacity.schedulable_cpus):
-                            continue
-                        new1 = [v for v in g1 if v is not a] + ([b] if b else [])
-                        new2 = [v for v in g2 if v is not b] + ([a] if a else [])
-                        gain = base - (dispersion(new1) + dispersion(new2))
-                        if gain > threshold and (best is None or gain > best[0]):
-                            best = (gain, a, b)
-                    if best is not None:
-                        _, a, b = best
-                        groups[n1] = [v for v in g1 if v is not a] + ([b] if b else [])
-                        groups[n2] = [v for v in g2 if v is not b] + ([a] if a else [])
-                        improved = True
+            for at, (i, j) in enumerate(pairs):
+                move = self.best[(i, j)]
+                if move is None:
+                    continue
+                self._apply(i, j, move)
+                improved = True
+                # Pairs touching a changed host: the later ones are
+                # re-scored now, the rest at the next pass.
+                stale.update(dict.fromkeys(
+                    p for p in pairs[:at + 1] if i in p or j in p))
+                self._score([p for p in pairs[at + 1:] if i in p or j in p])
             if not improved:
                 break
 
-        assignment = {vm.name: host_by_name[hname]
-                      for hname, group in groups.items() for vm in group}
-        records = self.dc.apply_assignment(assignment, now)
-        return len(records)
+    def _apply(self, i: int, j: int, move: tuple[int, int]) -> None:
+        a, b = move
+        g1, g2 = self.groups[i], self.groups[j]
+        self.groups[i] = [r for r in g1 if r != a] + ([b] if b >= 0 else [])
+        self.groups[j] = [r for r in g2 if r != b] + ([a] if a >= 0 else [])
+
+    def _score(self, pairs: list[tuple[int, int]]) -> None:
+        """Set ``self.best`` for ``pairs`` from the current groups, in
+        batches of about ``BATCH_ROWS`` candidate profile rows."""
+        batch, rows = [], 0
+        for i, j in pairs:
+            m1, m2 = len(self.groups[i]), len(self.groups[j])
+            batch.append((i, j))
+            # Every candidate's two groups hold m1 + m2 rows together.
+            rows += (m1 * m2 + m1 + m2) * (m1 + m2)
+            if rows >= BATCH_ROWS:
+                self._score_batch(batch)
+                batch, rows = [], 0
+        if batch:
+            self._score_batch(batch)
+
+    def _score_batch(self, pairs: list[tuple[int, int]]) -> None:
+        groups, mem, cpu, caps = self.groups, self.mem, self.cpu, self.caps
+        hosts = list(dict.fromkeys(h for p in pairs for h in p))
+        base = {h: n for n, h in enumerate(hosts)}
+        moves: list[tuple[int, int]] = []
+        new1: list[list[int]] = []
+        new2: list[list[int]] = []
+        counts: list[int] = []
+        for i, j in pairs:
+            g1, g2 = groups[i], groups[j]
+            mem1 = sum(mem[r] for r in g1)
+            cpu1 = sum(cpu[r] for r in g1)
+            mem2 = sum(mem[r] for r in g2)
+            cpu2 = sum(cpu[r] for r in g2)
+            cap_mem1, cap_cpu1 = caps[i]
+            cap_mem2, cap_cpu2 = caps[j]
+            # Each side without one of its VMs (-1: without none).
+            rest1 = {a: [r for r in g1 if r != a] for a in g1}
+            rest2 = {b: [r for r in g2 if r != b] for b in g2}
+            rest1[-1], rest2[-1] = g1, g2
+            # Swaps and one-way moves into genuinely free slots (never
+            # onto an emptied host: splitting a group onto idle metal is
+            # anti-consolidation).
+            candidates = [(a, b) for a in g1 for b in g2]
+            if g2:
+                candidates += [(a, -1) for a in g1]
+            if g1:
+                candidates += [(-1, b) for b in g2]
+            start = len(moves)
+            for a, b in candidates:
+                am, ac = (mem[a], cpu[a]) if a >= 0 else (0, 0)
+                bm, bc = (mem[b], cpu[b]) if b >= 0 else (0, 0)
+                # Capacity is a hard constraint in *both* directions:
+                # with heterogeneous flavors (the scenario fleets) even
+                # a swap is not capacity-neutral.
+                if (mem1 - am + bm > cap_mem1 or cpu1 - ac + bc > cap_cpu1
+                        or mem2 - bm + am > cap_mem2
+                        or cpu2 - bc + ac > cap_cpu2):
+                    continue
+                moves.append((a, b))
+                new1.append(rest1[a] + [b] if b >= 0 else rest1[a])
+                new2.append(rest2[b] + [a] if a >= 0 else rest2[b])
+            counts.append(len(moves) - start)
+
+        # Every group to score -- the pairs' current ones, then each
+        # candidate's two -- batched by size.
+        flat = [groups[h] for h in hosts] + new1 + new2
+        sizes = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
+        disp = np.zeros(len(flat))
+        for k in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
+            at = np.flatnonzero(sizes == k)
+            disp[at] = group_dispersion(self.profile[
+                np.array([flat[n] for n in at], dtype=np.intp)])
+        b1, b2 = np.array([(base[i], base[j]) for i, j in pairs],
+                          dtype=np.intp).T
+        first = len(hosts)
+        after = disp[first:first + len(moves)] + disp[first + len(moves):]
+        gains = np.repeat(disp[b1] + disp[b2], counts) - after
+        ok = gains > self.threshold
+        ends = np.cumsum(counts)
+        for p in pairs:
+            self.best[p] = None
+        hits = np.searchsorted(ends, np.flatnonzero(ok), side="right")
+        for n in dict.fromkeys(hits.tolist()):
+            end = int(ends[n])
+            start = end - counts[n]
+            seg = np.where(ok[start:end], gains[start:end], -np.inf)
+            self.best[pairs[n]] = moves[start + int(np.argmax(seg))]

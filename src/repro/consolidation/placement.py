@@ -97,7 +97,8 @@ class PowerAwareBestFitDecreasing:
         planned_demand = {h.name: 0.0 for h in hosts}
 
         for vm in decreasing_demand(vms):
-            best: tuple[float, str] | None = None
+            # (key, host): names are unique, so the key alone decides.
+            best: tuple[tuple[float, str], Host] | None = None
             src = current_host.get(vm.name)
             for host in hosts:
                 if src is not None and host is src:
@@ -116,10 +117,10 @@ class PowerAwareBestFitDecreasing:
                 after = self.power_model.power(
                     PowerState.ON, min((demand + extra) / cap, 1.0))
                 cand = (after - before, name)
-                if best is None or cand < best:
-                    best = cand
+                if best is None or cand < best[0]:
+                    best = (cand, host)
             if best is not None:
-                dest = next(h for h in hosts if h.name == best[1])
+                dest = best[1]
                 placement[vm.name] = dest
                 used_mem[dest.name] += vm.resources.memory_mb
                 used_cpu[dest.name] += vm.resources.cpus
@@ -172,7 +173,8 @@ class IPAwarePlacement:
         for vm in ordered:
             vm_ip = vm.raw_ip(hour_index)
             src = current_host.get(vm.name)
-            best: tuple[int, float, str] | None = None
+            # (key, host): names are unique, so the key alone decides.
+            best: tuple[tuple[int, float, str], Host] | None = None
             for host in hosts:
                 if src is not None and host is src:
                     continue
@@ -185,10 +187,10 @@ class IPAwarePlacement:
                 distance = abs(mean_ip[name] - vm_ip)
                 bucket = int(distance / tol) if tol > 0 else 0
                 cand = (bucket, float(free_mem[name]), name)
-                if best is None or cand < best:
-                    best = cand
+                if best is None or cand < best[0]:
+                    best = (cand, host)
             if best is not None:
-                dest = next(h for h in hosts if h.name == best[2])
+                dest = best[1]
                 placement[vm.name] = dest
                 used_mem[dest.name] += vm.resources.memory_mb
                 used_cpu[dest.name] += vm.resources.cpus
