@@ -126,23 +126,33 @@ class DrowsyController(NeatController):
         vms = [vm for h in hosts for vm in h.vms]
         if not vms:
             return 0
+        # Groups are lists of rows of the VMs' IP-profile matrix.
         rows = iter(range(len(vms)))
         groups = [[next(rows) for _ in h.vms] for h in hosts]
-        search = _SwapSearch(
-            profile=ip_profiles(vms, hour_index),
-            groups=groups,
-            mem=[vm.resources.memory_mb for vm in vms],
-            cpu=[vm.resources.cpus for vm in vms],
-            caps=[(h.capacity.memory_mb, h.capacity.schedulable_cpus)
-                  for h in hosts],
-            threshold=self.params.ip_distance_tolerance)
-        # Host pairs in name order, as the search visits them.
+        profile = ip_profiles(vms, hour_index)
+        mem = [vm.resources.memory_mb for vm in vms]
+        cpu = [vm.resources.cpus for vm in vms]
+        caps = [(h.capacity.memory_mb, h.capacity.schedulable_cpus)
+                for h in hosts]
+        threshold = self.params.ip_distance_tolerance
+        # Host pairs in name order.
         order = sorted(range(len(hosts)), key=lambda k: hosts[k].name)
-        search.run([(i, j) for n, i in enumerate(order) for j in order[n + 1:]],
-                   max_passes=len(vms))
+        for _ in range(len(vms)):  # convergence bound
+            improved = False
+            for n, i in enumerate(order):
+                for j in order[n + 1:]:
+                    g1, g2 = groups[i], groups[j]
+                    move = best_move(profile, g1, g2, mem, cpu,
+                                     caps[i], caps[j], threshold)
+                    if move is not None:
+                        a, b = move
+                        groups[i] = [r for r in g1 if r != a] + ([b] if b >= 0 else [])
+                        groups[j] = [r for r in g2 if r != b] + ([a] if a >= 0 else [])
+                        improved = True
+            if not improved:
+                break
         assignment = {vms[r].name: host
-                      for host, group in zip(hosts, search.groups)
-                      for r in group}
+                      for host, group in zip(hosts, groups) for r in group}
         records = self.dc.apply_assignment(assignment, now)
         return len(records)
 
@@ -153,10 +163,9 @@ class DrowsyController(NeatController):
 PROFILE_HOURS = 24
 
 
-def ip_profiles(vms: list[VM], hour_index: int,
-                window: int = PROFILE_HOURS) -> np.ndarray:
-    """``(len(vms), window)`` predicted raw IPs over the next ``window``
-    hourly slots (models trained on the past only -- no oracle).
+def ip_profiles(vms: list[VM], hour_index: int) -> np.ndarray:
+    """``(len(vms), PROFILE_HOURS)`` predicted raw IPs over the next
+    day of hourly slots (models trained on the past only -- no oracle).
 
     VMs bound to one fleet model are read off its cached raw-IP column,
     one gather per slot: the very floats ``FleetVMView.raw_ip`` returns.
@@ -168,8 +177,8 @@ def ip_profiles(vms: list[VM], hour_index: int,
                                  for m in models):
         rows = np.array([m.fleet_index for m in models], dtype=np.intp)
         return np.stack([fleet.raw_ip_column(slot_of_hour(hour_index + k))[rows]
-                         for k in range(window)], axis=1)
-    return np.array([[vm.raw_ip(hour_index + k) for k in range(window)]
+                         for k in range(PROFILE_HOURS)], axis=1)
+    return np.array([[vm.raw_ip(hour_index + k) for k in range(PROFILE_HOURS)]
                      for vm in vms])
 
 
@@ -191,140 +200,58 @@ def group_dispersion(stacked: np.ndarray) -> np.ndarray:
     return spread.reshape(c, -1).sum(axis=1)
 
 
-#: Candidate profile rows scored per batch: bounds the search's
-#: ``(rows, PROFILE_HOURS)`` temporaries whatever the fleet size.
-BATCH_ROWS = 4096
+def best_move(profile: np.ndarray, g1: list[int], g2: list[int],
+              mem: list, cpu: list, cap1: tuple, cap2: tuple,
+              threshold: float) -> tuple[int, int] | None:
+    """The move between two hosts' groups of ``profile`` rows that cuts
+    their dispersion the most, by more than ``threshold``.
 
-
-class _SwapSearch:
-    """First-improvement local search behind ``relocate_all``.
-
-    A pass visits the host pairs in order and, per pair, applies the
-    candidate (a swap, a move ``a ->`` or a move ``<- b``) whose
-    dispersion gain is largest and above the threshold -- the first
-    such candidate on ties.  A pair's best move depends only on its two
-    groups, so the search scores all pairs of a pass up front, in
-    batches, and after a move re-scores just the later pairs touching
-    the two changed hosts.  Groups are lists of profile rows in host
-    order.
+    Candidates are the swaps ``(a, b)``, the one-way moves ``(a, -1)``
+    and ``(-1, b)``, in that order; the first of equal gains wins.
+    Every candidate group of one size is scored in one
+    ``group_dispersion`` call.  Returns None when no move qualifies.
     """
-
-    def __init__(self, profile: np.ndarray, groups: list[list[int]],
-                 mem: list, cpu: list, caps: list[tuple],
-                 threshold: float) -> None:
-        self.profile = profile
-        self.groups = groups
-        self.mem, self.cpu, self.caps = mem, cpu, caps
-        self.threshold = threshold
-        #: Pair -> best move ``(a, b)`` (rows, ``-1`` for none) or None.
-        self.best: dict[tuple[int, int], tuple[int, int] | None] = {}
-
-    def run(self, pairs: list[tuple[int, int]], max_passes: int) -> None:
-        stale = dict.fromkeys(pairs)
-        for _ in range(max_passes):
-            self._score(list(stale))
-            stale = {}
-            improved = False
-            for at, (i, j) in enumerate(pairs):
-                move = self.best[(i, j)]
-                if move is None:
-                    continue
-                self._apply(i, j, move)
-                improved = True
-                # Pairs touching a changed host: the later ones are
-                # re-scored now, the rest at the next pass.
-                stale.update(dict.fromkeys(
-                    p for p in pairs[:at + 1] if i in p or j in p))
-                self._score([p for p in pairs[at + 1:] if i in p or j in p])
-            if not improved:
-                break
-
-    def _apply(self, i: int, j: int, move: tuple[int, int]) -> None:
-        a, b = move
-        g1, g2 = self.groups[i], self.groups[j]
-        self.groups[i] = [r for r in g1 if r != a] + ([b] if b >= 0 else [])
-        self.groups[j] = [r for r in g2 if r != b] + ([a] if a >= 0 else [])
-
-    def _score(self, pairs: list[tuple[int, int]]) -> None:
-        """Set ``self.best`` for ``pairs`` from the current groups, in
-        batches of about ``BATCH_ROWS`` candidate profile rows."""
-        batch, rows = [], 0
-        for i, j in pairs:
-            m1, m2 = len(self.groups[i]), len(self.groups[j])
-            batch.append((i, j))
-            # Every candidate's two groups hold m1 + m2 rows together.
-            rows += (m1 * m2 + m1 + m2) * (m1 + m2)
-            if rows >= BATCH_ROWS:
-                self._score_batch(batch)
-                batch, rows = [], 0
-        if batch:
-            self._score_batch(batch)
-
-    def _score_batch(self, pairs: list[tuple[int, int]]) -> None:
-        groups, mem, cpu, caps = self.groups, self.mem, self.cpu, self.caps
-        hosts = list(dict.fromkeys(h for p in pairs for h in p))
-        base = {h: n for n, h in enumerate(hosts)}
-        moves: list[tuple[int, int]] = []
-        new1: list[list[int]] = []
-        new2: list[list[int]] = []
-        counts: list[int] = []
-        for i, j in pairs:
-            g1, g2 = groups[i], groups[j]
-            mem1 = sum(mem[r] for r in g1)
-            cpu1 = sum(cpu[r] for r in g1)
-            mem2 = sum(mem[r] for r in g2)
-            cpu2 = sum(cpu[r] for r in g2)
-            cap_mem1, cap_cpu1 = caps[i]
-            cap_mem2, cap_cpu2 = caps[j]
-            # Each side without one of its VMs (-1: without none).
-            rest1 = {a: [r for r in g1 if r != a] for a in g1}
-            rest2 = {b: [r for r in g2 if r != b] for b in g2}
-            rest1[-1], rest2[-1] = g1, g2
-            # Swaps and one-way moves into genuinely free slots (never
-            # onto an emptied host: splitting a group onto idle metal is
-            # anti-consolidation).
-            candidates = [(a, b) for a in g1 for b in g2]
-            if g2:
-                candidates += [(a, -1) for a in g1]
-            if g1:
-                candidates += [(-1, b) for b in g2]
-            start = len(moves)
-            for a, b in candidates:
-                am, ac = (mem[a], cpu[a]) if a >= 0 else (0, 0)
-                bm, bc = (mem[b], cpu[b]) if b >= 0 else (0, 0)
-                # Capacity is a hard constraint in *both* directions:
-                # with heterogeneous flavors (the scenario fleets) even
-                # a swap is not capacity-neutral.
-                if (mem1 - am + bm > cap_mem1 or cpu1 - ac + bc > cap_cpu1
-                        or mem2 - bm + am > cap_mem2
-                        or cpu2 - bc + ac > cap_cpu2):
-                    continue
-                moves.append((a, b))
-                new1.append(rest1[a] + [b] if b >= 0 else rest1[a])
-                new2.append(rest2[b] + [a] if a >= 0 else rest2[b])
-            counts.append(len(moves) - start)
-
-        # Every group to score -- the pairs' current ones, then each
-        # candidate's two -- batched by size.
-        flat = [groups[h] for h in hosts] + new1 + new2
-        sizes = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
-        disp = np.zeros(len(flat))
-        for k in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
-            at = np.flatnonzero(sizes == k)
-            disp[at] = group_dispersion(self.profile[
-                np.array([flat[n] for n in at], dtype=np.intp)])
-        b1, b2 = np.array([(base[i], base[j]) for i, j in pairs],
-                          dtype=np.intp).T
-        first = len(hosts)
-        after = disp[first:first + len(moves)] + disp[first + len(moves):]
-        gains = np.repeat(disp[b1] + disp[b2], counts) - after
-        ok = gains > self.threshold
-        ends = np.cumsum(counts)
-        for p in pairs:
-            self.best[p] = None
-        hits = np.searchsorted(ends, np.flatnonzero(ok), side="right")
-        for n in dict.fromkeys(hits.tolist()):
-            end = int(ends[n])
-            start = end - counts[n]
-            seg = np.where(ok[start:end], gains[start:end], -np.inf)
-            self.best[pairs[n]] = moves[start + int(np.argmax(seg))]
+    mem1 = sum(mem[r] for r in g1)
+    cpu1 = sum(cpu[r] for r in g1)
+    mem2 = sum(mem[r] for r in g2)
+    cpu2 = sum(cpu[r] for r in g2)
+    # Swaps and one-way moves into genuinely free slots (never onto an
+    # emptied host: splitting a group onto idle metal is
+    # anti-consolidation).
+    candidates = [(a, b) for a in g1 for b in g2]
+    if g2:
+        candidates += [(a, -1) for a in g1]
+    if g1:
+        candidates += [(-1, b) for b in g2]
+    moves: list[tuple[int, int]] = []
+    new1: list[list[int]] = []
+    new2: list[list[int]] = []
+    for a, b in candidates:
+        am, ac = (mem[a], cpu[a]) if a >= 0 else (0, 0)
+        bm, bc = (mem[b], cpu[b]) if b >= 0 else (0, 0)
+        # Capacity is a hard constraint in *both* directions: with
+        # heterogeneous flavors (the scenario fleets) even a swap is not
+        # capacity-neutral.
+        if (mem1 - am + bm > cap1[0] or cpu1 - ac + bc > cap1[1]
+                or mem2 - bm + am > cap2[0] or cpu2 - bc + ac > cap2[1]):
+            continue
+        moves.append((a, b))
+        new1.append([r for r in g1 if r != a] + ([b] if b >= 0 else []))
+        new2.append([r for r in g2 if r != b] + ([a] if a >= 0 else []))
+    if not moves:
+        return None
+    # The two current groups, then each candidate's two, batched by size.
+    flat = [g1, g2] + new1 + new2
+    by_size: dict[int, list[int]] = {}
+    for n, group in enumerate(flat):
+        by_size.setdefault(len(group), []).append(n)
+    disp = np.zeros(len(flat))
+    for k, at in by_size.items():
+        if k >= 2:
+            disp[at] = group_dispersion(profile[[flat[n] for n in at]])
+    c = len(moves)
+    gains = (disp[0] + disp[1]) - (disp[2:2 + c] + disp[2 + c:])
+    ok = gains > threshold
+    if not ok.any():
+        return None
+    return moves[int(np.argmax(np.where(ok, gains, -np.inf)))]

@@ -1,7 +1,7 @@
 """``DrowsyController.relocate_all`` against its original per-candidate loop.
 
-The controller scores every host pair's candidate moves in batches
-(``repro.consolidation.drowsy``).  :func:`reference_relocate_all` below is
+The controller scores each host pair's candidate moves in size-bucketed
+batches (``repro.consolidation.drowsy.best_move``).  :func:`reference_relocate_all` below is
 the original implementation, kept verbatim as the oracle: one
 ``dispersion`` reduction per candidate group, pairs visited one at a
 time.  Both must produce the same placement, in the same per-host VM
