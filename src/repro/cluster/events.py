@@ -14,7 +14,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Iterable
+
+
+def first_grid_point(first: float, period: float, target: float) -> float:
+    """The first point at/after ``target`` of the grid ``first``,
+    ``first + period``, ... — walked by iterated float addition, so it
+    equals the instant a chain of ``now + period`` re-arms would reach."""
+    while first < target:
+        first += period
+    return first
 
 
 class Event:
@@ -58,6 +68,8 @@ class EventSimulator:
         #: Live (non-cancelled) events in the heap; kept in lockstep by
         #: schedule/cancel/pop so :attr:`pending` is O(1), not a scan.
         self._live = 0
+        #: The bound :meth:`run_until` is draining to; ``-inf`` outside it.
+        self.draining_until = -math.inf
 
     @property
     def now(self) -> float:
@@ -152,12 +164,27 @@ class EventSimulator:
 
     def run_until(self, end_time: float) -> None:
         """Process events up to and including ``end_time``, then advance
-        the clock to ``end_time`` even if the queue drained earlier."""
-        while True:
-            t = self.peek_time()
-            if t is None or t > end_time:
-                break
-            self.step()
+        the clock to ``end_time`` even if the queue drained earlier.
+
+        While it runs, :attr:`draining_until` is ``end_time``: an event
+        a callback would schedule at or before it is certain to fire in
+        this call, so its owner may apply it inline (DESIGN.md §10).
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        self.draining_until = end_time
+        try:
+            while heap and heap[0][0] <= end_time:
+                ev = pop(heap)[2]
+                if ev.cancelled:
+                    continue
+                self._live -= 1
+                ev._owner = None  # consumed: a late cancel() must not decrement
+                self._now = ev.time
+                self.events_processed += 1
+                ev.callback(*ev.args)
+        finally:
+            self.draining_until = -math.inf
         self._now = max(self._now, end_time)
 
     def run(self) -> None:

@@ -10,6 +10,7 @@ wake penalty when a request lands on a drowsy server.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,7 +66,7 @@ class Request:
 
     @property
     def completed(self) -> bool:
-        return not np.isnan(self.completion_s)
+        return not math.isnan(self.completion_s)
 
 
 def poisson_arrivals(rng: np.random.Generator, start_s: float, duration_s: float,

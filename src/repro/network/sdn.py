@@ -191,10 +191,19 @@ class SDNSwitch:
                                           reason="switch-port"), self.sim.now)
 
     def _complete(self, request: Request, at: float) -> None:
-        # Args-based scheduling (no closure): a completion event can
-        # straddle an hour boundary (resume-delayed requests) and must
-        # survive a checkpoint pickle of the event heap.
-        self.sim.schedule_at(at, self._finish, request)
+        sim = self.sim
+        if at <= sim.draining_until:
+            # The completion would fire inside the running drain, and
+            # nothing can cancel it: record it now, at its own instant,
+            # and count it as the event it stands in for (DESIGN.md §10).
+            request.completion_s = at
+            self.log.record(request)
+            sim.events_processed += 1
+            return
+        # A completion past the drain's bound is an event.  Args-based
+        # scheduling (no closure): it must survive a checkpoint pickle
+        # of the event heap.
+        sim.schedule_at(at, self._finish, request)
 
     def _finish(self, request: Request) -> None:
         request.completion_s = self.sim.now

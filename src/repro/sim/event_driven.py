@@ -25,7 +25,7 @@ import numpy as np
 
 from ..cluster.accounting import columnar_host_view
 from ..cluster.datacenter import DataCenter
-from ..cluster.events import EventSimulator
+from ..cluster.events import EventSimulator, first_grid_point
 from ..cluster.host import Host
 from ..cluster.power import PowerState
 from ..cluster.vm import VM
@@ -89,25 +89,20 @@ class EventConfig:
     #: invariant under placement/iteration reordering; requires
     #: ``use_bulk_requests``).
     request_streams: str = "shared"
-    #: Adaptive suspend-check periods (DESIGN.md §12): double a host's
-    #: check interval while it keeps voting ACTIVE (a busy host cannot
-    #: suspend, so checking it every period is wasted work), reset to
-    #: the base period on any other decision or on resume.  Widened
-    #: deadlines stay on the host's fixed-period grid (iterated float
-    #: addition, identical to the per-check path's ``now + period``
-    #: chain) and never skip the first check at/after an hour boundary
-    #: — the only instants a verdict can change — so every suspend
-    #: fires at exactly the time the fixed-period oracle would pick:
-    #: all results are bit-identical except ``events_processed``
-    #: (fewer checks).  ``None`` (the default) follows
-    #: ``use_batched_checks`` — adaptive widening is ON for the default
-    #: batched path (soaked in PR 4, ~3x fewer check events) and off on
-    #: the fixed-period oracle; an explicit ``True`` without batched
-    #: checks raises.
+    #: Adaptive suspend-check periods (DESIGN.md §12): re-arm a host's
+    #: check where its verdict can next change.  An ACTIVE host cannot
+    #: suspend before the next hour tick (activities and placement only
+    #: change there), so its next check is the first point of its
+    #: fixed-period grid at/after the hour end; an IN_GRACE host's is
+    #: the first grid point at/after ``min(grace_until, hour end)``.
+    #: Grid points come from iterated float addition, identical to the
+    #: per-check path's ``now + period`` chain, so every suspend fires
+    #: at exactly the time the fixed-period oracle would pick: all
+    #: results are bit-identical except ``events_processed`` (fewer
+    #: checks).  ``None`` (the default) follows ``use_batched_checks``
+    #: — on for the default batched path, off on the fixed-period
+    #: oracle; an explicit ``True`` without batched checks raises.
     adaptive_checks: bool | None = None
-    #: Cap on the widening (in base periods): the check interval never
-    #: exceeds ``adaptive_max_factor * suspend_check_period_s``.
-    adaptive_max_factor: int = 16
 
     def __post_init__(self) -> None:
         # All config contradictions raise here, at construction time —
@@ -126,8 +121,6 @@ class EventConfig:
                                self.use_batched_checks)
         elif self.adaptive_checks and not self.use_batched_checks:
             raise ValueError("adaptive check periods require batched checks")
-        if self.adaptive_max_factor < 1:
-            raise ValueError("adaptive_max_factor must be >= 1")
 
 
 class EventDrivenSimulation:
@@ -178,8 +171,6 @@ class EventDrivenSimulation:
         #: (DESIGN.md §10); None = per-host event oracle path.
         self.sweeper = (SuspendSweepScheduler(self.sim, self._sweep_due)
                         if config.use_batched_checks else None)
-        #: Consecutive ACTIVE votes per host (adaptive check periods).
-        self._active_streak: dict[str, int] = {}
         self._request_streams = (PerVMRequestStreams(config.seed)
                                  if config.request_streams == "per-vm"
                                  else None)
@@ -437,9 +428,6 @@ class EventDrivenSimulation:
     # ------------------------------------------------------------------
     def _schedule_check(self, host: Host, delay: float) -> None:
         if self.sweeper is not None:
-            # Fresh registration (run start / resume): any adaptive
-            # widening restarts from the base period.
-            self._active_streak.pop(host.name, None)
             self.sweeper.schedule(host, self.sim.now + delay)
             return
         old = self._check_events.pop(host.name, None)
@@ -498,9 +486,10 @@ class EventDrivenSimulation:
         adaptive = self.config.adaptive_checks
         if adaptive:
             active = SuspendDecision.ACTIVE
-            streaks = self._active_streak
-            max_steps = self.config.adaptive_max_factor
             hour_end = time_of_hour(self._current_hour + 1)
+            # Every due host shares ``now``, so grid points are shared
+            # too: one walk per distinct target per sweep.
+            rearm: dict[float, float] = {}
         for host in due:
             if host.state is not on_state:
                 continue  # resume path reinstates the check
@@ -523,41 +512,16 @@ class EventDrivenSimulation:
                 if verdict.should_suspend:
                     self._begin_suspend(host, verdict.waking_date_s)
                     continue
-            if adaptive:
-                schedule(host, self._adaptive_deadline(
-                    host.name, decision is active, now, period, hour_end,
-                    streaks, max_steps))
+            if adaptive and (decision is active or decision is in_grace):
+                target = (hour_end if decision is active
+                          else min(host.grace_until, hour_end))
+                nxt = rearm.get(target)
+                if nxt is None:
+                    nxt = rearm[target] = first_grid_point(
+                        deadline, period, target)
+                schedule(host, nxt)
             else:
                 schedule(host, deadline)
-
-    def _adaptive_deadline(self, name: str, voted_active: bool, now: float,
-                           period: float, hour_end: float,
-                           streaks: dict[str, int], max_steps: int) -> float:
-        """Next check deadline under adaptive widening (DESIGN.md §12).
-
-        Walks the host's fixed-period deadline grid by iterated float
-        addition — bit-exact with the oracle's ``now + period`` chain —
-        skipping up to ``2**streak - 1`` grid points but never the first
-        one at/after the next hour boundary: hour ticks are the only
-        instants activities and placement (and therefore verdicts) can
-        change, so the first post-boundary check lands exactly where the
-        fixed-period oracle's would.
-        """
-        deadline = now + period
-        if not voted_active:
-            streaks.pop(name, None)
-            return deadline
-        streak = min(streaks.get(name, 0) + 1, 30)
-        streaks[name] = streak
-        steps = min(1 << streak, max_steps)
-        k = 1
-        while k < steps:
-            nxt = deadline + period
-            if nxt >= hour_end:
-                break
-            deadline = nxt
-            k += 1
-        return deadline
 
     def _begin_suspend(self, host: Host, waking_date_s: float | None) -> None:
         # Hand the waking date to the rack's waking module first so the

@@ -30,7 +30,7 @@ the service behave like their distributed-system counterparts:
 from __future__ import annotations
 
 
-from ..cluster.events import EventSimulator
+from ..cluster.events import EventSimulator, first_grid_point
 from ..cluster.host import Host
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .module import WakingModule, WolSender
@@ -77,11 +77,15 @@ class ReplicatedWakingService:
         self.unanswered_packets = 0
         #: State-changing calls dropped because both replicas were dead.
         self.lost_calls = 0
-        #: Heartbeat events processed — the one engine-global recurring
-        #: event; the sharded reducer subtracts duplicate chains with it.
+        #: Heartbeat events processed; the sharded reducer subtracts
+        #: duplicate chains with it.
         self.beats = 0
-        self._heartbeat_event = sim.schedule_in(
-            params.heartbeat_period_s, self._heartbeat)
+        #: The heartbeat grid is ``origin + k * period`` (k >= 1, by
+        #: iterated addition).  While the primary is alive every beat
+        #: just resets the miss count, so no beat is scheduled until
+        #: :meth:`fail_primary` arms the chain (DESIGN.md §14).
+        self._beat_origin = sim.now
+        self._heartbeat_event = None
 
     # ------------------------------------------------------------------
     @property
@@ -165,8 +169,20 @@ class ReplicatedWakingService:
         self.mirror.restore(self.mirror.state)
 
     def fail_primary(self) -> None:
-        """Fault injection: crash the primary module."""
+        """Fault injection: crash the primary module, and arm the
+        heartbeat chain at the first grid instant at or after now.
+        That is the beat a chain running since construction would fire
+        next, so the mirror is promoted at the same instant; a kill on
+        a grid instant counts that instant's beat as its first miss, as
+        such a chain's beat (scheduled earlier) would."""
         self.primary.fail()
+        if self._heartbeat_event is not None:
+            return  # the chain is already running (or has ended)
+        period = self.params.heartbeat_period_s
+        self._heartbeat_event = self.sim.schedule_at(
+            first_grid_point(self._beat_origin + period, period,
+                             self.sim.now),
+            self._heartbeat)
 
     @property
     def detection_delay_s(self) -> float:

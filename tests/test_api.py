@@ -313,8 +313,6 @@ class TestConfigValidation:
             EventConfig(request_streams="per-vm", use_bulk_requests=False)
         with pytest.raises(ValueError, match="batched"):
             EventConfig(adaptive_checks=True, use_batched_checks=False)
-        with pytest.raises(ValueError, match="adaptive_max_factor"):
-            EventConfig(adaptive_max_factor=0)
 
     def test_backend_rejects_wrong_config_type(self):
         with pytest.raises(TypeError, match="HourlyConfig"):

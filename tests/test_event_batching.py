@@ -10,16 +10,21 @@ wake/request indexes, the columnar blocked-I/O mirror and the per-VM
 request substreams.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Host, VM
+from repro.api import Simulation
+from repro.cluster import DataCenter, Host, PowerState, ResourceSpec, VM
 from repro.cluster.datacenter import PlacementError
 from repro.cluster.events import EventSimulator
 from repro.consolidation.drowsy import DrowsyController
 from repro.core.binding import FleetBinding
 from repro.core.params import DEFAULT_PARAMS
 from repro.experiments.common import build_fleet
+from repro.faults import FaultPlan, HostCrashFaults, TransitionFaults
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.sim.suspend_sweep import SuspendSweepScheduler
 from repro.suspend.columnar import (
@@ -30,7 +35,9 @@ from repro.suspend.columnar import (
     classify_hosts,
     module_is_columnar,
 )
-from repro.suspend.module import SuspendingModule
+from repro.suspend.module import SuspendDecision, SuspendingModule
+from repro.traces.base import ActivityTrace
+from repro.traces.synthetic import always_idle_trace
 from repro.waking.packets import WoLPacket
 
 from dataclasses import fields as dataclass_fields
@@ -407,19 +414,18 @@ def test_events_per_second_metric_is_comparable():
 
 
 class TestAdaptiveCheckPeriods:
-    """Adaptive suspend-check widening (DESIGN.md §12): bit-identical
-    to the fixed-period oracle except for the check-event count."""
+    """Adaptive suspend checks (DESIGN.md §12): a check is re-armed where
+    its verdict can next change, bit-identical to the fixed-period
+    oracle except for the check-event count."""
 
     def test_requires_batched_checks(self):
         with pytest.raises(ValueError):
             _build(adaptive_checks=True, use_batched_checks=False)
-        with pytest.raises(ValueError):
-            _build(adaptive_checks=True, adaptive_max_factor=0)
 
     def test_default_follows_batched_checks(self):
-        """PR 5 flipped the default: adaptive widening is on wherever it
-        is legal (the batched path) and off on the fixed-period oracle;
-        an explicit True without batched checks stays an error."""
+        """Adaptive checks are on by default wherever they are legal
+        (the batched path) and off on the fixed-period oracle; an
+        explicit True without batched checks stays an error."""
         assert EventConfig().adaptive_checks is True
         assert EventConfig(use_batched_checks=False).adaptive_checks is False
         assert EventConfig(adaptive_checks=False).adaptive_checks is False
@@ -438,19 +444,108 @@ class TestAdaptiveCheckPeriods:
             assert h_f.transitions == h_a.transitions
         assert r_a.events_processed < r_f.events_processed
 
-    def test_max_factor_one_degenerates_to_fixed(self):
-        fixed, _ = _build(adaptive_checks=False)
-        capped, _ = _build(adaptive_checks=True, adaptive_max_factor=1)
-        assert_results_equal(fixed.run(6), capped.run(6))
-
     def test_widening_keeps_grid_alignment_across_hours(self):
         """Longer horizon with migrations and resumes mixed in."""
-        fixed, dc_f = _build(n_hosts=3, n_vms=12, adaptive_checks=False,
-                             adaptive_max_factor=16)
-        adaptive, dc_a = _build(n_hosts=3, n_vms=12, adaptive_checks=True,
-                                adaptive_max_factor=64)
+        fixed, dc_f = _build(n_hosts=3, n_vms=12, adaptive_checks=False)
+        adaptive, dc_a = _build(n_hosts=3, n_vms=12, adaptive_checks=True)
         r_f, r_a = fixed.run(12), adaptive.run(12)
         for h_f, h_a in zip(dc_f.hosts, dc_a.hosts):
             assert h_f.transitions == h_a.transitions
         assert r_f.energy_kwh_by_host == r_a.energy_kwh_by_host
         assert r_f.request_summary == r_a.request_summary
+
+
+def _one_host(trace, period=7.0, **config_kw):
+    """One host with one VM; a check period that does not divide the
+    hour, so hour-end grid points are off the boundary."""
+    params = dataclasses.replace(DEFAULT_PARAMS, suspend_check_period_s=period)
+    host = Host("h0", params=params)
+    dc = DataCenter([host], params)
+    dc.place(VM("v0", trace, ResourceSpec(cpus=1, memory_mb=2048),
+                params=params, ip_address="10.7.0.1"), host)
+    sim = EventDrivenSimulation(dc, DrowsyController(dc, params=params),
+                                params, EventConfig(seed=3, **config_kw))
+    checks: list[float] = []
+    if sim.sweeper is not None:
+        sweep = sim.sweeper._sweep
+
+        def spy(now, due):
+            checks.extend(now for _ in due)
+            sweep(now, due)
+        sim.sweeper._sweep = spy
+    return sim, host, checks
+
+
+def _suspends(host):
+    return [t.time for t in host.transitions
+            if t.to_state is PowerState.SUSPENDING]
+
+
+class TestHourStickyChecks:
+    """Where the default path re-arms a check: ACTIVE hosts at the first
+    grid point at/after the hour end, IN_GRACE hosts at the first grid
+    point at/after ``min(grace_until, hour end)``."""
+
+    def test_active_host_checked_once_per_hour(self):
+        sim, host, checks = _one_host(ActivityTrace("busy", np.full(72, 0.5)))
+        sim.run(3)
+        # Grid 7, 14, ...: the first points at/after 3600 and 7200 are
+        # 3605 and 7203; the next, 10801, lies past the horizon.
+        assert checks == [7.0, 3605.0, 7203.0]
+        assert sim.sweeper.next_deadline(host) == 10801.0
+        counts = sim.suspending["h0"].decision_counts
+        assert counts[SuspendDecision.ACTIVE] == 3
+        assert host.suspend_count == 0
+
+    def test_in_grace_host_rechecked_at_grace_end(self):
+        sim, host, checks = _one_host(always_idle_trace(72))
+        host.grace_until = 1234.5
+        sim.run(1)
+        assert checks[:2] == [7.0, 1239.0]  # 7 * 177 = 1239 >= 1234.5
+        assert _suspends(host) == [1239.0]
+
+    def test_grace_past_hour_end_rechecks_at_the_boundary(self):
+        sim, host, checks = _one_host(always_idle_trace(72))
+        host.grace_until = 5003.5
+        sim.run(2)
+        # min(grace, hour end) = 3600 -> 3605; then 5005 >= 5003.5.
+        assert checks[:3] == [7.0, 3605.0, 5005.0]
+        assert _suspends(host) == [5005.0]
+
+    @pytest.mark.parametrize("grace", [0.0, 1234.5, 5003.5])
+    def test_suspend_instant_matches_fixed_period_oracle(self, grace):
+        runs = []
+        for batched in (True, False):
+            sim, host, _ = _one_host(always_idle_trace(72),
+                                     use_batched_checks=batched)
+            host.grace_until = grace
+            sim.run(2)
+            runs.append(_suspends(host))
+        assert runs[0] == runs[1] and runs[0]
+
+    def test_parity_with_oracle_under_crashes_and_failed_resumes(self):
+        """Crashes cancel checks mid-hour and failed resumes evacuate
+        VMs onto live hosts mid-hour: every field but the event count
+        still matches the fixed-period per-host oracle."""
+        plan = FaultPlan(
+            name="evacuations",
+            crashes=HostCrashFaults(rate_per_host_per_h=0.05,
+                                    recover_after_s=900.0),
+            transitions=TransitionFaults(resume_failure_probability=0.3,
+                                         recover_after_s=1200.0))
+        runs = []
+        for config in (EventConfig(seed=5),
+                       EventConfig(seed=5, use_batched_checks=False)):
+            # A fleet whose resumed hosts sit out grace windows that end
+            # mid-hour, so an IN_GRACE re-arm decides a suspend instant.
+            dc = build_fleet(n_hosts=16, n_vms=48, llmi_fraction=0.75,
+                             hours=8, seed=5)
+            runs.append(Simulation(dc, "drowsy", "event", config=config,
+                                   faults=plan).run(8))
+        fast, oracle = runs
+        assert oracle.fault_summary.failover_migrations > 0
+        assert oracle.fault_summary.host_crashes > 0
+        for field in RESULT_FIELDS:
+            if field != "events_processed":
+                assert getattr(fast, field) == getattr(oracle, field), field
+        assert fast.events_processed < oracle.events_processed
