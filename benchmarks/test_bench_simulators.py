@@ -7,10 +7,12 @@ checks for the columnar refactors: the fleet-bound hourly simulator must
 beat the seed per-VM scalar path by >= 3x at 1024 VMs x 168 h, the
 host-accounting layer must further beat the accounting-off fleet path,
 and the batched event simulator (suspend-check sweeps + bulk request
-scheduling + indexed wake path) must beat the per-host event path by
->= 3x in events/s — all while producing *bit-identical* results (energy,
-migrations, SLATAH, request summaries, event counts).  The speedups are
-pure mechanics, never a semantics change.  Event-driven events/s and
+scheduling + indexed wake path) must beat the per-host event path of
+``tests/oracles.py`` by >= 3x in events/s — all while producing
+*bit-identical* results (energy, migrations, SLATAH, request summaries;
+the event path skips check events whose verdict is already known, so
+its event count is the one field that shrinks).  The speedups are pure
+mechanics, never a semantics change.  Event-driven events/s and
 wall-clock are recorded as ``extra_info`` in the BENCH_PR.json artifact
 so the per-PR perf trajectory covers both simulators.
 """
@@ -22,9 +24,17 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.api import Simulation
+from repro.api.controllers import build_controller
 from repro.experiments.common import build_fleet
-from repro.sim.event_driven import EventConfig
 from repro.sim.hourly import HourlyConfig
+# One definition of the parity contract, shared with the hypothesis
+# interleaving suite: every RunResult field but events_processed (which
+# only shrinks), derived not hardcoded, failing field named on mismatch.
+from tests.oracles import (
+    PerHostEventBackend,
+    ScalarHourlySimulator,
+    assert_matches_oracle,
+)
 
 WEEK_H = 168
 
@@ -55,8 +65,8 @@ def test_hourly_speedup_and_parity():
     n_vms, hours = 1024, WEEK_H
 
     dc_scalar = _fleet(n_vms, hours)
-    sim_scalar = Simulation(dc_scalar, "drowsy",
-                            config=HourlyConfig(use_fleet_model=False))
+    sim_scalar = ScalarHourlySimulator(
+        dc_scalar, build_controller("drowsy", dc_scalar, dc_scalar.params))
     t0 = time.perf_counter()
     scalar = sim_scalar.run(hours)
     scalar_s = time.perf_counter() - t0
@@ -155,20 +165,12 @@ def test_event_fleet_throughput(benchmark, n_vms, hours):
     benchmark.extra_info["events_per_s"] = result.events_processed / wall_s
 
 
-def _assert_event_results_identical(a, b):
-    # One definition of the parity contract, shared with the hypothesis
-    # interleaving suite: every EventResult field, derived not
-    # hardcoded, with the failing field named on mismatch.
-    from tests.test_event_batching import assert_results_equal
-
-    assert_results_equal(a, b)
-
-
 def test_event_batched_speedup_and_parity(benchmark):
     """Acceptance for the batched event-driven hot path (DESIGN.md §10):
     fleet-wide suspend-check sweeps + bulk request scheduling + indexed
-    wake path must beat the PR 2 per-host event path by >= 3x in
-    events/s at 1024 VMs, with a bit-identical ``EventResult``.
+    wake path must beat the per-host event path by >= 3x in events/s
+    at 1024 VMs, with a ``RunResult`` equal on every field but
+    ``events_processed``.
 
     The full acceptance workload is 1024 VMs x 168 h; the oracle path
     alone takes ~13 min there, so the default run uses a 12 h horizon
@@ -176,13 +178,15 @@ def test_event_batched_speedup_and_parity(benchmark):
     ``BENCH_FULL=1`` selects the full week on dedicated hardware.
 
     The two runs are independent simulations over their own fleets, so
-    they shard across cores like E8 cells (``EventParityCell`` through
-    ``SweepRunner``): the slow oracle overlaps the batched run instead
-    of serializing behind it, roughly halving bench wall-clock.  Each
-    worker measures its own wall-clock, so events/s stays a per-run
-    number; ``BENCH_WORKERS=1`` restores the serial in-process path.
+    they shard across cores like E8 cells (``EventParityCell`` from
+    ``tests/oracles.py`` through ``SweepRunner``): the slow oracle
+    overlaps the batched run instead of serializing behind it, roughly
+    halving bench wall-clock.  Each worker measures its own wall-clock,
+    so events/s stays a per-run number; ``BENCH_WORKERS=1`` restores
+    the serial in-process path.
     """
-    from repro.sim.sweep import EventParityCell, SweepRunner, run_event_parity_cell
+    from repro.sim.sweep import SweepRunner
+    from tests.oracles import EventParityCell, run_event_parity_cell
 
     n_vms = 1024
     hours = WEEK_H if os.environ.get("BENCH_FULL") else 12
@@ -198,12 +202,15 @@ def test_event_batched_speedup_and_parity(benchmark):
     benchmark.extra_info["workers"] = workers
 
     # Parity first: a fast-but-different simulator is worthless.  The
-    # coalesced-event accounting keeps events_processed — and therefore
-    # events/s — directly comparable.
-    _assert_event_results_identical(old, new)
+    # hour-sticky checks skip check events whose verdict is already
+    # known, so events_processed is the one field allowed to differ.
+    assert_matches_oracle(new, old)
 
-    old_eps = old.events_processed / old_s
-    new_eps = new.events_processed / new_s
+    # Both sides simulate the same workload; its event count is the
+    # fixed-period oracle's, so events/s shares one numerator.
+    work = old.events_processed
+    old_eps = work / old_s
+    new_eps = work / new_s
     speedup = new_eps / old_eps
     print(f"\nevent-driven {n_vms} VMs x {hours} h: per-host "
           f"{old_s:.2f} s ({old_eps:,.0f} ev/s), batched {new_s:.2f} s "
@@ -223,34 +230,24 @@ def test_event_batched_speedup_and_parity(benchmark):
 @pytest.mark.parametrize("controller",
                          ["drowsy", "neat", "neat-distributed", "oasis"])
 def test_event_batched_parity_all_controllers(controller):
-    """Bit-identical EventResult for every controller family.
+    """Every controller family matches the per-host oracle on every
+    ``RunResult`` field but ``events_processed``."""
 
-    ``adaptive_checks=False`` on both sides: this pins the pure
-    batching mechanics (the adaptive widening has its own parity
-    suite, which permits fewer check events)."""
+    def run(backend):
+        return Simulation(_fleet(32, 24), controller, backend).run(8)
 
-    def run(use_batched):
-        dc = _fleet(32, 24)
-        sim = Simulation(
-            dc, controller, "event",
-            config=EventConfig(use_batched_checks=use_batched,
-                               use_bulk_requests=use_batched,
-                               adaptive_checks=False))
-        return sim.run(8)
-
-    _assert_event_results_identical(run(False), run(True))
+    assert_matches_oracle(run("event"), run(PerHostEventBackend()))
 
 
 def test_event_parity_small():
     """Fleet binding changes nothing observable in the event sim."""
-    def run(use_fleet):
-        dc = _fleet(64, 24)
-        sim = Simulation(
-            dc, "drowsy", "event",
-            config=EventConfig(use_fleet_model=use_fleet))
-        return sim.run(6)
+    def run(backend):
+        return Simulation(_fleet(64, 24), "drowsy", backend).run(6)
 
-    scalar, fleet = run(False), run(True)
+    scalar = run(PerHostEventBackend(per_host_checks=False,
+                                     per_push_requests=False,
+                                     binding="scalar"))
+    fleet = run("event")
     assert fleet.total_energy_kwh == scalar.total_energy_kwh
     assert fleet.migrations == scalar.migrations
     assert fleet.request_summary == scalar.request_summary

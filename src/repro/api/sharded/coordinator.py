@@ -159,10 +159,6 @@ class ShardedCoordinator:
                     "the sharded backend needs request_streams='per-vm': "
                     "a shared request stream's draw order depends on the "
                     "global fleet interleaving and cannot be partitioned")
-            if not cfg.use_bulk_requests:
-                raise ValueError(
-                    "the sharded backend needs use_bulk_requests=True "
-                    "(the per-push path draws from one global stream)")
         elif getattr(self.controller, "host_can_sleep", None) is not None:
             raise ValueError(
                 f"controller {self.controller.name!r} vetoes sleep "
@@ -324,13 +320,10 @@ class ShardedCoordinator:
         return setups
 
     def _bind_replica(self) -> None:
-        if getattr(self._inner_config, "use_fleet_model", False):
-            self._binding = FleetBinding.try_bind(self.dc, self.params,
-                                                  accounting=False)
-            if self._binding is not None and self._horizon is not None:
-                self._binding.ensure_horizon(*self._horizon)
-        else:
-            self._binding = None
+        self._binding = FleetBinding.try_bind(self.dc, self.params,
+                                              accounting=False)
+        if self._binding is not None and self._horizon is not None:
+            self._binding.ensure_horizon(*self._horizon)
 
     # ------------------------------------------------------------------
     # the per-hour lockstep

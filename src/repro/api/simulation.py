@@ -52,7 +52,8 @@ class Simulation:
         an already-built controller object.
     backend:
         A name from :data:`repro.api.backends`: ``"hourly"`` (analytic
-        hour loop) or ``"event"`` (full request-level stack).
+        hour loop) or ``"event"`` (full request-level stack), or an
+        unregistered backend adapter object.
     params:
         Drowsy parameters; defaults to the data center's own.
     seed:
@@ -85,7 +86,7 @@ class Simulation:
     """
 
     def __init__(self, fleet_or_dc, controller="drowsy",
-                 backend: str = "hourly", *,
+                 backend="hourly", *,
                  params: DrowsyParams | None = None,
                  seed: int | None = None,
                  config=None,
@@ -107,7 +108,8 @@ class Simulation:
                 f"got {type(fleet_or_dc).__name__}")
         self.dc = dc
         self.params = params if params is not None else dc.params
-        self.backend = backends.get(backend)
+        self.backend = (backends.get(backend) if isinstance(backend, str)
+                        else backend)
         self.backend_name = self.backend.name
         self.controller = (build_controller(controller, dc, self.params)
                            if isinstance(controller, str) else controller)

@@ -60,67 +60,19 @@ class EventConfig:
     update_models: bool = True
     request_profile: RequestProfile = RequestProfile()
     seed: int = 12345
-    #: Columnar idleness-model hot path (one vectorized update per hour
-    #: instead of the per-VM loop; DESIGN.md §6).  Bit-identical to the
-    #: scalar path; disable only for benchmarking the seed loop.
-    use_fleet_model: bool = True
-    #: Consume the columnar host-accounting view (DESIGN.md §8) for the
-    #: hourly meter sync and post-resume grace windows.  Bit-identical
-    #: to the scalar per-host properties.  ``None`` (the default)
-    #: follows ``use_fleet_model``; an explicit ``True`` without the
-    #: fleet model raises (the view is built on the fleet binding).
-    use_host_accounting: bool | None = None
-    #: Batch the per-host suspend-check events into fleet-wide sweeps on
-    #: a timer wheel of check deadlines, with verdicts from one columnar
-    #: pass per hour (DESIGN.md §10).  Bit-identical to the per-host
-    #: event path, which remains the parity oracle; disable only for
-    #: benchmarking or parity checks.
-    use_batched_checks: bool = True
-    #: Draw each hour's request arrivals *and* service times in one RNG
-    #: pass at the hour tick and push them through
-    #: :meth:`~repro.cluster.events.EventSimulator.schedule_batch`
-    #: (DESIGN.md §10).  With the default shared stream this is
-    #: bit-identical to the seed's submit-time sampling; disable only
-    #: for benchmarking the per-push path.
-    use_bulk_requests: bool = True
     #: Request RNG layout: ``"shared"`` (seed-compatible single stream,
     #: draws depend on fleet iteration order) or ``"per-vm"``
     #: (name-keyed Philox substreams — every VM's request traffic is
-    #: invariant under placement/iteration reordering; requires
-    #: ``use_bulk_requests``).
+    #: invariant under placement/iteration reordering).
     request_streams: str = "shared"
-    #: Adaptive suspend-check periods (DESIGN.md §12): re-arm a host's
-    #: check where its verdict can next change.  An ACTIVE host cannot
-    #: suspend before the next hour tick (activities and placement only
-    #: change there), so its next check is the first point of its
-    #: fixed-period grid at/after the hour end; an IN_GRACE host's is
-    #: the first grid point at/after ``min(grace_until, hour end)``.
-    #: Grid points come from iterated float addition, identical to the
-    #: per-check path's ``now + period`` chain, so every suspend fires
-    #: at exactly the time the fixed-period oracle would pick: all
-    #: results are bit-identical except ``events_processed`` (fewer
-    #: checks).  ``None`` (the default) follows ``use_batched_checks``
-    #: — on for the default batched path, off on the fixed-period
-    #: oracle; an explicit ``True`` without batched checks raises.
-    adaptive_checks: bool | None = None
 
     def __post_init__(self) -> None:
-        # All config contradictions raise here, at construction time —
-        # the shared flags through the one helper HourlyConfig also
-        # uses, then the event-only couplings (the simulator no longer
-        # re-validates).
+        # All config contradictions raise here, at construction time.
         validate_shared_config(self)
         if self.request_streams not in ("shared", "per-vm"):
             raise ValueError(
                 f"unknown request_streams {self.request_streams!r}; "
                 "expected 'shared' or 'per-vm'")
-        if self.request_streams == "per-vm" and not self.use_bulk_requests:
-            raise ValueError("per-vm request streams require bulk requests")
-        if self.adaptive_checks is None:
-            object.__setattr__(self, "adaptive_checks",
-                               self.use_batched_checks)
-        elif self.adaptive_checks and not self.use_batched_checks:
-            raise ValueError("adaptive check periods require batched checks")
 
 
 class EventDrivenSimulation:
@@ -148,7 +100,6 @@ class EventDrivenSimulation:
         self.switch.waking_service = self.waking
         self.switch.wol_sender = self.wol_channel.send
         self.suspending = {h.name: SuspendingModule(h, params) for h in dc.hosts}
-        self._check_events: dict[str, object] = {}
         self._resume_pending: set[str] = set()
         #: In-flight finish_suspend/finish_resume timers per host, so an
         #: injected crash can tombstone them instead of letting them fire
@@ -168,20 +119,15 @@ class EventDrivenSimulation:
         self.migrations_blocked = 0
         self._current_hour = 0
         #: Timer wheel batching the per-host suspend checks into sweeps
-        #: (DESIGN.md §10); None = per-host event oracle path.
-        self.sweeper = (SuspendSweepScheduler(self.sim, self._sweep_due)
-                        if config.use_batched_checks else None)
+        #: (DESIGN.md §10).
+        self.sweeper = SuspendSweepScheduler(self.sim, self._sweep_due)
         self._request_streams = (PerVMRequestStreams(config.seed)
                                  if config.request_streams == "per-vm"
                                  else None)
         #: Per-hour host classification cache of the columnar sweep pass
         #: ((hour, placement epoch, blocked version) -> codes, view).
         self._codes_cache: tuple | None = None
-        self._accounting_enabled = (config.use_fleet_model
-                                    and config.use_host_accounting)
-        self._binding = (FleetBinding.try_bind(
-            dc, params, accounting=self._accounting_enabled)
-            if config.use_fleet_model else None)
+        self._binding = self._bind()
         self._run_start = 0
         self._horizon: tuple[int, int] | None = None
         self._migrations_before = 0
@@ -203,12 +149,9 @@ class EventDrivenSimulation:
     def run(self, n_hours: int, start_hour: int = 0) -> RunResult:
         if n_hours <= 0:
             raise ValueError("n_hours must be positive")
-        if self.config.use_fleet_model and (
-                self._binding is None
-                or not self._binding.covers(self.dc.vms)):
+        if self._binding is None or not self._binding.covers(self.dc.vms):
             # Rebind so the columnar path survives VM arrivals.
-            self._binding = FleetBinding.try_bind(
-                self.dc, self.params, accounting=self._accounting_enabled)
+            self._binding = self._bind()
         if self._binding is not None:
             self._binding.ensure_horizon(start_hour, n_hours)
         self._run_start = start_hour
@@ -237,6 +180,13 @@ class EventDrivenSimulation:
         return self._result(n_hours, self._migrations_before)
 
     # ------------------------------------------------------------------
+    def _bind(self) -> FleetBinding | None:
+        """Bind the fleet into the columnar model and host accounting
+        (DESIGN.md §6, §8); ``None`` when :meth:`FleetBinding.try_bind`
+        refuses the fleet (e.g. adaptive models), which keeps the scalar
+        per-VM and per-host fallbacks."""
+        return FleetBinding.try_bind(self.dc, self.params)
+
     def rebind_fleet(self) -> None:
         """Re-bind the columnar fleet model to the current VM population.
 
@@ -246,10 +196,7 @@ class EventDrivenSimulation:
         dropped (it indexes the old accounting view) and the columnar
         gate reflects whether the fresh binding covers the fleet.
         """
-        if not self.config.use_fleet_model:
-            return
-        self._binding = FleetBinding.try_bind(
-            self.dc, self.params, accounting=self._accounting_enabled)
+        self._binding = self._bind()
         if self._binding is not None and self._horizon is not None:
             self._binding.ensure_horizon(*self._horizon)
         self._codes_cache = None
@@ -267,8 +214,7 @@ class EventDrivenSimulation:
             # Columnar hot path: one matrix-column load (DESIGN.md §6),
             # with the hourly meter charge fed the previous hour's
             # columnar utilizations (DESIGN.md §8).
-            acc = (columnar_host_view(self.dc)
-                   if self._accounting_enabled else None)
+            acc = columnar_host_view(self.dc)
             if acc is not None and t > self._run_start:
                 self.dc.sync_meters(now, acc.cpu_utilization(t - 1))
             else:
@@ -304,17 +250,7 @@ class EventDrivenSimulation:
         # Client traffic for interactive VMs active this hour.
         if obs is not None:
             obs.phase_begin("requests")
-        profile = self.config.request_profile
-        if self.config.use_bulk_requests:
-            self._generate_hour_requests(now, profile)
-        else:
-            for host in self.dc.hosts:
-                for vm in host.vms:
-                    if vm.interactive and vm.current_activity > 0.0:
-                        for at in profile.hourly_arrivals(
-                                self.rng, now, vm.current_activity,
-                                hour_index=t):
-                            self.sim.schedule_at(float(at), self._submit_request, vm.name)
+        self._generate_hour_requests(now, self.config.request_profile)
         if obs is not None:
             obs.phase_end()
             obs.hour_mark(t)
@@ -328,7 +264,7 @@ class EventDrivenSimulation:
         (DESIGN.md §17) — sampled at hour boundaries, never pushed, so
         the metrics-off path costs nothing."""
         sim, ch = self.sim, self.wol_channel
-        sample = {
+        return {
             # Coalesced logical events are folded into events_processed
             # by EventSimulator.count_coalesced (a parity observable).
             "events_processed": sim.events_processed,
@@ -343,24 +279,21 @@ class EventDrivenSimulation:
             "wol_sent": self.waking.active.wol_sent,
             "waking_beats": self.waking.beats,
             "queued_requests": self.switch.queued_requests,
+            "sweeps_fired": self.sweeper.sweeps_fired,
+            "sweep_checks": self.sweeper.checks_performed,
         }
-        if self.sweeper is not None:
-            sample["sweeps_fired"] = self.sweeper.sweeps_fired
-            sample["sweep_checks"] = self.sweeper.checks_performed
-        return sample
 
     def _generate_hour_requests(self, now: float,
                                 profile: RequestProfile) -> None:
         """One RNG pass for the hour's request traffic (DESIGN.md §10).
 
-        Arrivals are drawn per VM in fleet order (the same draws the
-        per-push path makes), merged chronologically with a stable sort
-        (equal-time ties keep fleet order, which is exactly the FIFO
-        order the per-push path's sequence numbers impose), and service
-        times are sampled from the recorded stream in dispatch order —
-        the per-push path draws them at submit time, i.e. in this very
-        chronological order, so the shared-stream layout is
-        bit-identical to scheduling each request individually.
+        Arrivals are drawn per VM in fleet order, merged chronologically
+        with a stable sort (equal-time ties keep fleet order — the FIFO
+        order per-request events would get from their sequence
+        numbers), and service times are sampled from the shared stream
+        in dispatch order: bit-identical to scheduling each arrival as
+        its own event and drawing its service time at submit
+        (``tests/oracles.py`` keeps that per-push reference).
         """
         streams = self._request_streams
         hour = self._current_hour
@@ -402,20 +335,12 @@ class EventDrivenSimulation:
 
     def _submit_generated(self, vm_name: str, service_time_s: float) -> None:
         """Submit a request whose service time was pre-sampled at
-        generation time (the bulk path)."""
+        generation time."""
         if vm_name in self._departed_vms:
             return  # VM churned away after this hour's traffic was drawn
         self.switch.submit_request(Request(
             arrival_s=self.sim.now, vm_name=vm_name,
             service_time_s=service_time_s))
-
-    def _submit_request(self, vm_name: str) -> None:
-        if vm_name in self._departed_vms:
-            return  # VM churned away after this hour's traffic was drawn
-        profile = self.config.request_profile
-        request = Request(arrival_s=self.sim.now, vm_name=vm_name,
-                          service_time_s=profile.sample_service_time(self.rng))
-        self.switch.submit_request(request)
 
     def note_vm_departed(self, vm_name: str) -> None:
         """A VM left the fleet mid-run (scenario churn): swallow its
@@ -427,16 +352,11 @@ class EventDrivenSimulation:
     # suspension path
     # ------------------------------------------------------------------
     def _schedule_check(self, host: Host, delay: float) -> None:
-        if self.sweeper is not None:
-            self.sweeper.schedule(host, self.sim.now + delay)
-            return
-        old = self._check_events.pop(host.name, None)
-        if old is not None:
-            old.cancel()
-        self._check_events[host.name] = self.sim.schedule_in(
-            delay, self._suspend_check, host)
+        self.sweeper.schedule(host, self.sim.now + delay)
 
-    # -- batched sweep path (DESIGN.md §10) ----------------------------
+    def _cancel_check(self, host: Host) -> None:
+        self.sweeper.cancel(host)
+
     def _host_codes(self):
         """Columnar host classifications for the current hour, or None
         when the fleet binding / accounting is inactive (scalar sweep)."""
@@ -457,13 +377,25 @@ class EventDrivenSimulation:
     def _sweep_due(self, now: float, due: list[Host]) -> None:
         """Evaluate every due host's suspend check in one pass.
 
-        Per-host semantics are exactly :meth:`_suspend_check`'s, in
-        bucket insertion order (= the per-host events' FIFO order):
-        non-ON hosts are skipped silently, columnar-eligible hosts get
-        their verdict from the fleet-wide classification plus the grace
-        clock, deviating modules (heuristics, custom blacklists) fall
-        back to the scalar evaluator, and each host's decision counter
-        and follow-up actions are identical to the per-event path.
+        Per-host semantics are exactly those of one check event per
+        host, in bucket insertion order (= the per-host events' FIFO
+        order): non-ON hosts are skipped silently, columnar-eligible
+        hosts get their verdict from the fleet-wide classification plus
+        the grace clock, deviating modules (heuristics, custom
+        blacklists) fall back to the scalar evaluator, and each host's
+        decision counter and follow-up actions are identical to the
+        per-event reference in ``tests/oracles.py``.
+
+        A check is re-armed where its verdict can next change
+        (DESIGN.md §12).  An ACTIVE host cannot suspend before the next
+        hour tick (activities and placement only change there), so its
+        next check is the first point of its fixed-period grid at/after
+        the hour end; an IN_GRACE host's is the first grid point
+        at/after ``min(grace_until, hour end)``.  Grid points come from
+        iterated float addition, identical to a fixed-period ``now +
+        period`` chain, so every suspend fires exactly when the
+        fixed-period reference would fire it: only ``events_processed``
+        differs (fewer checks).
         """
         if not self.config.suspend_enabled:
             return
@@ -481,15 +413,14 @@ class EventDrivenSimulation:
         schedule = self.sweeper.schedule
         on_state = PowerState.ON
         candidate = CODE_CANDIDATE
-        in_grace, suspend = SuspendDecision.IN_GRACE, SuspendDecision.SUSPEND
+        active, in_grace, suspend = (SuspendDecision.ACTIVE,
+                                     SuspendDecision.IN_GRACE,
+                                     SuspendDecision.SUSPEND)
         decision_of_code = DECISION_OF_CODE
-        adaptive = self.config.adaptive_checks
-        if adaptive:
-            active = SuspendDecision.ACTIVE
-            hour_end = time_of_hour(self._current_hour + 1)
-            # Every due host shares ``now``, so grid points are shared
-            # too: one walk per distinct target per sweep.
-            rearm: dict[float, float] = {}
+        hour_end = time_of_hour(self._current_hour + 1)
+        # Every due host shares ``now``, so grid points are shared too:
+        # one walk per distinct target per sweep.
+        rearm: dict[float, float] = {}
         for host in due:
             if host.state is not on_state:
                 continue  # resume path reinstates the check
@@ -512,7 +443,7 @@ class EventDrivenSimulation:
                 if verdict.should_suspend:
                     self._begin_suspend(host, verdict.waking_date_s)
                     continue
-            if adaptive and (decision is active or decision is in_grace):
+            if decision is active or decision is in_grace:
                 target = (hour_end if decision is active
                           else min(host.grace_until, hour_end))
                 nxt = rearm.get(target)
@@ -533,19 +464,6 @@ class EventDrivenSimulation:
             latency = self.faults.suspend_latency(latency, host.name)
         self._transition_events[host.name] = self.sim.schedule_in(
             latency, self._finish_suspend, host)
-
-    def _suspend_check(self, host: Host) -> None:
-        self._check_events.pop(host.name, None)
-        if not self.config.suspend_enabled:
-            return
-        if host.state is not PowerState.ON:
-            return  # resume path reinstates the check
-        module = self.suspending[host.name]
-        verdict = module.evaluate(self.sim.now)
-        if verdict.should_suspend:
-            self._begin_suspend(host, verdict.waking_date_s)
-        else:
-            self._schedule_check(host, self.params.suspend_check_period_s)
 
     def _finish_suspend(self, host: Host) -> None:
         self._transition_events.pop(host.name, None)
@@ -585,8 +503,7 @@ class EventDrivenSimulation:
         if self.faults is not None and self.faults.resume_fails():
             self._resume_failed(host)
             return
-        acc = (columnar_host_view(self.dc)
-               if self._accounting_enabled and self._fleet_active else None)
+        acc = columnar_host_view(self.dc) if self._fleet_active else None
         if acc is not None:
             # Columnar grace: same mean raw IP the scalar
             # module.grace_for_resume computes, one vector for all hosts.
@@ -619,12 +536,7 @@ class EventDrivenSimulation:
         ev = self._transition_events.pop(host.name, None)
         if ev is not None:
             ev.cancel()
-        if self.sweeper is not None:
-            self.sweeper.cancel(host)
-        else:
-            ev = self._check_events.pop(host.name, None)
-            if ev is not None:
-                ev.cancel()
+        self._cancel_check(host)
         self._resume_pending.discard(host.name)
         self.wol_channel.settle(host.mac_address)
         host.crash(self.sim.now)

@@ -35,18 +35,9 @@ def validate_shared_config(config) -> None:
     """The config contract both simulators share (DESIGN.md §13).
 
     Called from ``HourlyConfig.__post_init__`` and
-    ``EventConfig.__post_init__`` so the resolution rule and the error
-    wording cannot diverge: ``use_host_accounting=None`` follows
-    ``use_fleet_model``; an explicit ``True`` without the fleet model
-    is a contradiction and raises.
+    ``EventConfig.__post_init__`` so the shared checks and their error
+    wording cannot diverge.
     """
-    if config.use_host_accounting is None:
-        object.__setattr__(config, "use_host_accounting",
-                           config.use_fleet_model)
-    elif config.use_host_accounting and not config.use_fleet_model:
-        raise ValueError(
-            "use_host_accounting=True requires use_fleet_model=True "
-            "(the columnar host view is built on the fleet binding)")
     if config.consolidation_period_h < 1:
         raise ValueError("consolidation_period_h must be >= 1")
 
@@ -70,21 +61,13 @@ class HourlyConfig:
     #: Mean delay before the suspending module notices idleness
     #: (half the check period).
     decision_delay_s: float = 2.5
-    #: Bind all VM idleness models into one columnar
-    #: :class:`~repro.core.fleet.FleetIdlenessModel` and ingest each hour
-    #: with a single vectorized update (DESIGN.md §6).  Bit-identical to
-    #: the scalar per-VM path (see ``tests/test_fleet_binding.py``);
-    #: disable only to benchmark the seed per-VM loop.
-    use_fleet_model: bool = True
     #: Consume the columnar host-accounting view (used CPUs/memory, CPU
     #: utilization, all-idle flags, mean raw IP for every host from one
     #: vectorized pass per hour; DESIGN.md §8) for suspend checks,
     #: SLATAH accounting and controller host queries.  Bit-identical to
-    #: the scalar per-host property loop, which remains the parity
-    #: oracle.  ``None`` (the default) follows ``use_fleet_model``; an
-    #: explicit ``True`` without the fleet model is a contradiction
-    #: (the accounting view is built on the fleet binding) and raises.
-    use_host_accounting: bool | None = None
+    #: the scalar per-host properties; the sharded backend's hourly
+    #: shards turn it off (their placement changes mid-tick).
+    use_host_accounting: bool = True
 
     def __post_init__(self) -> None:
         validate_shared_config(self)
@@ -104,11 +87,7 @@ class HourlySimulator:
         self.hour_hooks = tuple(hour_hooks)
         self._overload_host_hours = 0
         self._active_host_hours = 0
-        self._accounting_enabled = (config.use_fleet_model
-                                    and config.use_host_accounting)
-        self._binding = (FleetBinding.try_bind(
-            dc, params, accounting=self._accounting_enabled)
-            if config.use_fleet_model else None)
+        self._binding = self._bind()
         self._update_models = (config.update_models
                                or getattr(controller, "uses_idleness", False))
         #: Controller-specific sleep veto (Oasis-style), hoisted: the
@@ -130,13 +109,10 @@ class HourlySimulator:
     def run(self, n_hours: int, start_hour: int = 0) -> RunResult:
         if n_hours <= 0:
             raise ValueError("n_hours must be positive")
-        if self.config.use_fleet_model and (
-                self._binding is None
-                or not self._binding.covers(self.dc.vms)):
+        if self._binding is None or not self._binding.covers(self.dc.vms):
             # The fleet may have grown since construction: rebind so the
             # columnar path survives VM arrivals between runs.
-            self._binding = FleetBinding.try_bind(
-                self.dc, self.params, accounting=self._accounting_enabled)
+            self._binding = self._bind()
         if self._binding is not None:
             self._binding.ensure_horizon(start_hour, n_hours)
         self._run_start = start_hour
@@ -163,6 +139,15 @@ class HourlySimulator:
         return self._result(n_hours, self._migrations_before)
 
     # ------------------------------------------------------------------
+    def _bind(self) -> FleetBinding | None:
+        """Bind the fleet into one columnar idleness model (DESIGN.md
+        §6), with host accounting per the config (§8); ``None`` when
+        :meth:`FleetBinding.try_bind` refuses the fleet (e.g. adaptive
+        models), which keeps the scalar per-VM fallback."""
+        return FleetBinding.try_bind(
+            self.dc, self.params,
+            accounting=self.config.use_host_accounting)
+
     def rebind_fleet(self) -> None:
         """Re-bind the columnar fleet model to the current VM population.
 
@@ -173,10 +158,7 @@ class HourlySimulator:
         population: newcomers join fresh fleet rows (existing model
         state imports bit-exactly) and the horizon matrix is rebuilt.
         """
-        if not self.config.use_fleet_model:
-            return
-        self._binding = FleetBinding.try_bind(
-            self.dc, self.params, accounting=self._accounting_enabled)
+        self._binding = self._bind()
         if self._binding is not None and self._horizon is not None:
             self._binding.ensure_horizon(*self._horizon)
 
@@ -196,8 +178,7 @@ class HourlySimulator:
         activities = None
         acc: HostAccounting | None = None
         if binding is not None and binding.covers(vms):
-            if self._accounting_enabled:
-                acc = columnar_host_view(self.dc)
+            acc = columnar_host_view(self.dc)
             # The meter charges [previous sync, now] at the *previous*
             # hour's utilization; the accounting column for t-1 over the
             # current placement is exactly that value for every host.

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from pathlib import Path
 
-from ..api.controllers import SWEEP_CONTROLLERS, build_controller
+from ..api.controllers import SWEEP_CONTROLLERS
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from ..obs.log import get_logger
 from ..resilience.io import atomic_target, atomic_write_text
@@ -44,10 +44,6 @@ log = get_logger("sweep")
 #: resolution happens in :data:`repro.api.controllers` — this tuple
 #: (re-exported from there) only picks the default comparison set.
 CONTROLLER_NAMES = SWEEP_CONTROLLERS
-
-#: Backwards-compatible alias: cells and the scenario compiler used to
-#: resolve controllers here; the registry is the one path now.
-_build_controller = build_controller
 
 
 def spawn_context():
@@ -130,48 +126,6 @@ def run_cell(cell: SweepCell) -> SweepRow:
         active_host_hours=int(result.active_host_hours or 0),
         overload_host_hours=int(result.overload_host_hours or 0),
     )
-
-
-@dataclass(frozen=True)
-class EventParityCell:
-    """One event-driven acceptance run (oracle or batched hot path).
-
-    The simulator-throughput bench compares the per-host oracle event
-    path against the batched one on the same workload; the two runs are
-    independent simulations over their own fleets, so they shard across
-    cores exactly like E8 cells — the oracle run (~8-10x slower)
-    overlaps the batched one instead of serializing behind it.
-    """
-
-    n_vms: int
-    hours: int
-    batched: bool
-    seed: int = 7
-    llmi_fraction: float = 0.5
-    adaptive_checks: bool = False
-
-
-def run_event_parity_cell(cell: EventParityCell):
-    """Run one acceptance cell; returns ``(RunResult, wall_s)`` with
-    the wall-clock measured inside the worker (top-level so spawn
-    workers can pickle it)."""
-    import time
-
-    from ..api import Simulation
-    from ..experiments.common import build_fleet
-    from .event_driven import EventConfig
-
-    dc = build_fleet(max(1, cell.n_vms // 4), cell.n_vms,
-                     cell.llmi_fraction, max(cell.hours, 24),
-                     seed=cell.seed)
-    sim = Simulation(
-        dc, "drowsy", "event",
-        config=EventConfig(use_batched_checks=cell.batched,
-                           use_bulk_requests=cell.batched,
-                           adaptive_checks=cell.adaptive_checks))
-    t0 = time.perf_counter()
-    result = sim.run(cell.hours)
-    return result, time.perf_counter() - t0
 
 
 def grid(controllers=("drowsy", "neat", "oasis"),

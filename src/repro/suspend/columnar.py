@@ -26,7 +26,7 @@ for an ON host, in the same priority order (blocked-I/O before active,
 active before grace).  Hosts whose module deviates — custom blacklist,
 attached heuristic — are excluded via :func:`module_is_columnar` and
 evaluated scalar by the sweep.  The per-host event path remains the
-parity oracle (``EventConfig.use_batched_checks=False``).
+parity oracle (``PerHostEventSimulation`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations

@@ -294,14 +294,6 @@ class TestObservers:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("cls", [HourlyConfig, EventConfig])
-    def test_host_accounting_follows_fleet_model(self, cls):
-        assert cls().use_host_accounting is True
-        assert cls(use_fleet_model=False).use_host_accounting is False
-        assert cls(use_host_accounting=False).use_host_accounting is False
-        with pytest.raises(ValueError, match="use_fleet_model"):
-            cls(use_fleet_model=False, use_host_accounting=True)
-
-    @pytest.mark.parametrize("cls", [HourlyConfig, EventConfig])
     def test_consolidation_period_validated(self, cls):
         with pytest.raises(ValueError, match="consolidation_period_h"):
             cls(consolidation_period_h=0)
@@ -309,10 +301,6 @@ class TestConfigValidation:
     def test_event_flag_contradictions_raise_at_config_time(self):
         with pytest.raises(ValueError, match="request_streams"):
             EventConfig(request_streams="typo")
-        with pytest.raises(ValueError, match="bulk"):
-            EventConfig(request_streams="per-vm", use_bulk_requests=False)
-        with pytest.raises(ValueError, match="batched"):
-            EventConfig(adaptive_checks=True, use_batched_checks=False)
 
     def test_backend_rejects_wrong_config_type(self):
         with pytest.raises(TypeError, match="HourlyConfig"):

