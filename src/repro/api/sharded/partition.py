@@ -41,6 +41,7 @@ def detach_fleet_models(dc: DataCenter) -> None:
     for vm in dc.vms:
         if type(vm.model).__name__ != "IdlenessModel":
             vm.model = detached_model(vm.model, vm.params)
+        vm.unbind_activity()
     dc._fleet_binding = None
     dc._accounting = None
 

@@ -58,15 +58,19 @@ def pickle_vm(vm) -> bytes:
     """Pickle ``vm`` with its model detached to a scalar copy.
 
     The VM object itself is left untouched (its model — possibly a
-    fleet view into the source shard's binding — is swapped out only
-    for the duration of the dump).
+    fleet view into the source shard's binding — and its activity
+    column are swapped out only for the duration of the dump).
     """
     model = vm.model
+    column, row = vm._activity_col, vm._activity_row
     vm.model = detached_model(model, vm.params)
+    vm.unbind_activity()
     try:
         return pickle.dumps(vm, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
         vm.model = model
+        if column is not None:
+            vm.bind_activity(column, row)
 
 
 def unpickle_vm(blob: bytes):

@@ -56,11 +56,17 @@ class HostAccounting:
                                    dtype=np.int64)
         self._vm_mem_i = np.array([vm.resources.memory_mb for vm in vms],
                                   dtype=np.int64)
-        self._cap_cpus = np.array([h.capacity.cpus for h in self.hosts],
-                                  dtype=np.float64)
+        #: (n_hosts,) capacity columns (placement fit and power scores).
+        self.capacity_cpus = np.array([h.capacity.cpus for h in self.hosts],
+                                      dtype=np.float64)
+        self.capacity_memory_mb = np.array(
+            [h.capacity.memory_mb for h in self.hosts], dtype=np.int64)
+        self.schedulable_cpus = np.array(
+            [h.capacity.schedulable_cpus for h in self.hosts],
+            dtype=np.float64)
         # Same float expression as the scalar SLATAH check's
         # ``host.capacity.cpus * 0.999`` per host.
-        self._overload_cpus = self._cap_cpus * 0.999
+        self._overload_cpus = self.capacity_cpus * 0.999
         #: Host-local fleet-index rows, mirroring each ``host.vms`` list
         #: (same VMs, same order).  This is the placement incidence
         #: structure; :meth:`incidence_matrix` materializes it as the
@@ -256,7 +262,7 @@ class HostAccounting:
         demand = self._seg_sum(activities * self._vm_cpus)
         active = self._seg_sum((activities > 0.0).astype(np.int64),
                                dtype=np.int64)
-        util = np.minimum(demand / self._cap_cpus, 1.0)
+        util = np.minimum(demand / self.capacity_cpus, 1.0)
         cached = (demand, util, active == 0)
         self._hour_cache[key] = cached
         return cached

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .host import Host
 from .migration import MigrationModel, MigrationRecord
+from .power import MeterBank, PowerState
 from .vm import VM
 
 
@@ -39,6 +42,14 @@ class DataCenter:
         self._host_by_name = {h.name: h for h in self.hosts}
         for host in self.hosts:
             host._dc = self
+        #: The hosts' energy meters as one bank of per-host columns
+        #: (host order); every ``host.meter`` is a row view into it.
+        self.meters = MeterBank.gather([h.meter for h in self.hosts], names)
+        #: Each host's position in name order (the tie-break rank of
+        #: the columnar consolidation scans).
+        order = sorted(range(len(names)), key=names.__getitem__)
+        self.name_rank = np.empty(len(names), dtype=np.intp)
+        self.name_rank[order] = np.arange(len(names))
         #: Placement index (vm name -> host), maintained by every
         #: placement-changing operation so :meth:`host_of` is O(1) on the
         #: migration and request paths instead of an O(hosts x vms) scan.
@@ -59,6 +70,11 @@ class DataCenter:
         #: operations notify it incrementally so its incidence rows
         #: track host membership without rescans.
         self._accounting = None
+        #: The columnar fleet binding (set by ``FleetBinding.try_bind``);
+        #: :meth:`_attach` tells it when a VM it does not own lands.
+        self._fleet_binding = None
+        #: :attr:`vms`, cached until the next placement change.
+        self._vms: list[VM] | None = None
 
     # ------------------------------------------------------------------
     # the single placement writer
@@ -67,6 +83,9 @@ class DataCenter:
         host.add_vm(vm)
         self._placement[vm.name] = host
         self._vm_by_name[vm.name] = vm
+        self._vms = None
+        if self._fleet_binding is not None:
+            self._fleet_binding.on_attach(vm)
         if self._accounting is not None:
             self._accounting.on_place(vm.name, host)
 
@@ -74,14 +93,21 @@ class DataCenter:
         host.remove_vm(vm)
         del self._placement[vm.name]
         del self._vm_by_name[vm.name]
+        self._vms = None
         if self._accounting is not None:
             self._accounting.on_remove(vm.name, host)
 
     # ------------------------------------------------------------------
     @property
     def vms(self) -> list[VM]:
-        """All placed VMs (stable order: host order, then host-local)."""
-        return [vm for host in self.hosts for vm in host.vms]
+        """All placed VMs (stable order: host order, then host-local).
+
+        One list per placement epoch: callers must not mutate it.
+        """
+        vms = self._vms
+        if vms is None:
+            vms = self._vms = [vm for host in self.hosts for vm in host.vms]
+        return vms
 
     def host_of(self, vm: VM) -> Host:
         host = self._placement.get(vm.name)
@@ -210,7 +236,8 @@ class DataCenter:
         return [h for h in self.hosts if h.is_available]
 
     def sync_meters(self, now: float, utilizations=None) -> None:
-        """Advance every host's energy meter to ``now``.
+        """Advance every host's energy meter to ``now`` in one columnar
+        charge (DESIGN.md §7).
 
         ``utilizations`` (optional, ``(n_hosts,)`` in host order) lets
         the columnar hot path hand each host its precomputed CPU
@@ -219,11 +246,10 @@ class DataCenter:
         taken from :class:`~repro.cluster.accounting.HostAccounting`).
         """
         if utilizations is None:
-            for host in self.hosts:
-                host.sync_meter(now)
-        else:
-            for host, util in zip(self.hosts, utilizations):
-                host.sync_meter(now, float(util))
+            on = PowerState.ON
+            utilizations = [h.cpu_utilization if h.state is on else 0.0
+                            for h in self.hosts]
+        self.meters.charge(now, utilizations)
 
     def total_energy_kwh(self) -> float:
         return sum(h.meter.energy_kwh for h in self.hosts)
@@ -273,6 +299,13 @@ class DataCenter:
                 "placement index disagrees with host membership")
         if self.host_by_mac != {h.mac_address: h for h in self.hosts}:
             raise PlacementError("MAC index disagrees with the host list")
+        if self._vms is not None and self._vms != [
+                vm for host in self.hosts for vm in host.vms]:
+            raise PlacementError("cached VM list disagrees with host membership")
+        for k, host in enumerate(self.hosts):
+            if (host.meter._bank is not self.meters or host.meter._row != k
+                    or self.meters.state[k] != host.state.code):
+                raise PlacementError(f"{host.name}: meter row out of step")
         acc = self._accounting
         if acc is not None and acc.valid:
             try:

@@ -60,11 +60,12 @@ class Host:
         self._dc = None
         self.mac_address = mac_address or _default_mac(name)
         self.vms: list[VM] = []
+        #: Energy meter: a row of the owning data center's meter bank,
+        #: which also holds this host's state code and grace deadline.
+        self.meter = EnergyMeter(power_model or PowerModel.from_params(params),
+                                 name)
         self.state = PowerState.ON
-        self.meter = EnergyMeter(power_model or PowerModel.from_params(params))
         self.transitions: list[Transition] = []
-        #: End of the current grace period (no suspend before this time).
-        self.grace_until = 0.0
         #: Resumes triggered so far (suspend/resume cycle counting).
         self.resume_count = 0
         self.suspend_count = 0
@@ -133,6 +134,29 @@ class Host:
     # power-state machine
     # ------------------------------------------------------------------
     @property
+    def state(self) -> PowerState:
+        return self._state
+
+    @state.setter
+    def state(self, value: PowerState) -> None:
+        # The one state writer: the meter bank's state column (read by
+        # the columnar power step and meter charge) follows every write.
+        self._state = value
+        meter = self.meter
+        meter._bank.state[meter._row] = value.code
+
+    @property
+    def grace_until(self) -> float:
+        """End of the current grace period (no suspend before this time)."""
+        meter = self.meter
+        return float(meter._bank.grace_until[meter._row])
+
+    @grace_until.setter
+    def grace_until(self, value: float) -> None:
+        meter = self.meter
+        meter._bank.grace_until[meter._row] = value
+
+    @property
     def is_available(self) -> bool:
         """Can the host execute VM work right now?"""
         return self.state is PowerState.ON
@@ -141,12 +165,10 @@ class Host:
     def is_suspended(self) -> bool:
         return self.state is PowerState.SUSPENDED
 
-    def _advance(self, now: float, utilization: float | None = None) -> None:
-        if self.state is PowerState.ON:
-            util = self.cpu_utilization if utilization is None else utilization
-        else:
-            util = 0.0
-        self.meter.advance(now, self.state, util)
+    def _advance(self, now: float) -> None:
+        state = self.state
+        util = self.cpu_utilization if state is PowerState.ON else 0.0
+        self.meter.advance(now, state, util)
 
     def _transition(self, now: float, allowed_from: tuple[PowerState, ...],
                     to_state: PowerState) -> None:
@@ -200,15 +222,13 @@ class Host:
         """Reboot a crashed host straight into S0 (no grace period)."""
         self._transition(now, (PowerState.CRASHED,), PowerState.ON)
 
-    def sync_meter(self, now: float, utilization: float | None = None) -> None:
+    def sync_meter(self, now: float) -> None:
         """Charge energy up to ``now`` without changing state.
 
         Call before changing VM activities (utilization) and at the end
-        of a simulation.  ``utilization`` optionally supplies the
-        host's precomputed CPU utilization (the columnar accounting hot
-        path); it must equal :attr:`cpu_utilization` exactly.
+        of a simulation (a whole fleet: ``DataCenter.sync_meters``).
         """
-        self._advance(now, utilization)
+        self._advance(now)
 
     def meter_time(self, now: float) -> float:
         """When an administrative action requested at ``now`` happens:

@@ -73,10 +73,45 @@ class VM:
         #: is externally triggered so a suspended host adds wake latency.
         self.interactive = interactive
         self.model = IdlenessModel(params)
-        #: Activity level of the current hour (set by the simulator).
-        self.current_activity = 0.0
+        #: A fleet binding's activity column and this VM's row in it
+        #: (see :meth:`bind_activity`); ``None`` while unbound.
+        self._activity_col = None
+        self._activity_row = 0
+        self._activity = 0.0
         self.migrations = 0
         self._blocked_io = False
+
+    @property
+    def current_activity(self) -> float:
+        """Activity level of the current hour (set by the simulator).
+
+        A VM bound to a fleet reads it from the binding's activity
+        column, which the binding loads for the whole fleet at once.
+        """
+        col = self._activity_col
+        if col is None:
+            return self._activity
+        return float(col[self._activity_row])
+
+    @current_activity.setter
+    def current_activity(self, value: float) -> None:
+        col = self._activity_col
+        if col is None:
+            self._activity = value
+        else:
+            col[self._activity_row] = value
+
+    def bind_activity(self, column, row: int) -> None:
+        """Move this VM's activity into ``column[row]`` (fleet binding)."""
+        column[row] = self.current_activity
+        self._activity_col = column
+        self._activity_row = row
+
+    def unbind_activity(self) -> None:
+        """Take the activity back from the fleet column (the VM leaves
+        its binding: model detach, transfer to another process)."""
+        self._activity = self.current_activity
+        self._activity_col = None
 
     @property
     def blocked_io(self) -> bool:

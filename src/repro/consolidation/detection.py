@@ -40,7 +40,7 @@ class ThresholdDetector:
             raise ValueError("threshold must be in (0, 1]")
 
     def is_overloaded(self, history: Sequence[float]) -> bool:
-        return bool(history) and history[-1] > self.threshold
+        return len(history) > 0 and bool(history[-1] > self.threshold)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class LocalRegressionDetector:
     def is_overloaded(self, history: Sequence[float]) -> bool:
         if len(history) < self.window:
             return ThresholdDetector(self.fallback_threshold).is_overloaded(history)
-        h = np.asarray(history[-self.window:], dtype=np.float64)
+        h = np.asarray(history, dtype=np.float64)[-self.window:]
         x = np.arange(self.window, dtype=np.float64)
         # Tricube weights emphasizing recent observations.
         d = (x[-1] - x) / max(x[-1] - x[0], 1.0)
@@ -109,13 +109,44 @@ class LocalRegressionDetector:
         return self.safety * predicted >= 1.0
 
 
+def overloaded_mask(detector: OverloadDetector, history: np.ndarray,
+                    lengths: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """(n_hosts,) bool: which ``candidates`` the detector flags.
+
+    ``history`` is ``(n_hosts, window)`` with each host's most recent
+    utilization last and ``lengths[k]`` trailing columns of row ``k``
+    filled.  The static threshold needs only the last column, so it is
+    one comparison for every host; adaptive detectors see each
+    candidate's filled row.
+    """
+    if type(detector) is ThresholdDetector:
+        return candidates & (lengths > 0) & (history[:, -1] > detector.threshold)
+    w = history.shape[1]
+    mask = np.zeros(len(candidates), dtype=bool)
+    for k in np.flatnonzero(candidates).tolist():
+        mask[k] = detector.is_overloaded(history[k, w - int(lengths[k]):])
+    return mask
+
+
+def underload_order(utilizations: np.ndarray,
+                    name_rank: np.ndarray) -> np.ndarray:
+    """Indices from least to most utilized, equal utilizations in name
+    order (``name_rank`` ranks the hosts' names): Neat's underload scan.
+
+    The planner walks this order trying to fully evacuate each
+    candidate.
+    """
+    return np.lexsort((name_rank, utilizations))
+
+
 def underloaded_candidates(utilizations: dict[str, float],
                            exclude: frozenset[str] = frozenset()) -> list[str]:
-    """Hosts ordered from least to most utilized (Neat's underload scan).
-
-    The planner walks this list trying to fully evacuate each candidate;
-    ``exclude`` removes hosts already being handled as overloaded.
-    """
-    items = [(u, name) for name, u in utilizations.items() if name not in exclude]
-    items.sort()
-    return [name for _, name in items]
+    """:func:`underload_order` over a ``name -> utilization`` mapping;
+    ``exclude`` removes hosts already being handled as overloaded."""
+    names = [name for name in utilizations if name not in exclude]
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = underload_order(
+        np.array([utilizations[name] for name in names], dtype=np.float64),
+        rank)
+    return [names[k] for k in order.tolist()]

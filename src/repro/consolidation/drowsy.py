@@ -19,7 +19,7 @@ from ..cluster.vm import VM
 from ..core.calendar import slot_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .detection import OverloadDetector
-from .neat import MANAGED_STATES, MigrationExecutor, NeatController
+from .neat import MigrationExecutor, NeatController
 from .placement import IPAwarePlacement
 from .selection import IPDistanceSelector
 
@@ -70,20 +70,32 @@ class DrowsyController(NeatController):
         threshold or no destination fits.
         """
         threshold = self.params.ip_range_threshold
-        # Columnar IP ranges/means when the host accounting is active
-        # (recomputed after every migration — the placement epoch keys
-        # the cache); scalar per-host fallback otherwise.
+        # The managed hosts' IP ranges as one column: the columnar
+        # accounting's (cached per placement epoch) or the per-host
+        # property.  The scan jumps from one host over the threshold to
+        # the next and re-reads the column after every migration: a
+        # destination later in host order may have crossed it.
         acc = columnar_host_view(self.dc)
+        managed = self.managed_positions()
+        hosts = [self.dc.hosts[k] for k in managed.tolist()]
 
-        def ip_range(host: Host) -> float:
+        def ip_ranges() -> np.ndarray:
             if acc is not None:
-                return float(acc.ip_range(hour_index)[acc.pos(host)])
-            return host.ip_range(hour_index)
+                return acc.ip_range(hour_index)[managed]
+            return np.array([h.ip_range(hour_index) for h in hosts],
+                            dtype=np.float64)
 
+        ranges = ip_ranges()
         moved = 0
-        for host in list(self.managed_hosts()):
+        j = 0
+        while True:
+            over = np.flatnonzero(ranges[j:] > threshold)
+            if over.size == 0:
+                break
+            j += int(over[0])
+            host = hosts[j]
             guard = len(host.vms) + 1
-            while ip_range(host) > threshold and guard > 0:
+            while ranges[j] > threshold and guard > 0:
                 guard -= 1
                 vm = self._most_extreme_vm(host, hour_index, acc)
                 if vm is None:
@@ -96,6 +108,8 @@ class DrowsyController(NeatController):
                     break
                 executor(vm, dest)
                 moved += 1
+                ranges = ip_ranges()
+            j += 1
         return moved
 
     def _most_extreme_vm(self, host: Host, hour_index: int,
@@ -122,7 +136,7 @@ class DrowsyController(NeatController):
         instead of reshuffling on IP noise.  Returns the number of
         migrations performed.
         """
-        hosts = [h for h in self.dc.hosts if h.state in MANAGED_STATES]
+        hosts = self.managed_hosts()
         vms = [vm for h in hosts for vm in h.vms]
         if not vms:
             return 0

@@ -11,16 +11,22 @@ the paper describes its integration (section III-D-b).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
+
+import numpy as np
 
 from ..cluster.accounting import columnar_host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
-from ..cluster.power import PowerState
+from ..cluster.power import ON_CODE, SUSPENDED_CODE, PowerState
 from ..cluster.vm import VM
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
-from .detection import OverloadDetector, ThresholdDetector, underloaded_candidates
+from .detection import (
+    OverloadDetector,
+    ThresholdDetector,
+    overloaded_mask,
+    underload_order,
+)
 from .placement import PlacementPolicy, PowerAwareBestFitDecreasing
 from .selection import (
     MinimumMigrationTimeSelector,
@@ -59,30 +65,54 @@ class NeatController:
         self.selector = selector or MinimumMigrationTimeSelector()
         self.placer = placer or PowerAwareBestFitDecreasing()
         self.overload_target = overload_target
-        self.history: dict[str, deque[float]] = {
-            h.name: deque(maxlen=history_window) for h in dc.hosts}
+        #: Utilization history, one row per host (``dc.hosts`` order),
+        #: most recent value in the last column; ``_history_len`` says
+        #: how many trailing columns of each row hold history.
+        self._history = np.zeros((len(dc.hosts), history_window))
+        self._history_len = np.zeros(len(dc.hosts), dtype=np.int64)
+
+    @property
+    def history(self) -> dict[str, np.ndarray]:
+        """Each host's recorded utilizations, oldest first."""
+        w = self._history.shape[1]
+        return {h.name: self._history[k, w - n:].copy()
+                for k, (h, n) in enumerate(
+                    zip(self.dc.hosts, self._history_len.tolist()))}
 
     # ------------------------------------------------------------------
     def observe_hour(self, hour_index: int) -> None:
-        """Record host utilizations (call after activities are set).
+        """Record host utilizations (call after activities are set):
+        one column shift for every host.
 
         With an active columnar accounting view the utilizations of all
         hosts come from one vectorized pass (bit-identical to the
         scalar ``Host.cpu_utilization`` property, the parity oracle).
         """
+        on = self.dc.meters.state == ON_CODE
         acc = columnar_host_view(self.dc)
         if acc is not None:
             utils = acc.cpu_utilization(hour_index)
-            for k, host in enumerate(self.dc.hosts):
-                self.history[host.name].append(
-                    float(utils[k]) if host.state is PowerState.ON else 0.0)
-            return
-        for host in self.dc.hosts:
-            self.history[host.name].append(
-                host.cpu_utilization if host.state is PowerState.ON else 0.0)
+        else:
+            utils = np.zeros(len(on))
+            hosts = self.dc.hosts
+            for k in np.flatnonzero(on).tolist():
+                utils[k] = hosts[k].cpu_utilization
+        hist = self._history
+        hist[:, :-1] = hist[:, 1:]
+        hist[:, -1] = np.where(on, utils, 0.0)
+        np.minimum(self._history_len + 1, hist.shape[1],
+                   out=self._history_len)
+
+    def managed_positions(self) -> np.ndarray:
+        """Positions (``dc.hosts`` order) of the hosts in
+        :data:`MANAGED_STATES`."""
+        state = self.dc.meters.state
+        return np.flatnonzero((state == ON_CODE) | (state == SUSPENDED_CODE))
 
     def managed_hosts(self) -> list[Host]:
-        return [h for h in self.dc.hosts if h.state in MANAGED_STATES]
+        """Hosts in :data:`MANAGED_STATES`, in host order."""
+        hosts = self.dc.hosts
+        return [hosts[k] for k in self.managed_positions().tolist()]
 
     # ------------------------------------------------------------------
     def step(self, hour_index: int, now: float,
@@ -95,9 +125,10 @@ class NeatController:
 
     def _handle_overloaded(self, hour_index: int,
                            executor: MigrationExecutor) -> int:
-        overloaded = [h for h in self.dc.hosts
-                      if h.state is PowerState.ON
-                      and self.detector.is_overloaded(list(self.history[h.name]))]
+        on = self.dc.meters.state == ON_CODE
+        hosts = self.dc.hosts
+        overloaded = [hosts[k] for k in np.flatnonzero(overloaded_mask(
+            self.detector, self._history, self._history_len, on)).tolist()]
         if not overloaded:
             return 0
         to_place: list[VM] = []
@@ -131,19 +162,22 @@ class NeatController:
     def _handle_underloaded(self, hour_index: int,
                             executor: MigrationExecutor) -> int:
         """Try to fully evacuate the least-utilized active hosts."""
-        acc = columnar_host_view(self.dc)
+        dc = self.dc
+        acc = columnar_host_view(dc)
+        active = np.flatnonzero(
+            (dc.meters.state == ON_CODE)
+            & (acc.vm_counts() > 0 if acc is not None else
+               np.array([bool(h.vms) for h in dc.hosts], dtype=bool)))
         if acc is not None:
-            u = acc.cpu_utilization(hour_index)
-            utils = {h.name: float(u[k])
-                     for k, h in enumerate(self.dc.hosts)
-                     if h.state is PowerState.ON and h.vms}
+            utils = acc.cpu_utilization(hour_index)[active]
         else:
-            utils = {h.name: h.cpu_utilization for h in self.dc.hosts
-                     if h.state is PowerState.ON and h.vms}
+            utils = np.array([dc.hosts[k].cpu_utilization
+                              for k in active.tolist()])
+        candidates = active[underload_order(utils, dc.name_rank[active])]
         moved = 0
         receivers: set[str] = set()
-        for name in underloaded_candidates(utils):
-            host = self.dc.host(name)
+        for k in candidates.tolist():
+            host = dc.hosts[k]
             if not host.vms or host.name in receivers:
                 # A host that just received evacuated VMs must not be
                 # evacuated itself this round (ping-pong guard).

@@ -11,7 +11,10 @@ VM's (paper section III-D-b, step 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Protocol
+
+import numpy as np
 
 from ..cluster.accounting import columnar_host_view
 from ..cluster.host import Host
@@ -27,14 +30,90 @@ class PlacementPolicy(Protocol):
               current_host: dict[str, Host]) -> dict[str, Host]: ...
 
 
-def _fits(host: Host, vm: VM) -> bool:
-    used = host.used_resources
-    return (used.memory_mb + vm.resources.memory_mb <= host.capacity.memory_mb
-            and used.cpus + vm.resources.cpus <= host.capacity.schedulable_cpus)
+class _Candidates:
+    """One planning round's per-candidate-host columns (``hosts``
+    order): capacity, load, name rank and, on request, mean raw IP and
+    CPU demand.
+
+    The columnar host accounting supplies them when it covers every
+    candidate; otherwise they come from the per-host properties (the
+    same values — the accounting is bit-identical to them).  ``used_*``
+    are the round's own copies: planned VMs are added to them.
+    """
+
+    def __init__(self, hosts: list[Host], hour_index: int,
+                 mean_ip: bool = False, demand: bool = False) -> None:
+        self.hosts = hosts
+        #: Data-center positions of the hosts (columnar path only).
+        self._pos: np.ndarray | None = None
+        self._acc = None
+        view = _accounting_for(hosts)
+        if view is not None:
+            acc, pos = view
+            self._acc, self._pos = acc, pos
+            self.cap_mem = acc.capacity_memory_mb[pos]
+            self.sched_cpus = acc.schedulable_cpus[pos]
+            self.cap_cpus = acc.capacity_cpus[pos]
+            self.used_mem = acc.used_memory_mb()[pos]
+            self.used_cpu = acc.used_cpus()[pos]
+            self.rank = acc.dc.name_rank[pos]
+            if mean_ip:
+                self.mean_ip = acc.mean_raw_ip(hour_index)[pos]
+            if demand:
+                self.demand = acc.cpu_demand(hour_index)[pos]
+            return
+        caps = [h.capacity for h in hosts]
+        used = [h.used_resources for h in hosts]
+        self.cap_mem = np.array([c.memory_mb for c in caps], dtype=np.int64)
+        self.sched_cpus = np.array([c.schedulable_cpus for c in caps],
+                                   dtype=np.float64)
+        self.cap_cpus = np.array([c.cpus for c in caps], dtype=np.float64)
+        self.used_mem = np.array([u.memory_mb for u in used], dtype=np.int64)
+        self.used_cpu = np.array([u.cpus for u in used], dtype=np.int64)
+        self.rank = np.empty(len(hosts), dtype=np.intp)
+        self.rank[sorted(range(len(hosts)), key=lambda k: hosts[k].name)] = (
+            np.arange(len(hosts)))
+        if mean_ip:
+            self.mean_ip = np.array([h.mean_raw_ip(hour_index)
+                                     for h in hosts], dtype=np.float64)
+        if demand:
+            self.demand = np.array(
+                [sum(v.current_activity * v.resources.cpus for v in h.vms)
+                 for h in hosts], dtype=np.float64)
+
+    def fitting(self, vm: VM, source: Host | None) -> np.ndarray:
+        """Indices of the hosts ``vm`` fits on, ``source`` excluded."""
+        fit = ((self.used_mem + vm.resources.memory_mb <= self.cap_mem)
+               & (self.used_cpu + vm.resources.cpus <= self.sched_cpus))
+        if source is not None:
+            if self._pos is not None:
+                fit &= self._pos != self._acc.positions.get(source.name, -1)
+            else:
+                for k, host in enumerate(self.hosts):
+                    if host is source:
+                        fit[k] = False
+        return np.flatnonzero(fit)
+
+    def add(self, k: int, vm: VM) -> None:
+        """Plan ``vm`` onto host ``k``."""
+        self.used_mem[k] += vm.resources.memory_mb
+        self.used_cpu[k] += vm.resources.cpus
+
+
+def _lexmin(*keys: np.ndarray) -> int:
+    """Position of the lexicographically smallest ``(keys[0][i],
+    keys[1][i], ...)``; the last key must be unique."""
+    sel = np.flatnonzero(keys[0] == keys[0].min())
+    for key in keys[1:]:
+        if sel.size == 1:
+            break
+        sub = key[sel]
+        sel = sel[sub == sub.min()]
+    return int(sel[0])
 
 
 def _accounting_for(hosts: list[Host]):
-    """The columnar host accounting covering ``hosts``, or ``None``.
+    """``(accounting, positions)`` covering ``hosts``, or ``None``.
 
     Placement policies only see a host list; the data-center
     back-reference lets them read per-host loads and IP means from the
@@ -49,9 +128,15 @@ def _accounting_for(hosts: list[Host]):
     acc = columnar_host_view(dc)
     if acc is None:
         return None
-    if any(acc.position(h.name) is None for h in hosts):
+    try:
+        pos = np.fromiter(map(acc.positions.__getitem__, map(_name, hosts)),
+                          dtype=np.intp, count=len(hosts))
+    except KeyError:
         return None
-    return acc
+    return acc, pos
+
+
+_name = attrgetter("name")
 
 
 def decreasing_demand(vms: list[VM]) -> list[VM]:
@@ -68,64 +153,26 @@ class PowerAwareBestFitDecreasing:
 
     def place(self, vms: list[VM], hosts: list[Host], hour_index: int,
               current_host: dict[str, Host]) -> dict[str, Host]:
-        from ..cluster.power import PowerState
-
+        """Each VM (decreasing demand) to the fitting host whose power
+        draw rises least, ties by name; every candidate scored in one
+        numpy pass, host loads updated as VMs are planned."""
         placement: dict[str, Host] = {}
-        # Host membership is fixed during a planning round, so the base
-        # loads are computed once per host instead of once per
-        # (vm, host) pair; planned additions accumulate incrementally.
-        # The running sums reproduce the seed's left-to-right Python
-        # sums exactly (same floats, same order of additions) — as do
-        # the columnar accounting columns used when available.
-        acc = _accounting_for(hosts)
-        if acc is not None:
-            mem_col, cpu_col = acc.used_memory_mb(), acc.used_cpus()
-            demand_col = acc.cpu_demand(hour_index)
-            used_mem, used_cpu, base_demand = {}, {}, {}
-            for h in hosts:
-                k = acc.position(h.name)
-                used_mem[h.name] = int(mem_col[k])
-                used_cpu[h.name] = int(cpu_col[k])
-                base_demand[h.name] = float(demand_col[k])
-        else:
-            used_mem = {h.name: h.used_resources.memory_mb for h in hosts}
-            used_cpu = {h.name: h.used_resources.cpus for h in hosts}
-            base_demand = {
-                h.name: sum(v.current_activity * v.resources.cpus
-                            for v in h.vms)
-                for h in hosts}
-        planned_demand = {h.name: 0.0 for h in hosts}
-
+        cols = _Candidates(hosts, hour_index, demand=True)
+        planned = np.zeros(len(hosts))
+        model = self.power_model
         for vm in decreasing_demand(vms):
-            # (key, host): names are unique, so the key alone decides.
-            best: tuple[tuple[float, str], Host] | None = None
-            src = current_host.get(vm.name)
-            for host in hosts:
-                if src is not None and host is src:
-                    continue
-                name = host.name
-                if not (used_mem[name] + vm.resources.memory_mb
-                        <= host.capacity.memory_mb
-                        and used_cpu[name] + vm.resources.cpus
-                        <= host.capacity.schedulable_cpus):
-                    continue
-                demand = base_demand[name] + planned_demand[name]
-                cap = host.capacity.cpus
-                before = self.power_model.power(
-                    PowerState.ON, min((demand + 0.0) / cap, 1.0))
-                extra = vm.current_activity * vm.resources.cpus
-                after = self.power_model.power(
-                    PowerState.ON, min((demand + extra) / cap, 1.0))
-                cand = (after - before, name)
-                if best is None or cand < best[0]:
-                    best = (cand, host)
-            if best is not None:
-                dest = best[1]
-                placement[vm.name] = dest
-                used_mem[dest.name] += vm.resources.memory_mb
-                used_cpu[dest.name] += vm.resources.cpus
-                planned_demand[dest.name] += (vm.current_activity
-                                              * vm.resources.cpus)
+            cand = cols.fitting(vm, current_host.get(vm.name))
+            if cand.size == 0:
+                continue
+            demand = cols.demand[cand] + planned[cand]
+            cap = cols.cap_cpus[cand]
+            extra = vm.current_activity * vm.resources.cpus
+            before = model.s0_power(np.minimum((demand + 0.0) / cap, 1.0))
+            after = model.s0_power(np.minimum((demand + extra) / cap, 1.0))
+            k = int(cand[_lexmin(after - before, cols.rank[cand])])
+            placement[vm.name] = hosts[k]
+            cols.add(k, vm)
+            planned[k] += extra
         return placement
 
 
@@ -135,63 +182,33 @@ class IPAwarePlacement:
 
     Among suitable hosts, minimize |host IP - VM IP|; resource fit is a
     hard constraint.  Ties (within the tolerance bucket) go to the more
-    loaded host (stacking), then host name for determinism.
+    loaded host (stacking: least free memory at the start of the round),
+    then host name for determinism.
     """
 
     params: DrowsyParams = DEFAULT_PARAMS
 
     def place(self, vms: list[VM], hosts: list[Host], hour_index: int,
               current_host: dict[str, Host]) -> dict[str, Host]:
+        """Every candidate host for a VM scored in one numpy pass: the
+        lexicographic minimum of (IP-distance bucket, free memory, name
+        rank) over the fitting hosts."""
         placement: dict[str, Host] = {}
         tol = self.params.ip_distance_tolerance
-        # Per-host quantities that are constant for the whole planning
-        # round (models and membership don't change mid-round), hoisted
-        # out of the (vm, host) pair loop: the host IP means, the free
-        # memory used for stacking ties, and the running fit loads.
-        # The columnar accounting supplies them in one pass when active.
-        acc = _accounting_for(hosts)
-        if acc is not None:
-            ip_col = acc.mean_raw_ip(hour_index)
-            mem_col, cpu_col = acc.used_memory_mb(), acc.used_cpus()
-            mean_ip, free_mem, used_mem, used_cpu = {}, {}, {}, {}
-            for h in hosts:
-                k = acc.position(h.name)
-                mean_ip[h.name] = float(ip_col[k])
-                used_mem[h.name] = int(mem_col[k])
-                used_cpu[h.name] = int(cpu_col[k])
-                free_mem[h.name] = h.capacity.memory_mb - used_mem[h.name]
-        else:
-            mean_ip = {h.name: h.mean_raw_ip(hour_index) for h in hosts}
-            free_mem = {h.name: h.capacity.memory_mb
-                        - h.used_resources.memory_mb for h in hosts}
-            used_mem = {h.name: h.capacity.memory_mb - free_mem[h.name]
-                        for h in hosts}
-            used_cpu = {h.name: h.used_resources.cpus for h in hosts}
-
+        cols = _Candidates(hosts, hour_index, mean_ip=True)
+        free_mem = (cols.cap_mem - cols.used_mem).astype(np.float64)
         ordered = sorted(vms, key=lambda vm: (-vm.resources.memory_mb,
                                               -vm.resources.cpus, vm.name))
         for vm in ordered:
             vm_ip = vm.raw_ip(hour_index)
-            src = current_host.get(vm.name)
-            # (key, host): names are unique, so the key alone decides.
-            best: tuple[tuple[int, float, str], Host] | None = None
-            for host in hosts:
-                if src is not None and host is src:
-                    continue
-                name = host.name
-                if not (used_mem[name] + vm.resources.memory_mb
-                        <= host.capacity.memory_mb
-                        and used_cpu[name] + vm.resources.cpus
-                        <= host.capacity.schedulable_cpus):
-                    continue
-                distance = abs(mean_ip[name] - vm_ip)
-                bucket = int(distance / tol) if tol > 0 else 0
-                cand = (bucket, float(free_mem[name]), name)
-                if best is None or cand < best[0]:
-                    best = (cand, host)
-            if best is not None:
-                dest = best[1]
-                placement[vm.name] = dest
-                used_mem[dest.name] += vm.resources.memory_mb
-                used_cpu[dest.name] += vm.resources.cpus
+            cand = cols.fitting(vm, current_host.get(vm.name))
+            if cand.size == 0:
+                continue
+            if tol > 0:
+                bucket = np.trunc(np.abs(cols.mean_ip[cand] - vm_ip) / tol)
+            else:
+                bucket = np.zeros(cand.size)
+            k = int(cand[_lexmin(bucket, free_mem[cand], cols.rank[cand])])
+            placement[vm.name] = hosts[k]
+            cols.add(k, vm)
         return placement

@@ -163,9 +163,13 @@ class FleetBinding:
         self.index = {vm.name: i for i, vm in enumerate(self.vms)}
         if len(self.index) != n:
             raise ValueError("duplicate VM names in fleet binding")
+        #: The bound VMs' current-hour activities: ``vm.current_activity``
+        #: reads and writes this column (:meth:`load_hour` fills it).
+        self.activity = np.zeros(n)
         for i, vm in enumerate(self.vms):
             self._import_row(i, vm.model)
             vm.model = FleetVMView(self.fleet, i)
+            vm.bind_activity(self.activity, i)
             # Import host-process state too: the columnar blocked-I/O
             # flags must reflect values set before binding.
             if getattr(vm, "blocked_io", False):
@@ -175,6 +179,10 @@ class FleetBinding:
         #: Columnar per-host accounting attached by :meth:`try_bind`
         #: (see :mod:`repro.cluster.accounting`).
         self.accounting = None
+        #: The data center this binding was built for, and whether every
+        #: VM placed there since is one of ours (see :meth:`covers`).
+        self._dc = None
+        self._covered = True
 
     # ------------------------------------------------------------------
     @classmethod
@@ -207,6 +215,7 @@ class FleetBinding:
             if vm.model.params != params:
                 return None
         binding = cls(vms, params)
+        binding._dc = dc
         dc._fleet_binding = binding
         binding._sync_accounting(dc, accounting)
         return binding
@@ -241,17 +250,33 @@ class FleetBinding:
         f.row_hours[i] = model.hours_observed
 
     # ------------------------------------------------------------------
+    def _owns(self, vm) -> bool:
+        m = vm.model
+        return (type(m) is FleetVMView and m._fleet is self.fleet
+                and self.index.get(vm.name) == m._i)
+
+    def on_attach(self, vm) -> None:
+        """Placement hook (``DataCenter._attach``): a VM this binding
+        does not own landed in the bound data center."""
+        if not self._owns(vm):
+            self._covered = False
+
     def covers(self, vms: list) -> bool:
-        """True iff every VM in ``vms`` is bound to this fleet."""
-        index = self.index
-        fleet = self.fleet
-        for vm in vms:
-            m = vm.model
-            if type(m) is not FleetVMView or m._fleet is not fleet:
-                return False
-            if index.get(vm.name) != m._i:
-                return False
-        return True
+        """True iff every VM in ``vms`` is bound to this fleet.
+
+        For the bound data center's own ``dc.vms`` this is O(1): the
+        binding was built from that population, and the data center's
+        attach hook clears the flag when a foreign VM lands.  Any other
+        list, or a cleared flag, is scanned.
+        """
+        dc = self._dc
+        if (self._covered and dc is not None and dc._fleet_binding is self
+                and vms is dc.vms):
+            return True
+        covered = all(self._owns(vm) for vm in vms)
+        if dc is not None and vms is dc.vms:
+            self._covered = covered
+        return covered
 
     # ------------------------------------------------------------------
     # precomputed trace matrix
@@ -277,7 +302,8 @@ class FleetBinding:
         return np.array([vm.activity_at(hour_index) for vm in self.vms])
 
     def load_hour(self, hour_index: int) -> np.ndarray:
-        """Set every bound VM's ``current_activity`` for the hour.
+        """Set every bound VM's ``current_activity`` for the hour (one
+        column copy: the VMs read the binding's activity column).
 
         Returns the ``(n,)`` activity column, ready to be fed to
         :meth:`observe`.  VMs no longer placed on any host keep receiving
@@ -285,8 +311,7 @@ class FleetBinding:
         column dense keeps the batched update branch-free.
         """
         col = self.activities(hour_index)
-        for vm, a in zip(self.vms, col.tolist()):
-            vm.current_activity = a
+        self.activity[:] = col
         return col
 
     def observe(self, hour_index: int, activities: np.ndarray) -> None:

@@ -40,8 +40,9 @@ from .io import atomic_write_bytes
 
 log = get_logger("resilience.checkpoint")
 
-#: On-disk format version; bump on any incompatible layout change.
-CHECKPOINT_VERSION = 1
+#: On-disk format version; bump on any incompatible layout change
+#: (2: host meters became rows of the data center's meter bank).
+CHECKPOINT_VERSION = 2
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

@@ -21,7 +21,7 @@ import numpy as np
 from ..cluster.accounting import HostAccounting, columnar_host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
-from ..cluster.power import PowerState
+from ..cluster.power import CRASHED_CODE, OFF_CODE, ON_CODE, SUSPENDED_CODE
 from ..core.binding import FleetBinding
 from ..core.calendar import time_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
@@ -213,36 +213,29 @@ class HourlySimulator:
                 for vm in vms:
                     vm.model.observe(t, vm.current_activity)
 
-        # 4. Power-state bookkeeping for the hour.  With an active
-        #    accounting view the suspend predicate (non-empty, all VMs
-        #    idle) comes from one columnar pass instead of per-VM sums;
-        #    controller migrations in step 2 already bumped the
-        #    placement epoch, so the flags see the new placement.
-        sleep_flags = None
-        if acc is not None and self._can_sleep is None and cfg.suspend_enabled:
-            sleep_flags = acc.sleepable(t)
-        for k, host in enumerate(hosts):
-            self._host_power_step(
-                host, t, now, acc,
-                None if sleep_flags is None else bool(sleep_flags[k]))
+        # 4. Power-state bookkeeping for the hour, one columnar pass:
+        #    only the hosts whose state changes run Python (DESIGN.md
+        #    §7).  Controller migrations in step 2 already bumped the
+        #    placement epoch, so the columns see the new placement.
+        counts = (acc.vm_counts() if acc is not None else
+                  np.fromiter((len(h.vms) for h in hosts), dtype=np.int64,
+                              count=len(hosts)))
+        self._power_step(t, now, acc, counts)
 
         # 5. QoS accounting (Beloglazov's SLATAH): an active host whose
         #    CPU demand saturates capacity is failing its VMs this hour.
+        on = (self.dc.meters.state == ON_CODE) & (counts > 0)
         if acc is not None:
-            on = np.fromiter(
-                (h.state is PowerState.ON and bool(h.vms) for h in hosts),
-                dtype=bool, count=len(hosts))
-            self._active_host_hours += int(on.sum())
-            overloaded = on & (acc.cpu_demand(t) >= acc.overload_cpus())
-            self._overload_host_hours += int(overloaded.sum())
+            demand, limit = acc.cpu_demand(t), acc.overload_cpus()
         else:
-            for host in hosts:
-                if host.state is PowerState.ON and host.vms:
-                    self._active_host_hours += 1
-                    demand = sum(vm.current_activity * vm.resources.cpus
-                                 for vm in host.vms)
-                    if demand >= host.capacity.cpus * 0.999:
-                        self._overload_host_hours += 1
+            demand, limit = np.zeros(len(hosts)), np.ones(len(hosts))
+            for k in np.flatnonzero(on).tolist():
+                host = hosts[k]
+                demand[k] = sum(vm.current_activity * vm.resources.cpus
+                                for vm in host.vms)
+                limit[k] = host.capacity.cpus * 0.999
+        self._active_host_hours += int(on.sum())
+        self._overload_host_hours += int((on & (demand >= limit)).sum())
 
         self._next_hour = t + 1
         if obs is not None:
@@ -259,60 +252,78 @@ class HourlySimulator:
             "migrations": len(self.dc.migrations),
             "active_host_hours": self._active_host_hours,
             "overload_host_hours": self._overload_host_hours,
-            "hosts_suspended": sum(
-                1 for h in self.dc.hosts
-                if h.state is PowerState.SUSPENDED),
+            "hosts_suspended": int(
+                (self.dc.meters.state == SUSPENDED_CODE).sum()),
         }
 
     # ------------------------------------------------------------------
-    def _host_sleepable(self, host: Host) -> bool:
-        """Controller-specific 'may this host sleep this hour?'."""
-        if self._can_sleep is not None:  # Oasis-style policies
-            return self._can_sleep(host)
-        return bool(host.vms) and host.all_vms_idle
+    def _sleepable(self, t: int, acc: HostAccounting | None,
+                   candidates: np.ndarray) -> np.ndarray:
+        """(n_hosts,) 'may this host sleep this hour?' for the
+        ``candidates`` (non-empty, not crashed); False elsewhere.
 
-    def _host_power_step(self, host: Host, t: int, now: float,
-                         acc: HostAccounting | None = None,
-                         sleepable_hint: bool | None = None) -> None:
+        The column's source: the columnar accounting, else the
+        controller's veto (Oasis-style policies) or every hosted VM
+        idle, asked of the candidate hosts only."""
+        if not self.config.suspend_enabled:
+            return np.zeros(len(candidates), dtype=bool)
+        if acc is not None and self._can_sleep is None:
+            return acc.sleepable(t) & candidates
+        hosts = self.dc.hosts
+        ask = self._can_sleep or (lambda host: host.all_vms_idle)
+        flags = np.zeros(len(candidates), dtype=bool)
+        for k in np.flatnonzero(candidates).tolist():
+            flags[k] = ask(hosts[k])
+        return flags
+
+    def _power_step(self, t: int, now: float, acc: HostAccounting | None,
+                    counts: np.ndarray) -> None:
+        """The hour's power decisions for every host, as masks over the
+        state, VM-count, sleepable and grace columns.
+
+        Crashed hosts are left to fault injection; empty ON hosts power
+        off (classic consolidation's S5 lever); an OFF host that
+        received VMs powers back on; a suspended host whose VMs woke
+        resumes with a grace period; an ON host whose VMs all sleep
+        suspends after the decision delay (or its grace end) if the
+        hour still has room for it.  Each host's decision depends only
+        on its own row, so applying them mask by mask in host order is
+        the per-host sequence (``tests/oracles.py`` keeps that loop).
+        """
         cfg, p = self.config, self.params
-
-        if host.state is PowerState.CRASHED:
-            # Fault injection owns crashed hosts: no power decisions
-            # until the injector's recovery schedule reboots them.
-            return
-        # Empty hosts: classic consolidation powers them off.
-        if not host.vms:
-            if cfg.power_off_empty and host.state is PowerState.ON:
-                host.power_off(now)
-            return
-        if host.state is PowerState.OFF:
-            # Host received VMs while off (placement onto S5 is filtered
-            # out by controllers, but relocate_all may use any managed
-            # host) -- power it back on.
-            host.power_on(now)
-
-        if sleepable_hint is not None:
-            sleepable = sleepable_hint
-        else:
-            sleepable = cfg.suspend_enabled and self._host_sleepable(host)
-
-        if host.state is PowerState.SUSPENDED:
-            if not sleepable:
-                # Activity resumed: timer fired / request arrived at the
-                # start of the active hour; charge the resume.
-                host.begin_resume(now)
-                grace = self._grace(host, t, acc)
-                host.finish_resume(now + p.resume_latency_s, grace)
-            return
-
-        if host.state is PowerState.ON and sleepable:
-            begin = now + cfg.decision_delay_s
-            if p.use_grace and host.in_grace(begin):
-                begin = host.grace_until
+        hosts = self.dc.hosts
+        meters = self.dc.meters
+        state = meters.state
+        empty = counts == 0
+        if cfg.power_off_empty:
+            for k in np.flatnonzero(empty & (state == ON_CODE)).tolist():
+                hosts[k].power_off(now)
+        # (placement onto S5 is filtered out by controllers, but
+        # relocate_all may use any managed host)
+        for k in np.flatnonzero(~empty & (state == OFF_CODE)).tolist():
+            hosts[k].power_on(now)
+        sleepable = self._sleepable(t, acc, ~empty & (state != CRASHED_CODE))
+        resume = np.flatnonzero((state == SUSPENDED_CODE) & ~empty
+                                & ~sleepable)
+        suspend = (state == ON_CODE) & sleepable
+        if suspend.any():
+            begin = np.full(len(hosts), now + cfg.decision_delay_s)
+            if p.use_grace:
+                grace = meters.grace_until
+                begin = np.where(begin < grace, grace, begin)
             # Suspend only pays off if the hour has room left.
-            if begin + p.suspend_latency_s < now + 3600.0:
-                host.begin_suspend(begin)
-                host.finish_suspend(begin + p.suspend_latency_s)
+            suspend &= begin + p.suspend_latency_s < now + 3600.0
+        for k in resume.tolist():
+            # Activity resumed: timer fired / request arrived at the
+            # start of the active hour; charge the resume.
+            host = hosts[k]
+            host.begin_resume(now)
+            host.finish_resume(now + p.resume_latency_s,
+                               self._grace(host, t, acc))
+        for k in np.flatnonzero(suspend).tolist():
+            at = float(begin[k])
+            hosts[k].begin_suspend(at)
+            hosts[k].finish_suspend(at + p.suspend_latency_s)
 
     def _grace(self, host: Host, t: int,
                acc: HostAccounting | None = None) -> float:

@@ -15,7 +15,12 @@ as test-only subclasses the parity suites compare against:
   ``RunResult`` field but ``events_processed`` matches the production
   engine; with ``per_host_checks=False`` the event count matches too.
 * :class:`ScalarHourlySimulator` — the hourly engine on the scalar
-  per-VM path (no fleet binding).
+  per-VM path (no fleet binding), with the per-host power step.
+* :class:`ScalarEnergyMeter`, :class:`LoopPowerAwareBestFitDecreasing`,
+  :class:`LoopIPAwarePlacement` and :class:`PerHostDrowsyController` —
+  the per-host loops the columnar hour tick replaces (DESIGN.md §7):
+  a standalone scalar meter, the (VM, host) pair placement loops and
+  Drowsy/Neat's per-host consolidation scans.
 * :class:`PerHostEventBackend` — a façade backend adapter building the
   event oracle, for runs that need the façade's wiring (faults,
   observers): ``Simulation(dc, "drowsy", PerHostEventBackend())``.
@@ -29,12 +34,18 @@ as test-only subclasses the parity suites compare against:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from collections import deque
+from dataclasses import dataclass, field, fields
 
 from repro.api.backends import EventBackend
-from repro.cluster.power import PowerState
+from repro.cluster.accounting import columnar_host_view
+from repro.cluster.power import PowerModel, PowerState
+from repro.consolidation.drowsy import DrowsyController
+from repro.consolidation.neat import MANAGED_STATES
+from repro.consolidation.placement import _accounting_for, decreasing_demand
+from repro.consolidation.selection import select_until_not_overloaded
 from repro.core.binding import FleetBinding
-from repro.core.params import DEFAULT_PARAMS
+from repro.core.params import DEFAULT_PARAMS, DrowsyParams
 from repro.core.result import RunResult
 from repro.network.requests import Request
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
@@ -136,10 +147,55 @@ class PerHostEventSimulation(EventDrivenSimulation):
 
 
 class ScalarHourlySimulator(HourlySimulator):
-    """The hourly engine on the scalar per-VM path (no fleet binding)."""
+    """The hourly engine on the scalar per-VM path (no fleet binding),
+    with the per-host power step the columnar masks batch."""
 
     def _bind(self):
         return None
+
+    def _power_step(self, t, now, acc, counts) -> None:
+        sleep_flags = None
+        if (acc is not None and self._can_sleep is None
+                and self.config.suspend_enabled):
+            sleep_flags = acc.sleepable(t)
+        for k, host in enumerate(self.dc.hosts):
+            self._host_power_step(
+                host, t, now, acc,
+                None if sleep_flags is None else bool(sleep_flags[k]))
+
+    def _host_sleepable(self, host) -> bool:
+        if self._can_sleep is not None:  # Oasis-style policies
+            return self._can_sleep(host)
+        return bool(host.vms) and host.all_vms_idle
+
+    def _host_power_step(self, host, t, now, acc=None,
+                         sleepable_hint=None) -> None:
+        cfg, p = self.config, self.params
+        if host.state is PowerState.CRASHED:
+            return
+        if not host.vms:
+            if cfg.power_off_empty and host.state is PowerState.ON:
+                host.power_off(now)
+            return
+        if host.state is PowerState.OFF:
+            host.power_on(now)
+        if sleepable_hint is not None:
+            sleepable = sleepable_hint
+        else:
+            sleepable = cfg.suspend_enabled and self._host_sleepable(host)
+        if host.state is PowerState.SUSPENDED:
+            if not sleepable:
+                host.begin_resume(now)
+                grace = self._grace(host, t, acc)
+                host.finish_resume(now + p.resume_latency_s, grace)
+            return
+        if host.state is PowerState.ON and sleepable:
+            begin = now + cfg.decision_delay_s
+            if p.use_grace and host.in_grace(begin):
+                begin = host.grace_until
+            if begin + p.suspend_latency_s < now + 3600.0:
+                host.begin_suspend(begin)
+                host.finish_suspend(begin + p.suspend_latency_s)
 
 
 class PerHostEventBackend(EventBackend):
@@ -186,3 +242,255 @@ def run_event_parity_cell(cell: EventParityCell):
     t0 = time.perf_counter()
     result = sim.run(cell.hours)
     return result, time.perf_counter() - t0
+
+
+# ----------------------------------------------------------------------
+# the columnar hour tick's per-host references (DESIGN.md §7)
+# ----------------------------------------------------------------------
+@dataclass
+class ScalarEnergyMeter:
+    """One host's energy meter as a standalone scalar integrator — the
+    reference for the :class:`~repro.cluster.power.MeterBank` rows."""
+
+    model: PowerModel
+    last_time: float = 0.0
+    energy_j: float = 0.0
+    state_seconds: dict = field(
+        default_factory=lambda: {s: 0.0 for s in PowerState})
+
+    def advance(self, now: float, state: PowerState, utilization: float) -> None:
+        dt = now - self.last_time
+        if dt < -1e-9:
+            raise ValueError(f"time went backwards: {self.last_time} -> {now}")
+        if dt > 0:
+            self.energy_j += self.model.power(state, utilization) * dt
+            self.state_seconds[state] += dt
+            self.last_time = now
+
+
+@dataclass
+class LoopPowerAwareBestFitDecreasing:
+    """PABFD as a (VM, host) pair loop over per-host dicts."""
+
+    power_model: PowerModel = PowerModel()
+
+    def place(self, vms, hosts, hour_index, current_host):
+        placement = {}
+        acc = _accounting_for(hosts)
+        if acc is not None:
+            acc, pos = acc
+            mem_col, cpu_col = acc.used_memory_mb(), acc.used_cpus()
+            demand_col = acc.cpu_demand(hour_index)
+            used_mem = {h.name: int(mem_col[k]) for h, k in zip(hosts, pos)}
+            used_cpu = {h.name: int(cpu_col[k]) for h, k in zip(hosts, pos)}
+            base_demand = {h.name: float(demand_col[k])
+                           for h, k in zip(hosts, pos)}
+        else:
+            used_mem = {h.name: h.used_resources.memory_mb for h in hosts}
+            used_cpu = {h.name: h.used_resources.cpus for h in hosts}
+            base_demand = {
+                h.name: sum(v.current_activity * v.resources.cpus
+                            for v in h.vms)
+                for h in hosts}
+        planned_demand = {h.name: 0.0 for h in hosts}
+        for vm in decreasing_demand(vms):
+            best = None
+            src = current_host.get(vm.name)
+            for host in hosts:
+                if src is not None and host is src:
+                    continue
+                name = host.name
+                if not (used_mem[name] + vm.resources.memory_mb
+                        <= host.capacity.memory_mb
+                        and used_cpu[name] + vm.resources.cpus
+                        <= host.capacity.schedulable_cpus):
+                    continue
+                demand = base_demand[name] + planned_demand[name]
+                cap = host.capacity.cpus
+                before = self.power_model.power(
+                    PowerState.ON, min((demand + 0.0) / cap, 1.0))
+                extra = vm.current_activity * vm.resources.cpus
+                after = self.power_model.power(
+                    PowerState.ON, min((demand + extra) / cap, 1.0))
+                cand = (after - before, name)
+                if best is None or cand < best[0]:
+                    best = (cand, host)
+            if best is not None:
+                dest = best[1]
+                placement[vm.name] = dest
+                used_mem[dest.name] += vm.resources.memory_mb
+                used_cpu[dest.name] += vm.resources.cpus
+                planned_demand[dest.name] += (vm.current_activity
+                                              * vm.resources.cpus)
+        return placement
+
+
+@dataclass
+class LoopIPAwarePlacement:
+    """IP-aware placement as a (VM, host) pair loop over per-host dicts."""
+
+    params: DrowsyParams = DEFAULT_PARAMS
+
+    def place(self, vms, hosts, hour_index, current_host):
+        placement = {}
+        tol = self.params.ip_distance_tolerance
+        acc = _accounting_for(hosts)
+        if acc is not None:
+            acc, pos = acc
+            ip_col = acc.mean_raw_ip(hour_index)
+            mem_col, cpu_col = acc.used_memory_mb(), acc.used_cpus()
+            mean_ip, free_mem, used_mem, used_cpu = {}, {}, {}, {}
+            for h, k in zip(hosts, pos):
+                mean_ip[h.name] = float(ip_col[k])
+                used_mem[h.name] = int(mem_col[k])
+                used_cpu[h.name] = int(cpu_col[k])
+                free_mem[h.name] = h.capacity.memory_mb - used_mem[h.name]
+        else:
+            mean_ip = {h.name: h.mean_raw_ip(hour_index) for h in hosts}
+            free_mem = {h.name: h.capacity.memory_mb
+                        - h.used_resources.memory_mb for h in hosts}
+            used_mem = {h.name: h.capacity.memory_mb - free_mem[h.name]
+                        for h in hosts}
+            used_cpu = {h.name: h.used_resources.cpus for h in hosts}
+        ordered = sorted(vms, key=lambda vm: (-vm.resources.memory_mb,
+                                              -vm.resources.cpus, vm.name))
+        for vm in ordered:
+            vm_ip = vm.raw_ip(hour_index)
+            src = current_host.get(vm.name)
+            best = None
+            for host in hosts:
+                if src is not None and host is src:
+                    continue
+                name = host.name
+                if not (used_mem[name] + vm.resources.memory_mb
+                        <= host.capacity.memory_mb
+                        and used_cpu[name] + vm.resources.cpus
+                        <= host.capacity.schedulable_cpus):
+                    continue
+                distance = abs(mean_ip[name] - vm_ip)
+                bucket = int(distance / tol) if tol > 0 else 0
+                cand = (bucket, float(free_mem[name]), name)
+                if best is None or cand < best[0]:
+                    best = (cand, host)
+            if best is not None:
+                dest = best[1]
+                placement[vm.name] = dest
+                used_mem[dest.name] += vm.resources.memory_mb
+                used_cpu[dest.name] += vm.resources.cpus
+        return placement
+
+
+class PerHostDrowsyController(DrowsyController):
+    """Drowsy-DC with the per-host consolidation scans: a deque of
+    utilizations per host, one detector call per ON host, the
+    ``(utilization, name)`` tuple sort for underload candidates, the
+    loop placement policies and a host-by-host opportunistic step."""
+
+    def __init__(self, dc, detector=None, params=DEFAULT_PARAMS,
+                 overload_target=0.8, history_window=24) -> None:
+        super().__init__(dc, detector=detector, params=params,
+                         overload_target=overload_target,
+                         history_window=history_window)
+        self.placer = LoopIPAwarePlacement(params=params)
+        self._deques = {h.name: deque(maxlen=history_window)
+                        for h in dc.hosts}
+
+    def observe_hour(self, hour_index: int) -> None:
+        acc = columnar_host_view(self.dc)
+        for k, host in enumerate(self.dc.hosts):
+            if host.state is not PowerState.ON:
+                util = 0.0
+            elif acc is not None:
+                util = float(acc.cpu_utilization(hour_index)[k])
+            else:
+                util = host.cpu_utilization
+            self._deques[host.name].append(util)
+
+    def managed_hosts(self):
+        return [h for h in self.dc.hosts if h.state in MANAGED_STATES]
+
+    def _handle_overloaded(self, hour_index, executor):
+        overloaded = [h for h in self.dc.hosts
+                      if h.state is PowerState.ON
+                      and self.detector.is_overloaded(
+                          list(self._deques[h.name]))]
+        if not overloaded:
+            return 0
+        to_place, sources = [], {}
+        for host in overloaded:
+            order = self.selector.order(host, hour_index)
+            for vm in select_until_not_overloaded(host, order,
+                                                  self.overload_target):
+                to_place.append(vm)
+                sources[vm.name] = host
+        targets = [h for h in self.managed_hosts() if h not in overloaded]
+        placement = self.placer.place(to_place, targets, hour_index, sources)
+        unplaced = [vm for vm in to_place if vm.name not in placement]
+        if unplaced:
+            off_hosts = sorted(
+                (h for h in self.dc.hosts if h.state is PowerState.OFF),
+                key=lambda h: h.name)
+            if off_hosts:
+                placement.update(self.placer.place(unplaced, off_hosts,
+                                                   hour_index, sources))
+        moved = 0
+        for vm in to_place:
+            dest = placement.get(vm.name)
+            if dest is not None:
+                executor(vm, dest)
+                moved += 1
+        return moved
+
+    def _handle_underloaded(self, hour_index, executor):
+        acc = columnar_host_view(self.dc)
+        utils = {}
+        for k, h in enumerate(self.dc.hosts):
+            if h.state is PowerState.ON and h.vms:
+                utils[h.name] = (float(acc.cpu_utilization(hour_index)[k])
+                                 if acc is not None else h.cpu_utilization)
+        candidates = [name for _, name in sorted(
+            (u, name) for name, u in utils.items())]
+        moved = 0
+        receivers = set()
+        for name in candidates:
+            host = self.dc.host(name)
+            if not host.vms or host.name in receivers:
+                continue
+            vms = list(host.vms)
+            targets = [h for h in self.managed_hosts() if h is not host]
+            placement = self.placer.place(vms, targets, hour_index,
+                                          {vm.name: host for vm in vms})
+            if len(placement) != len(vms):
+                break
+            for vm in vms:
+                executor(vm, placement[vm.name])
+                receivers.add(placement[vm.name].name)
+                moved += 1
+        return moved
+
+    def opportunistic_step(self, hour_index, executor):
+        threshold = self.params.ip_range_threshold
+        acc = columnar_host_view(self.dc)
+
+        def ip_range(host):
+            if acc is not None:
+                return float(acc.ip_range(hour_index)[acc.pos(host)])
+            return host.ip_range(hour_index)
+
+        moved = 0
+        for host in list(self.managed_hosts()):
+            guard = len(host.vms) + 1
+            while ip_range(host) > threshold and guard > 0:
+                guard -= 1
+                vm = self._most_extreme_vm(host, hour_index, acc)
+                if vm is None:
+                    break
+                targets = [h for h in self.managed_hosts() if h is not host]
+                placement = self.placer.place([vm], targets, hour_index,
+                                              {vm.name: host})
+                dest = placement.get(vm.name)
+                if dest is None:
+                    break
+                executor(vm, dest)
+                moved += 1
+        return moved
