@@ -120,17 +120,17 @@ class EventBackend(_DirectFleetAdmin):
 
 
 class ShardedBackend:
-    """One run partitioned across per-shard engines (DESIGN.md §15).
+    """One hourly run partitioned across per-shard engines (DESIGN.md §15).
 
     The fleet is split by a stable hash of the host name; each shard
-    runs an unmodified inner engine (``hourly`` or ``event``) over its
-    sub-fleet while the coordinator drives the real controller and the
-    observers against a global replica, replaying their side effects
-    into the owning shards.  Results are bit-identical to the inner
-    backend for every shard/worker count — asserted by the sharded
-    parity suite.  The administrative surface routes through the
-    coordinator's op capture: churn effects must reach both the replica
-    and the shard that owns the touched host.
+    runs an unmodified hourly engine over its sub-fleet while the
+    coordinator drives the real controller and the observers against a
+    global replica, replaying their side effects into the owning
+    shards.  Results are bit-identical to the ``hourly`` backend for
+    every shard/worker count — asserted by the sharded parity suite.
+    The administrative surface routes through the coordinator's op
+    capture: churn effects must reach both the replica and the shard
+    that owns the touched host.
     """
 
     name = "sharded"
@@ -142,26 +142,9 @@ class ShardedBackend:
         return ShardedConfig
 
     def prepare_config(self, config, seed: int | None):
-        from .sharded import ShardedConfig
-
-        if config is None:
-            config = ShardedConfig()
-        inner = backends.get(config.inner)
-        inner_cfg = config.inner_config
-        if inner_cfg is None and config.inner == "event":
-            from ..sim.event_driven import EventConfig
-
-            # The sharded default differs from the plain event default
-            # in exactly one way: per-VM request streams (a shared
-            # stream's draw order cannot be partitioned).
-            inner_cfg = (EventConfig(request_streams="per-vm")
-                         if seed is None
-                         else EventConfig(seed=seed,
-                                          request_streams="per-vm"))
-        inner_cfg = inner.prepare_config(inner_cfg, seed)
-        if inner_cfg is not config.inner_config:
-            config = replace(config, inner_config=inner_cfg)
-        return config
+        # Hourly shards draw no randomness; the seed is ignored, as on
+        # the hourly backend.
+        return config if config is not None else self.config_type()
 
     def build(self, dc, controller, params: DrowsyParams, config,
               hour_hooks: tuple):
@@ -175,7 +158,7 @@ class ShardedBackend:
         engine.force_awake(host, now)
 
     def reinstate_check(self, engine, host) -> None:
-        engine.reinstate_check(host)
+        pass  # the shards' hourly power step re-evaluates every host
 
     def note_vm_departed(self, engine, vm_name: str) -> None:
         engine.note_vm_departed(vm_name)

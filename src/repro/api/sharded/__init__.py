@@ -1,6 +1,6 @@
 """Sharded distributed backend: one run, all cores.
 
-Public surface: :class:`ShardedConfig` (the ``backend_config`` payload
+Public surface: :class:`ShardedConfig` (the ``config`` payload
 for ``backend="sharded"``) and :class:`ShardedCoordinator` (the engine
 object the façade drives).  The coordinator import is lazy — it pulls
 in the simulation engines, which this package's config-only consumers

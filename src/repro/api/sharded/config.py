@@ -1,10 +1,9 @@
 """Configuration for the sharded distributed backend (DESIGN.md §15).
 
-A :class:`ShardedConfig` wraps one of the two single-engine backends —
-the *inner* engine — and says how many shards to partition the fleet
-into and how many OS processes to spread the shards over.  It is a
-frozen dataclass so a prepared config can be shipped to spawn workers
-and compared for equality in tests.
+A :class:`ShardedConfig` says how many hourly-engine shards to
+partition the fleet into and how many OS processes to spread the
+shards over.  It is a frozen dataclass so a prepared config can be
+shipped to spawn workers and compared for equality in tests.
 """
 
 from __future__ import annotations
@@ -17,15 +16,15 @@ class ShardedConfig:
     """How to shard one simulation run across engines.
 
     ``shards`` is the number of fleet partitions (each runs a full
-    inner engine over its sub-fleet); ``workers`` the number of worker
+    hourly engine over its sub-fleet); ``workers`` the number of worker
     *processes* — ``0`` runs every shard as a thread of the calling
     process (deterministic, zero spawn cost, the default for tests),
     ``N > 0`` spreads shards round-robin over ``min(N, shards)``
-    spawned processes for real parallelism.  ``inner`` picks the
-    per-shard engine (``"event"`` or ``"hourly"``) and
-    ``inner_config`` its config; ``None`` means the inner backend's
-    default, with the event engine forced onto per-VM request streams
-    (shared-stream runs are not shardable, see ``coordinator``).
+    spawned processes for real parallelism.  Every shard runs the
+    hourly engine; ``inner_config`` is its
+    :class:`~repro.sim.hourly.HourlyConfig` (``None`` = the default).
+    ``inner`` accepts only ``"hourly"``: request-level runs use
+    ``backend="event"``.
 
     Crash safety (DESIGN.md §16): ``timeout_s`` bounds every
     coordinator read from a worker — a hung or dead worker raises
@@ -43,7 +42,7 @@ class ShardedConfig:
     """
 
     shards: int = 4
-    inner: str = "event"
+    inner: str = "hourly"
     inner_config: object | None = None
     workers: int = 0
     supervise: object | None = None
@@ -53,9 +52,19 @@ class ShardedConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.inner not in ("event", "hourly"):
+        if self.inner != "hourly":
             raise ValueError(
-                f"inner engine must be 'event' or 'hourly', got {self.inner!r}")
+                f"the sharded backend runs the hourly engine only, got "
+                f"inner={self.inner!r}; use backend=\"event\" for "
+                "request-level runs")
+        if self.inner_config is not None:
+            from ...sim.hourly import HourlyConfig
+
+            if not isinstance(self.inner_config, HourlyConfig):
+                raise ValueError(
+                    "inner_config must be a HourlyConfig, got "
+                    f"{type(self.inner_config).__name__}; use "
+                    "backend=\"event\" for request-level runs")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.timeout_s is not None and self.timeout_s <= 0:

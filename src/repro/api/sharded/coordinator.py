@@ -3,7 +3,7 @@
 ``ShardedCoordinator`` is the "engine" object the façade drives when
 ``backend="sharded"``.  It partitions the fleet by host name
 (:mod:`.partition`), ships each partition to a shard running an
-unmodified inner engine around a :class:`~.port.ShardPort`, and keeps
+unmodified hourly engine around a :class:`~.port.ShardPort`, and keeps
 the *original* data center as a *replica*: a global mirror whose power
 states come from shard digests and whose placement the coordinator
 itself maintains.  The real consolidation controller and the real
@@ -12,8 +12,8 @@ their side effects are captured as ops and replayed into the owning
 shards through the per-hour three-phase exchange:
 
 1. **extract** — each shard detaches the VMs leaving it this tick and
-   ships them as self-contained bundles (pickled VM + request stream +
-   queued requests + scheduled arrivals + waking-map entry);
+   ships them as self-contained bundles (pickled VMs with detached
+   idleness models);
 2. **bundles** — the coordinator routes each bundle to the shard that
    now owns the VM;
 3. **ops** — each shard applies its op list in global call order.
@@ -25,32 +25,27 @@ before the controller (``hour``) and before the observers (``hook``)
 keep the replica's power states exact even though the hourly engine
 flips states *between* those two points.  The reduction then rebuilds
 the single-engine result bit-for-bit: per-host quantities reassemble
-in fleet order from their owning shard, request latencies merge as a
-multiset (the digest sorts), waking heartbeats and hour ticks are
-de-duplicated by count, and placement-level counts come straight from
-the replica.
+in fleet order from their owning shard, host-hour counters sum, and
+placement-level counts come straight from the replica.
 
-Not shardable (rejected with ``ValueError``): shared request streams
-(one global RNG), controllers that veto sleep per-host on the hourly
-inner (they read global state at power-step time), waking-service
-fault plans and resume failures (both draw from streams whose order
-depends on the global interleaving).
+Not shardable (rejected with ``ValueError``): controllers that veto
+sleep per-host (they read global state at power-step time),
+waking-service fault plans and resume failures (both draw from
+streams whose order depends on the global interleaving).
 """
 
 from __future__ import annotations
 
-import math
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from ...cluster.power import PowerState
 from ...core.binding import FleetBinding
 from ...core.calendar import time_of_hour
 from ...core.result import RunResult
 from ...resilience import ShardCrashError, ShardTimeoutError
+from ...sim.hourly import HourlyConfig
 from .config import ShardedConfig
-from .guard import WakingVerifier
 from .partition import clone_shard_dc, detach_fleet_models, partition_hosts
 from .transport import ShardTransport
 from .wire import pickle_vm, record_as_dict
@@ -71,11 +66,12 @@ class ShardedCoordinator:
         self.params = params
         self.config = config if config is not None else ShardedConfig()
         self.hour_hooks = tuple(hour_hooks)
-        self._inner_config = self._resolve_inner_config()
-        self._validate()
-        #: Migration attempts refused because an endpoint host was
-        #: crashed — counted here (the replica decides), never on shards.
-        self.migrations_blocked = 0
+        self._inner_config = self.config.inner_config or HourlyConfig()
+        if getattr(controller, "host_can_sleep", None) is not None:
+            raise ValueError(
+                f"controller {controller.name!r} vetoes sleep per-host "
+                "from global state; the hourly shard engines would "
+                "consult it on every shard — not shardable")
         self._fault = None
         self._binding = None
         self._horizon: tuple[int, int] | None = None
@@ -87,8 +83,6 @@ class ShardedCoordinator:
         self._extracts: list[list] = []
         self._ops: list[list] = []
         self._needs: list[set] = []
-        self._bulk_records: list = []
-        self._verifier: WakingVerifier | None = None
         self._now = 0.0
         # --- crash safety (DESIGN.md §16) -------------------------------
         #: Worker count for the *next* pool launch; drops to 0 (threads)
@@ -139,33 +133,6 @@ class ShardedCoordinator:
         return state
 
     # ------------------------------------------------------------------
-    def _resolve_inner_config(self):
-        cfg = self.config.inner_config
-        if cfg is not None:
-            return cfg
-        if self.config.inner == "event":
-            from ...sim.event_driven import EventConfig
-
-            return EventConfig(request_streams="per-vm")
-        from ...sim.hourly import HourlyConfig
-
-        return HourlyConfig()
-
-    def _validate(self) -> None:
-        cfg = self._inner_config
-        if self.config.inner == "event":
-            if getattr(cfg, "request_streams", "shared") != "per-vm":
-                raise ValueError(
-                    "the sharded backend needs request_streams='per-vm': "
-                    "a shared request stream's draw order depends on the "
-                    "global fleet interleaving and cannot be partitioned")
-        elif getattr(self.controller, "host_can_sleep", None) is not None:
-            raise ValueError(
-                f"controller {self.controller.name!r} vetoes sleep "
-                "per-host from global state; the hourly inner engine "
-                "would consult it on every shard — not shardable")
-
-    # ------------------------------------------------------------------
     # fault-plan installation (called by FaultInjector.on_run_start)
     # ------------------------------------------------------------------
     def install_fault_plan(self, injector, start_hour: int,
@@ -204,12 +171,6 @@ class ShardedCoordinator:
         self._vm_shard = {vm.name: self._shard_of_host[h.name]
                           for hosts in shard_lists
                           for h in hosts for vm in h.vms}
-        if self.config.inner == "event":
-            # The waking-plane guard (DESIGN.md §15): replays each
-            # shard's recorded waking activity and refuses runs whose
-            # waking interactions cross shards mid-hour.
-            self._verifier = WakingVerifier(self.dc, self._shard_of_host,
-                                            len(shard_lists))
         setups = self._build_setups(shard_lists, n_hours, start_hour)
         self._setups = setups
         self._horizon = (start_hour, n_hours)
@@ -252,9 +213,6 @@ class ShardedCoordinator:
                 self._hour(t)
             outcomes = [self._recv(k, "done")[1]
                         for k in range(len(self._shard_hosts))]
-            self._verify_window([o.get("waking") for o in outcomes],
-                                f"end of hour {start_hour + n_hours - 1}",
-                                check_states=False)
         except BaseException:
             if self._transport is not None:
                 self._transport.abort()
@@ -276,16 +234,12 @@ class ShardedCoordinator:
 
     def _build_setups(self, shard_lists: list[list], n_hours: int,
                       start_hour: int) -> list[dict]:
-        from dataclasses import replace
-
-        shard_cfg = self._inner_config
-        if self.config.inner == "hourly":
-            # The hourly engine hoists its columnar accounting view per
-            # hour, *before* consolidation — a mid-tick cross-shard
-            # insert would be invisible to it.  The scalar path reads
-            # live state and is bit-identical (asserted by the parity
-            # suite), so shards run without host accounting.
-            shard_cfg = replace(shard_cfg, use_host_accounting=False)
+        # The hourly engine hoists its columnar accounting view per
+        # hour, *before* consolidation — a mid-tick cross-shard insert
+        # would be invisible to it.  The scalar path reads live state
+        # and is bit-identical (asserted by the parity suite), so shards
+        # run without host accounting.
+        shard_cfg = replace(self._inner_config, use_host_accounting=False)
         setups = []
         for k, hosts in enumerate(shard_lists):
             fault = None
@@ -302,7 +256,6 @@ class ShardedCoordinator:
                 "uses_idleness": getattr(self.controller, "uses_idleness",
                                          False),
                 "params": self.params,
-                "inner": self.config.inner,
                 "config": shard_cfg,
                 "n_hours": n_hours,
                 "start_hour": start_hour,
@@ -338,7 +291,6 @@ class ShardedCoordinator:
         n_shards = len(self._shard_hosts)
         obs = self._obs
         metrics_on = obs is not None and obs.metrics is not None
-        drains = []
         if obs is not None:
             obs.phase_begin("shard-digests")
         for k in range(n_shards):
@@ -351,10 +303,8 @@ class ShardedCoordinator:
                 self._obs_recv_wall[k] = (self._obs_recv_wall.get(k, 0.0)
                                           + time.perf_counter() - t0)
             self._apply_digest(k, msg[2])
-            drains.append(msg[3])
         if obs is not None:
             obs.phase_end()
-        self._verify_window(drains, f"hour {t}")
         # Replica prologue — mirror of the engines' hour prologue, so
         # the real controller reads the same activities and models an
         # unsharded run would show it.  (Replica meters are clock
@@ -372,16 +322,12 @@ class ShardedCoordinator:
             if obs is not None:
                 obs.phase_begin("consolidate")
             self._begin_capture()
+            before = len(self.dc.migrations)
             if cfg.relocate_all_mode and hasattr(self.controller,
                                                  "relocate_all"):
-                before = len(self.dc.migrations)
                 self.controller.relocate_all(t, now)
                 self._route_bulk(self.dc.migrations[before:])
-            elif self.config.inner == "event":
-                self.controller.step(t, now,
-                                     executor=self._capturing_executor)
             else:
-                before = len(self.dc.migrations)
                 self.controller.step(t, now)
                 self._route_records(self.dc.migrations[before:])
             self._flush_exchange()
@@ -438,7 +384,6 @@ class ShardedCoordinator:
             "worker_restarts": self._restarts,
             "exchange_bundle_bytes": self._obs_bundle_bytes,
             "migrations": len(self.dc.migrations),
-            "migrations_blocked": self.migrations_blocked,
         }
         for k, wall in sorted(self._obs_recv_wall.items()):
             sample[f"shard{k}_hour_wall_s"] = wall
@@ -460,30 +405,6 @@ class ShardedCoordinator:
             for name, value in (outcome.get("telemetry") or {}).items():
                 totals[name] = totals.get(name, 0) + value
         return totals
-
-    def _verify_window(self, drains: list, label: str,
-                       check_states: bool = True) -> None:
-        """Run the waking guard over one hour's records (event inner
-        only).  ``check_states`` cross-checks the verifier's replayed
-        power states against the digest just applied — a protocol
-        sanity net over the probe itself."""
-        verifier = self._verifier
-        if verifier is None:
-            return
-        residency: dict[str, set[int]] = {}
-        for vm in self.dc.vms:
-            if vm.interactive:
-                residency.setdefault(vm.ip_address, set()).add(
-                    self._vm_shard[vm.name])
-        verifier.verify_window(drains, residency, label)
-        if check_states:
-            for host in self.dc.hosts:
-                if verifier.states[host.name] is not host.state:
-                    raise ShardError(
-                        f"waking guard desynchronized at {label}: host "
-                        f"{host.name} digest says {host.state.name}, "
-                        "transition replay says "
-                        f"{verifier.states[host.name].name}")
 
     def _apply_digest(self, k: int, states: list) -> None:
         for host, state in zip(self._shard_hosts[k], states):
@@ -591,16 +512,18 @@ class ShardedCoordinator:
         (every shard resumes its in-progress run), the original setup
         clones otherwise (failure before the first boundary — the
         shards start over and the journal replays hour 0's messages).
-        Chaos entries at or before the current hour already fired and
-        are stripped, so each kill/hang fires exactly once."""
+        Chaos entries at or before the current hour are stripped — a
+        shard fires its entries inside that hour's observer exchange,
+        which the coordinator cannot leave before detecting the loss —
+        so each kill/hang fires at most once; thread shards never get
+        chaos (a kill would take down this process)."""
         chaos = self.config.chaos
         if chaos is not None and self._current_hour is not None:
             chaos = chaos.surviving(self._current_hour)
-        if chaos is not None and chaos.is_zero:
+        if chaos is not None and (chaos.is_zero or self._workers_mode == 0):
             chaos = None
         if self._shard_states is not None:
-            return [{"index": k, "inner": self.config.inner,
-                     "state": blob, "chaos": chaos}
+            return [{"index": k, "state": blob, "chaos": chaos}
                     for k, blob in enumerate(self._shard_states)]
         setups = []
         for setup in self._setups:
@@ -617,7 +540,6 @@ class ShardedCoordinator:
         self._extracts = [[] for _ in range(n_shards)]
         self._ops = [[] for _ in range(n_shards)]
         self._needs = [set() for _ in range(n_shards)]
-        self._bulk_records = []
 
     def _flush_exchange(self, want_state: bool = False) -> None:
         n_shards = len(self._shard_hosts)
@@ -638,68 +560,6 @@ class ShardedCoordinator:
             self._send(k, ("ops", ops,
                            {name: bundles[name] for name in self._needs[k]},
                            want_state))
-        self._mirror_map_surgery(bundles)
-
-    def _mirror_map_surgery(self, bundles: dict[str, dict]) -> None:
-        """Replay this exchange's waking-map surgery into the guard's
-        replicas: the entry travelling with each extracted VM, then the
-        bulk refresh in global record order (exactly what the shards
-        apply while their probes are muted)."""
-        verifier = self._verifier
-        if verifier is None:
-            return
-        for k, extracts in enumerate(self._extracts):
-            for name, _wake in extracts:
-                bundle = bundles[name]
-                verifier.transfer(k, self._vm_shard[name],
-                                  bundle.get("ip"),
-                                  bundle.get("waking_mac"),
-                                  bundle.get("kept", False))
-        for record in self._bulk_records:
-            vm, _ = self.dc.find_vm(record.vm_name)
-            dest = self.dc.host(record.destination)
-            drowsy = dest.state in (PowerState.SUSPENDING,
-                                    PowerState.SUSPENDED)
-            verifier.bulk_note(self._shard_of_host[dest.name],
-                               vm.ip_address,
-                               dest.mac_address if drowsy else None)
-        self._bulk_records = []
-
-    def _mirror_wake(self, host) -> None:
-        # The replica half of a force-awake: state + meter only (the
-        # channel/waking/switch machinery lives on the shards).  A
-        # SUSPENDING host resumes shard-side when its transition
-        # completes; the next digest refreshes the replica.
-        if host.state is PowerState.SUSPENDED:
-            now = host.meter_time(self._now)
-            host.begin_resume(now)
-            host.finish_resume(now, 0.0)
-            if self._verifier is not None:
-                self._verifier.surgery_wake(host.mac_address, self._now)
-
-    def _capturing_executor(self, vm, dest) -> None:
-        # Mirror of EventDrivenSimulation._execute_migration over the
-        # replica, emitting the shard ops that replay it.
-        dc = self.dc
-        src = dc.host_of(vm)
-        if (src.state is PowerState.CRASHED
-                or dest.state is PowerState.CRASHED):
-            self.migrations_blocked += 1
-            return
-        self._mirror_wake(src)
-        self._mirror_wake(dest)
-        dc.migrate(vm, dest, self._now)
-        k_src = self._shard_of_host[src.name]
-        k_dst = self._shard_of_host[dest.name]
-        if k_src == k_dst:
-            self._ops[k_src].append(("exec-mig", vm.name, dest.name))
-        else:
-            self._extracts[k_src].append((vm.name, True))
-            self._needs[k_dst].add(vm.name)
-            record = dc.migrations[-1]
-            self._ops[k_dst].append(("insert", vm.name, dest.name,
-                                     src.name, record.duration_s, True))
-            self._vm_shard[vm.name] = k_dst
 
     def _route_records(self, records) -> None:
         """Route already-applied replica migrations (hourly controller
@@ -711,11 +571,11 @@ class ShardedCoordinator:
                 self._ops[k_src].append(("mig", record.vm_name,
                                          record.destination))
             else:
-                self._extracts[k_src].append((record.vm_name, False))
+                self._extracts[k_src].append(record.vm_name)
                 self._needs[k_dst].add(record.vm_name)
                 self._ops[k_dst].append(
                     ("insert", record.vm_name, record.destination,
-                     record.source, record.duration_s, False))
+                     record.source, record.duration_s))
                 self._vm_shard[record.vm_name] = k_dst
 
     def _route_bulk(self, records) -> None:
@@ -724,14 +584,13 @@ class ShardedCoordinator:
             k_src = self._shard_of_host[record.source]
             k_dst = self._shard_of_host[record.destination]
             if k_src != k_dst:
-                self._extracts[k_src].append((record.vm_name, False))
+                self._extracts[k_src].append(record.vm_name)
                 self._needs[k_dst].add(record.vm_name)
                 self._vm_shard[record.vm_name] = k_dst
             moves[k_dst].append(record_as_dict(record))
         for k, shard_moves in enumerate(moves):
             if shard_moves:
                 self._ops[k].append(("bulk", shard_moves))
-        self._bulk_records.extend(records)
 
     # ------------------------------------------------------------------
     # admin surface (what the façade's backend adapter delegates here;
@@ -741,13 +600,15 @@ class ShardedCoordinator:
         self._bind_replica()
 
     def force_awake(self, host, now: float) -> None:
-        self._mirror_wake(host)
+        # The replica half of HourlyBackend.force_awake (state + meter,
+        # on the simulated clock); the owning shard replays it from a
+        # "wake" op.
+        if host.state is PowerState.SUSPENDED:
+            at = host.meter_time(self._now)
+            host.begin_resume(at)
+            host.finish_resume(at, 0.0)
         self._ops[self._shard_of_host[host.name]].append(
             ("wake", host.name))
-
-    def reinstate_check(self, host) -> None:
-        self._ops[self._shard_of_host[host.name]].append(
-            ("reinstate", host.name))
 
     def note_vm_departed(self, vm_name: str) -> None:
         k = self._vm_shard.pop(vm_name, None)
@@ -790,7 +651,7 @@ class ShardedCoordinator:
             return {h.name: getattr(natives[owner[h.name]], field)[h.name]
                     for h in self.dc.hosts}
 
-        base = dict(
+        return RunResult(
             hours=n_hours,
             controller_name=self.controller.name,
             backend="sharded",
@@ -800,35 +661,8 @@ class ShardedCoordinator:
             suspend_cycles_by_host=per_host("suspend_cycles_by_host"),
             migrations=len(self.dc.migrations) - migrations_before,
             vm_migrations={vm.name: vm.migrations for vm in self.dc.vms},
-        )
-        if self.config.inner == "hourly":
-            return RunResult(
-                overload_host_hours=sum(r.overload_host_hours
-                                        for r in natives),
-                active_host_hours=sum(r.active_host_hours
-                                      for r in natives),
-                **base)
-        from ...network.requests import summarize_latencies
-
-        latencies = np.concatenate([o["latencies"] for o in outcomes])
-        wake_latencies = np.concatenate(
-            [o["wake_latencies"] for o in outcomes])
-        beats = outcomes[0]["beats"]
-        if any(o["beats"] != beats for o in outcomes):
-            raise ShardError(
-                "waking heartbeat counts diverged across shards; the "
-                "events_processed reduction would be wrong")
-        # Each shard ran its own hour ticks and waking heartbeats; an
-        # unsharded engine runs exactly one set of each.
-        extra = len(outcomes) - 1
-        events = (sum(r.events_processed for r in natives)
-                  - extra * n_hours - extra * beats)
-        return RunResult(
-            resume_cycles_by_host=per_host("resume_cycles_by_host"),
-            request_summary=summarize_latencies(latencies, wake_latencies),
-            wol_sent=sum(o["wol_sent"] for o in outcomes),
-            events_processed=events,
-            **base)
+            overload_host_hours=sum(r.overload_host_hours for r in natives),
+            active_host_hours=sum(r.active_host_hours for r in natives))
 
     # ------------------------------------------------------------------
     def collect_fault_summary(self, injector):
@@ -847,37 +681,8 @@ class ShardedCoordinator:
         def total(key: str) -> int:
             return sum(f[key] for f in faults)
 
-        if self.config.inner == "hourly":
-            return FaultSummary(
-                plan=injector.plan.name,
-                host_crashes=total("host_crashes"),
-                host_recoveries=total("host_recoveries"),
-                unavailability_s=unavailability_s)
-        backoff_waits: list[float] = []
-        for f in faults:
-            backoff_waits.extend(f["backoff_waits"])
         return FaultSummary(
             plan=injector.plan.name,
             host_crashes=total("host_crashes"),
             host_recoveries=total("host_recoveries"),
-            wol_dropped=total("wol_dropped"),
-            wol_delayed=total("wol_delayed"),
-            wol_retries=total("wol_retries"),
-            wol_abandoned=total("wol_abandoned"),
-            # fsum is exactly rounded: the merged total is a pure
-            # function of the wait multiset, not the shard partition.
-            backoff_wait_s=math.fsum(backoff_waits),
-            suspend_hangs=total("suspend_hangs"),
-            resume_failures=total("resume_failures"),
-            failover_migrations=total("failover_migrations"),
-            stranded_vms=total("stranded_vms"),
-            failovers=total("failovers"),
-            primary_kills=injector.primary_kills,
-            partitions=injector.partitions_applied,
-            window_journaled_calls=total("window_journaled_calls"),
-            lost_service_calls=total("lost_service_calls"),
-            stranded_requests=total("stranded_requests"),
-            recovered_requests=total("recovered_requests"),
-            migrations_blocked=(self.migrations_blocked
-                                + total("migrations_blocked")),
             unavailability_s=unavailability_s)

@@ -9,20 +9,17 @@ the thread and the spawn transports carry identical payloads.
 Op vocabulary (coordinator -> shard, applied in global call order):
 
 =================  ====================================================
-``("wake", h)``            force host ``h`` awake (consolidation wake)
+``("wake", h)``            force host ``h`` awake (zero-grace resume)
 ``("mig", v, d)``          intra-shard migration of VM ``v`` to ``d``
-``("exec-mig", v, d)``     intra-shard *engine* migration (wakes both
-                           endpoints first, like the executor path)
-``("insert", v, d, s, dur, wake)``
+``("insert", v, d, s, dur)``
                            attach an in-flight VM arriving from shard
-                           ``s``'s extraction, optionally waking ``d``
+                           ``s``'s extraction
 ``("bulk", moves)``        relocate-all block: detach/attach ``moves``
                            (MigrationRecord field dicts) atomically
 ``("place", blob, d)``     churn arrival: unpickle ``blob`` onto ``d``
 ``("remove", v)``          churn departure of VM ``v``
 ``("power_off", h)`` /     maintenance power transitions
 ``("power_on", h)``
-``("reinstate", h)``       re-arm the suspend check after maintenance
 =================  ====================================================
 """
 

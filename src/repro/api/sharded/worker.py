@@ -1,4 +1,4 @@
-"""Shard workers: build an inner engine around a port and run it.
+"""Shard workers: build an hourly engine around a port and run it.
 
 ``run_shard`` is the whole shard lifecycle — construct the engine over
 the shipped sub-fleet, install the sliced fault plan, run, and send
@@ -61,9 +61,9 @@ def _obs_extras(engine) -> dict:
 def _simulate(endpoint, setup: dict) -> dict:
     if "state" in setup:
         return _resume(endpoint, setup)
-    dc = setup["dc"]
+    from ...sim.hourly import HourlySimulator
+
     config = setup["config"]
-    inner = setup["inner"]
     port = ShardPort(endpoint, setup["controller_name"],
                      setup["uses_idleness"],
                      shard_index=setup["index"],
@@ -74,35 +74,17 @@ def _simulate(endpoint, setup: dict) -> dict:
         from ...faults.injector import FaultInjector
 
         injector = FaultInjector(fault["plan"], fault["seed"])
-    update_models = config.update_models or port.uses_idleness
-    if inner == "event":
-        from ...sim.event_driven import EventDrivenSimulation
-
-        engine = EventDrivenSimulation(dc, port, setup["params"], config,
-                                       hour_hooks=(port.hook,))
-        _install_obs(engine, setup)
-        port.attach(engine, "event", update_models, injector)
-        if injector is not None:
-            # Same install order as an unsharded run: fault events enter
-            # the queue before the hour ticks, keeping sequence numbers
-            # in the same relative order.
-            injector._install_event(engine, setup["start_hour"],
-                                    setup["n_hours"],
-                                    crash_schedule=fault["crashes"])
-        native = engine.run(setup["n_hours"], start_hour=setup["start_hour"])
-        return _event_outcome(engine, native, injector, port)
-    from ...sim.hourly import HourlySimulator
-
-    engine = HourlySimulator(dc, port, setup["params"], config,
+    engine = HourlySimulator(setup["dc"], port, setup["params"], config,
                              hour_hooks=(port.hook,))
     _install_obs(engine, setup)
-    port.attach(engine, "hourly", update_models, injector)
+    port.attach(engine, config.update_models or port.uses_idleness,
+                injector)
     if injector is not None:
         injector._install_hourly(engine, setup["start_hour"],
                                  setup["n_hours"],
                                  crash_schedule=fault["crashes"])
     native = engine.run(setup["n_hours"], start_hour=setup["start_hour"])
-    return _hourly_outcome(engine, native, injector)
+    return _outcome(engine, native, injector)
 
 
 def _resume(endpoint, setup: dict) -> dict:
@@ -114,64 +96,17 @@ def _resume(endpoint, setup: dict) -> dict:
 
     port = pickle.loads(setup["state"])
     port._ep = endpoint
-    # Chaos entries at-or-before the recovery hour already fired; the
-    # respawn ships a stripped spec so a kill fires exactly once.
+    # The respawn ships a chaos spec stripped of the entries at or
+    # before the recovery hour, so a kill fires at most once.
     port._chaos = setup.get("chaos")
-    if port._probe is not None:
-        # The snapshot was pickled with the probe's method wrappers
-        # stripped; put them back before any engine code runs.
-        port._probe.rewrap()
-    engine = port.engine
-    native = engine.continue_run()
-    if setup["inner"] == "event":
-        return _event_outcome(engine, native, port._injector, port)
-    return _hourly_outcome(engine, native, port._injector)
+    native = port.engine.continue_run()
+    return _outcome(port.engine, native, port._injector)
 
 
-def _crashed_seconds(dc) -> dict[str, float]:
+def _outcome(engine, native, injector) -> dict:
     from ...cluster.power import PowerState
 
-    return {h.name: h.meter.state_seconds.get(PowerState.CRASHED, 0.0)
-            for h in dc.hosts}
-
-
-def _event_outcome(engine, native, injector, port) -> dict:
-    channel = engine.wol_channel
-    waking = engine.waking
-    return {
-        **_obs_extras(engine),
-        "native": native,
-        "latencies": engine.switch.log.latencies_s,
-        "wake_latencies": engine.switch.log.wake_latencies_s,
-        "wol_sent": waking.active.wol_sent,
-        "beats": waking.beats,
-        # The last hour's waking records (everything since the final
-        # hour digest) for the coordinator's closing verification.
-        "waking": port.drain_probe(),
-        "fault": {
-            "host_crashes": engine.host_crashes,
-            "host_recoveries": engine.host_recoveries,
-            "wol_dropped": channel.dropped,
-            "wol_delayed": channel.delayed,
-            "wol_retries": channel.retries,
-            "wol_abandoned": channel.abandoned,
-            "backoff_waits": list(channel.backoff_waits),
-            "suspend_hangs": injector.suspend_hangs if injector else 0,
-            "resume_failures": engine.resume_failures,
-            "failover_migrations": engine.failover_migrations,
-            "stranded_vms": engine.stranded_vms,
-            "failovers": waking.failovers,
-            "window_journaled_calls": waking.window_journaled,
-            "lost_service_calls": waking.lost_calls,
-            "stranded_requests": engine.switch.queued_requests,
-            "recovered_requests": engine.recovered_requests,
-            "migrations_blocked": engine.migrations_blocked,
-            "crashed_s": _crashed_seconds(engine.dc),
-        },
-    }
-
-
-def _hourly_outcome(engine, native, injector) -> dict:
+    crashed = PowerState.CRASHED
     return {
         **_obs_extras(engine),
         "native": native,
@@ -179,7 +114,8 @@ def _hourly_outcome(engine, native, injector) -> dict:
             "host_crashes": injector._hourly_crash_count if injector else 0,
             "host_recoveries": (injector._hourly_recover_count
                                 if injector else 0),
-            "crashed_s": _crashed_seconds(engine.dc),
+            "crashed_s": {h.name: h.meter.state_seconds.get(crashed, 0.0)
+                          for h in engine.dc.hosts},
         },
     }
 

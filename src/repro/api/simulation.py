@@ -63,8 +63,7 @@ class Simulation:
         Backend-native config (:class:`~repro.sim.hourly.HourlyConfig`,
         :class:`~repro.sim.event_driven.EventConfig` or
         :class:`~repro.api.sharded.ShardedConfig`); defaults to the
-        backend's defaults.  ``backend_config`` is an exact alias
-        (passing both raises).
+        backend's defaults.
     observers:
         :class:`~repro.api.Observer` instances or plain ``(t, now)``
         callables, fired in order (see ``repro.api.observers``).
@@ -90,17 +89,10 @@ class Simulation:
                  params: DrowsyParams | None = None,
                  seed: int | None = None,
                  config=None,
-                 backend_config=None,
                  observers: tuple = (),
                  faults=None,
                  checkpoint=None,
                  telemetry=None) -> None:
-        if backend_config is not None:
-            if config is not None:
-                raise TypeError(
-                    "pass config= or backend_config=, not both "
-                    "(they are aliases)")
-            config = backend_config
         dc = getattr(fleet_or_dc, "dc", fleet_or_dc)
         if not isinstance(dc, DataCenter):
             raise TypeError(
@@ -191,7 +183,6 @@ class Simulation:
                       hours: int | None = None, scale: float = 1.0,
                       params: DrowsyParams | None = None,
                       relocate_all: bool | None = None,
-                      shards: int = 4, workers: int = 0,
                       checkpoint=None) -> "Simulation":
         """Compile a scenario spec (or built-in name) into a ready run.
 
@@ -211,8 +202,7 @@ class Simulation:
                     else ScenarioCompiler(spec, params))
         compiled = compiler.compile(
             controller=controller, simulator=backend, seed=seed,
-            hours=hours, relocate_all=relocate_all,
-            shards=shards, workers=workers)
+            hours=hours, relocate_all=relocate_all)
         simulation = compiled.simulation
         if checkpoint is not None:
             simulation.attach_checkpointer(checkpoint)

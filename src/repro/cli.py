@@ -362,8 +362,7 @@ def cmd_scenario_run(args) -> int:
             row = run_scenario_cell(ScenarioCell(
                 scenario=args.name, controller=args.controller,
                 seed=args.seed, simulator=simulator, scale=args.scale,
-                hours=args.hours or 0,
-                shards=args.shards, workers=args.shard_workers))
+                hours=args.hours or 0))
             print(f"[{simulator}] {row.scenario}: {row.n_vms} VMs on "
                   f"{row.n_hosts} hosts x {row.hours} h under "
                   f"{row.controller} -> {row.energy_kwh:.1f} kWh, "
@@ -557,18 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--controller", default="drowsy",
                       help="consolidation controller (default drowsy)")
     srun.add_argument("--simulator", default="hourly",
-                      choices=("hourly", "event", "sharded", "both"))
+                      choices=("hourly", "event", "both"))
     srun.add_argument("--seed", type=int, default=0)
     srun.add_argument("--scale", type=float, default=1.0,
                       help="class-count multiplier (0.25 = quarter fleet)")
     srun.add_argument("--hours", type=int,
                       help="override the scenario horizon")
-    srun.add_argument("--shards", type=int, default=4,
-                      help="shard count for --simulator sharded")
-    srun.add_argument("--shard-workers", dest="shard_workers", type=int,
-                      default=0,
-                      help="worker processes for --simulator sharded "
-                           "(0 = in-process threads)")
     _add_checkpoint_args(srun)
     _add_obs_args(srun)
     srun.set_defaults(fn=cmd_scenario_run)

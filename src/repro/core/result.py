@@ -4,8 +4,8 @@ The hourly engine, the event-driven engine and the sharded coordinator
 all build a :class:`RunResult` directly.  Quantities every backend
 produces (energy, suspended fractions, suspend cycles, migrations) are
 always populated; backend-specific quantities are ``None`` when the
-backend does not measure them (the sharded backend fills the columns
-of its inner engine):
+backend does not measure them (the sharded backend fills the hourly
+columns):
 
 ============================  =======  ======
 field                          hourly   event

@@ -120,17 +120,14 @@ class FaultInjector(Observer):
         else:
             self._install_hourly(sim.engine, start_hour, n_hours)
 
-    def _install_event(self, engine, start_hour: int, n_hours: int,
-                       crash_schedule=None) -> None:
+    def _install_event(self, engine, start_hour: int, n_hours: int) -> None:
         plan = self.plan
         if not plan.transitions.is_zero:
             engine.faults = self
         if not plan.wol.is_zero:
             engine.wol_channel.transport = self._wol_transport
-        if crash_schedule is None:
-            crash_schedule = self._crash_schedule(engine.dc.hosts,
-                                                  start_hour, n_hours)
-        for at, name in crash_schedule:
+        for at, name in self._crash_schedule(engine.dc.hosts, start_hour,
+                                             n_hours):
             engine.sim.schedule_at(at, self._event_crash, engine, name)
         start_s = time_of_hour(start_hour)
         if plan.waking.kill_primary_at_h is not None:

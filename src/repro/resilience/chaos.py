@@ -6,10 +6,10 @@ random pid sometime", but "shard 2's worker dies the moment it reaches
 hour 5" — every run, every machine.  Two harnesses provide that:
 
 * :class:`ShardChaos` rides a :class:`~repro.api.sharded.ShardedConfig`
-  into the sharded backend's workers.  The shard port fires it at each
-  hour boundary (before any message of that hour is sent), so a kill
-  or hang lands at a protocol point the coordinator can replay from —
-  and the run's result is byte-identical to an undisturbed run.
+  into the sharded backend's workers.  The shard port fires it inside
+  each hour's observer exchange, so a kill or hang lands at a protocol
+  point the coordinator can replay from — and the run's result is
+  byte-identical to an undisturbed run.
 * :class:`ChaosKill` + :func:`run_chaos_cell` wrap a sweep cell: the
   wrapped cell SIGKILLs its own worker process the *first* time it
   runs (a sentinel file in ``dir`` makes the kill fire-once across the
@@ -30,13 +30,15 @@ class ShardChaos:
     """Deterministic worker failures for the sharded backend.
 
     ``kill_worker_at_hour`` / ``hang_worker_at_hour`` are tuples of
-    ``(shard, hour)`` pairs: when the named shard reaches the named
-    hour boundary it SIGKILLs its own worker process (taking down
-    every shard co-located in it) or sleeps ``hang_s`` seconds —
+    ``(shard, hour)`` pairs: when the named shard enters the named
+    hour's observer exchange it SIGKILLs its own worker process (taking
+    down every shard co-located in it) or sleeps ``hang_s`` seconds —
     longer than any sane transport deadline, so the coordinator's
-    timeout path fires.  After the coordinator recovers, entries at or
-    before the recovery hour are stripped from the respawned setups,
-    so each failure fires exactly once.
+    timeout path fires.  The coordinator is inside that same hour until
+    the exchange lands, so it detects the loss there and strips entries
+    at or before that hour from the respawned setups: each failure
+    fires at most once.  Shards degraded to in-process threads run
+    without chaos.
     """
 
     kill_worker_at_hour: tuple = ()
@@ -63,7 +65,7 @@ class ShardChaos:
             hang_s=self.hang_s)
 
     def fire(self, shard: int, hour: int) -> None:
-        """Called by the shard port at each hour boundary."""
+        """Called by the shard port in each hour's observer exchange."""
         if (shard, hour) in self.kill_worker_at_hour:
             os.kill(os.getpid(), signal.SIGKILL)
         if (shard, hour) in self.hang_worker_at_hour:

@@ -333,23 +333,18 @@ class ScenarioCompiler:
     # ------------------------------------------------------------------
     def compile(self, controller: str = "drowsy", simulator: str = "hourly",
                 seed: int = 0, hours: int | None = None,
-                relocate_all: bool | None = None,
-                shards: int = 4, workers: int = 0) -> CompiledRun:
+                relocate_all: bool | None = None) -> CompiledRun:
         """Build the data center, controller and simulator for one run.
 
         ``relocate_all`` defaults to the E8 convention: Drowsy runs its
         periodic full-relocation evaluation mode, reactive baselines run
-        their normal migration loop.  ``simulator="sharded"`` partitions
-        the run over ``shards`` shard engines (event inner, which the
-        scenario request wiring already matches) on ``workers`` worker
-        processes (0 = in-process threads); results are bit-identical
-        to ``simulator="event"`` for every shard/worker count.
+        their normal migration loop.
         """
         spec, params = self.spec, self.params
-        if simulator not in ("hourly", "event", "sharded"):
+        if simulator not in ("hourly", "event"):
             raise ValueError(
-                f"unknown simulator {simulator!r}; expected 'hourly', "
-                "'event' or 'sharded'")
+                f"unknown simulator {simulator!r}; expected 'hourly' or "
+                "'event'")
         hours = spec.horizon_hours if hours is None else hours
         if relocate_all is None:
             relocate_all = controller == "drowsy"
@@ -372,12 +367,6 @@ class ScenarioCompiler:
                                  request_profile=profile,
                                  seed=seed,
                                  request_streams="per-vm")
-            if simulator == "sharded":
-                from ..api.sharded import ShardedConfig
-
-                config = ShardedConfig(shards=shards, inner="event",
-                                       inner_config=config,
-                                       workers=workers)
         observers = tuple(o for o in (churn, faults) if o is not None)
         simulation = Simulation(
             dc, controller, simulator, params=params, config=config,

@@ -16,9 +16,8 @@ from ..sim.sweep import SweepRunner, SweepTable
 from .compiler import ScenarioCompiler
 from .registry import get_scenario
 
-#: Simulators a scenario cell may target.  ``"sharded"`` runs the
-#: event inner partitioned over shard engines — bit-identical rows.
-SIMULATOR_NAMES = ("hourly", "event", "sharded")
+#: Simulators a scenario cell may target.
+SIMULATOR_NAMES = ("hourly", "event")
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,6 @@ class ScenarioCell:
     scale: float = 1.0
     #: 0 = the scenario's own horizon.
     hours: int = 0
-    #: Sharded-simulator geometry (ignored by the single-engine ones):
-    #: shard count, and worker processes (0 = in-process threads —
-    #: the right default inside an already-sharded sweep).
-    shards: int = 4
-    workers: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,7 @@ def run_scenario_cell(cell: ScenarioCell) -> ScenarioRow:
         spec = spec.scaled(cell.scale)
     run = ScenarioCompiler(spec).compile(
         controller=cell.controller, simulator=cell.simulator,
-        seed=cell.seed, hours=cell.hours or None,
-        shards=cell.shards, workers=cell.workers)
+        seed=cell.seed, hours=cell.hours or None)
     n_vms = len(run.dc.vms)
     result = run.run()
     churn = run.churn

@@ -11,6 +11,7 @@ vs simulated-clock observer contract, and a Hypothesis fuzz asserting
 no :class:`~repro.obs.TelemetryConfig` ever changes a result.
 """
 
+import dataclasses
 import functools
 import io
 import itertools
@@ -37,7 +38,7 @@ from repro.resilience import CheckpointPolicy
 from repro.sim.sweep import SweepRunner, grid
 
 H = 10        # in-process horizons
-SHARD_H = 8   # sharded horizons (3-4 shards of the event inner)
+SHARD_H = 8   # sharded horizons (3-4 hourly shards)
 
 
 def small_fleet(hours=H):
@@ -46,20 +47,14 @@ def small_fleet(hours=H):
 
 
 def shard_fleet():
-    # Unique VM IPs keep the fleet inside the sharded waking envelope
-    # (the parity precondition the sharded suite documents).
-    dc = build_fleet(n_hosts=6, n_vms=16, llmi_fraction=0.5,
-                     hours=SHARD_H, seed=3)
-    for i, vm in enumerate(dc.vms):
-        vm.ip_address = f"10.9.0.{i + 1}"
-    return dc
+    return build_fleet(n_hosts=6, n_vms=16, llmi_fraction=0.5,
+                       hours=SHARD_H, seed=3)
 
 
 def build_sim(backend, controller="drowsy", **kw):
     if backend == "sharded":
-        return Simulation(shard_fleet(), controller, "sharded", seed=3,
-                          config=ShardedConfig(shards=3, inner="event",
-                                               workers=0), **kw)
+        return Simulation(shard_fleet(), controller, "sharded",
+                          config=ShardedConfig(shards=3, workers=0), **kw)
     return Simulation(small_fleet(), controller, backend, seed=3, **kw)
 
 
@@ -68,9 +63,20 @@ def horizon(backend):
 
 
 @functools.lru_cache(maxsize=None)
+def plain_shard_hourly(controller="drowsy"):
+    """The sharded fleet on the plain hourly backend, relabelled: what
+    every sharded run must reduce to."""
+    result = Simulation(shard_fleet(), controller, "hourly").run(SHARD_H)
+    return dataclasses.replace(result, backend="sharded")
+
+
+@functools.lru_cache(maxsize=None)
 def base_result(backend, controller="drowsy"):
     """The telemetry-off oracle, computed once per (backend, controller)."""
-    return build_sim(backend, controller).run(horizon(backend))
+    result = build_sim(backend, controller).run(horizon(backend))
+    if backend == "sharded":
+        assert result == plain_shard_hourly(controller)
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +164,11 @@ class TestTrace:
 
     def test_shard_spans_merged_with_pid_tags(self, tmp_path):
         path = tmp_path / "sharded.trace.json"
-        Simulation(shard_fleet(), "drowsy", "sharded", seed=3,
-                   config=ShardedConfig(shards=4, inner="event",
-                                        workers=0),
-                   telemetry=TelemetryConfig(trace=str(path))
-                   ).run(SHARD_H)
+        result = Simulation(shard_fleet(), "drowsy", "sharded",
+                            config=ShardedConfig(shards=4, workers=0),
+                            telemetry=TelemetryConfig(trace=str(path))
+                            ).run(SHARD_H)
+        assert result == plain_shard_hourly()
         events = trace_events(path)
         # Synthetic deterministic pids: coordinator 0, shard k -> k+1
         # (thread workers share one OS pid, so real pids won't do).

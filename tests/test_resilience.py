@@ -17,14 +17,19 @@ Covers the resilience layer's three contracts:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.api import Simulation
 from repro.api.sharded import ShardedConfig
 from repro.experiments.common import build_fleet
@@ -66,13 +71,8 @@ def small_fleet():
 
 
 def shard_fleet():
-    # Unique VM IPs keep the fleet inside the sharded waking envelope
-    # (the parity precondition the sharded suite documents).
-    dc = build_fleet(n_hosts=6, n_vms=18, llmi_fraction=0.5,
-                     hours=SHARD_H, seed=3)
-    for i, vm in enumerate(dc.vms):
-        vm.ip_address = f"10.9.0.{i + 1}"
-    return dc
+    return build_fleet(n_hosts=6, n_vms=18, llmi_fraction=0.5,
+                       hours=SHARD_H, seed=3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,10 +85,39 @@ def plain_result(backend: str, faulty: bool):
 
 @functools.lru_cache(maxsize=None)
 def sharded_base():
-    sim = Simulation(shard_fleet(), "drowsy", "sharded", seed=3,
-                     config=ShardedConfig(shards=3, inner="event",
-                                          workers=0))
-    return sim.run(SHARD_H)
+    """The undisturbed thread-mode run every chaos run must reproduce;
+    itself bit-identical to the plain hourly run."""
+    base = Simulation(shard_fleet(), "drowsy", "sharded",
+                      config=ShardedConfig(shards=3, workers=0)
+                      ).run(SHARD_H)
+    plain = Simulation(shard_fleet(), "drowsy", "hourly").run(SHARD_H)
+    assert dataclasses.replace(base, backend="hourly") == plain
+    return base
+
+
+#: The early-kill regression case, run in a child process: a SIGKILL
+#: that wrongly lands in the coordinator's process must fail this test,
+#: not the whole pytest run.
+EARLY_KILL_CHILD = """
+import pickle
+import sys
+
+from repro.api import ShardedConfig, Simulation
+from repro.experiments.common import build_fleet
+from repro.resilience import ShardChaos, SupervisorPolicy
+
+sim = Simulation(
+    build_fleet(6, 18, 0.5, 8, seed=3), "drowsy", "sharded",
+    config=ShardedConfig(
+        shards=3, inner="hourly", workers=2,
+        supervise=SupervisorPolicy(max_restarts=3, backoff_base_s=0.01,
+                                   deadline_s=30),
+        chaos=ShardChaos(kill_worker_at_hour=((0, 2),))))
+result = sim.run(8)
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump((result, sim.engine._restarts, sim.engine._workers_mode),
+                fh)
+"""
 
 
 # ----------------------------------------------------------------------
@@ -239,9 +268,8 @@ class TestShardedResilience:
                           chaos=ShardChaos(kill_worker_at_hour=((0, 1),)))
 
     def test_thread_mode_checkpoint_resume(self, tmp_path):
-        sim = Simulation(shard_fleet(), "drowsy", "sharded", seed=3,
-                         config=ShardedConfig(shards=3, inner="event",
-                                              workers=0),
+        sim = Simulation(shard_fleet(), "drowsy", "sharded",
+                         config=ShardedConfig(shards=3, workers=0),
                          checkpoint=CheckpointPolicy(dir=str(tmp_path),
                                                      every_h=3))
         assert sim.run(SHARD_H) == sharded_base()
@@ -265,28 +293,25 @@ class TestShardedResilience:
                                hang_s=60.0)
             policy = SupervisorPolicy(max_restarts=3, backoff_base_s=0.01,
                                       deadline_s=3.0)
-        sim = Simulation(shard_fleet(), "drowsy", "sharded", seed=3,
-                         config=ShardedConfig(shards=3, inner="event",
-                                              workers=2, supervise=policy,
-                                              chaos=chaos))
+        sim = Simulation(shard_fleet(), "drowsy", "sharded",
+                         config=ShardedConfig(shards=3, workers=2,
+                                              supervise=policy, chaos=chaos))
         assert sim.run(SHARD_H) == sharded_base()
 
     def test_degrades_to_threads_when_restarts_exhausted(self):
         policy = SupervisorPolicy(max_restarts=0, backoff_base_s=0.01,
                                   deadline_s=30.0)
         chaos = ShardChaos(kill_worker_at_hour=((2, 3),))
-        sim = Simulation(shard_fleet(), "drowsy", "sharded", seed=3,
-                         config=ShardedConfig(shards=3, inner="event",
-                                              workers=2, supervise=policy,
-                                              chaos=chaos))
+        sim = Simulation(shard_fleet(), "drowsy", "sharded",
+                         config=ShardedConfig(shards=3, workers=2,
+                                              supervise=policy, chaos=chaos))
         assert sim.run(SHARD_H) == sharded_base()
         assert sim.engine._workers_mode == 0  # finished on threads
 
     def test_chaos_plus_checkpoint_resume(self, tmp_path):
         chaos = ShardChaos(kill_worker_at_hour=((0, 2), (1, 6)))
-        sim = Simulation(shard_fleet(), "drowsy", "sharded", seed=3,
-                         config=ShardedConfig(shards=3, inner="event",
-                                              workers=2,
+        sim = Simulation(shard_fleet(), "drowsy", "sharded",
+                         config=ShardedConfig(shards=3, workers=2,
                                               supervise=FAST_POLICY,
                                               chaos=chaos),
                          checkpoint=CheckpointPolicy(dir=str(tmp_path),
@@ -295,12 +320,31 @@ class TestShardedResilience:
         for path in sorted(tmp_path.glob("*.ckpt")):
             assert Simulation.resume(path).run() == sharded_base()
 
+    def test_early_kill_fires_once_in_its_worker(self, tmp_path):
+        """Shard 0 shares worker 0 with shard 2 and may run ahead of the
+        coordinator.  Its hour-2 kill must fire exactly once, in the
+        worker: one restart, no degradation to threads, and never a
+        SIGKILL of the driving process."""
+        out = tmp_path / "early-kill.pkl"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", EARLY_KILL_CHILD, str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (
+            f"coordinator process exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
+        result, restarts, workers_mode = pickle.loads(out.read_bytes())
+        assert result == sharded_base()
+        assert restarts == 1
+        assert workers_mode == 2
+
     def test_unsupervised_hang_raises_named_timeout(self):
         chaos = ShardChaos(hang_worker_at_hour=((1, 2),), hang_s=60.0)
-        sim = Simulation(shard_fleet(), "drowsy", "sharded", seed=3,
-                         config=ShardedConfig(shards=3, inner="event",
-                                              workers=2, timeout_s=2.0,
-                                              chaos=chaos))
+        sim = Simulation(shard_fleet(), "drowsy", "sharded",
+                         config=ShardedConfig(shards=3, workers=2,
+                                              timeout_s=2.0, chaos=chaos))
         with pytest.raises(ShardTimeoutError) as excinfo:
             sim.run(SHARD_H)
         exc = excinfo.value

@@ -2,13 +2,11 @@
 spec/result API that rides with it.
 
 The heart of the suite is the golden parity contract: a sharded run is
-**byte-identical** to its inner backend for every shard and worker
-count — same energy floats, same migration records, same latency
-digests, same fault summaries.  Around it: the waking-plane guard
-(cross-shard waking interactions raise ``ShardError`` instead of
-silently diverging), the not-shardable rejections, scenario-spec JSON
-round-trips, result persistence, and the registry describe/CLI list
-surface.
+**byte-identical** to the plain ``hourly`` backend for every shard and
+worker count — same energy floats, same migration records, same fault
+summaries.  Around it: the not-shardable rejections and the config
+surface, scenario-spec JSON round-trips, result persistence, and the
+registry describe/CLI list surface.
 """
 
 import dataclasses
@@ -19,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import RunResult, ShardedConfig, Simulation, backends, controllers
 from repro.api.observers import Observer
-from repro.api.sharded.coordinator import ShardError
 from repro.cluster.power import PowerState
 from repro.cluster.vm import VM
 from repro.experiments.common import FLEET_VM, build_fleet, production_trace
@@ -36,64 +33,38 @@ from repro.sim.event_driven import EventConfig
 from repro.sim.hourly import HourlyConfig
 
 
-def fleet(n_hosts=8, n_vms=24, hours=30, seed=3, unique_ips=True):
-    """The parity fleet.  ``unique_ips`` widens the 250-address default
-    IP space so no two VMs collide: collision-free fleets are provably
-    inside the sharded backend's waking envelope (see the guard tests
-    for what happens outside it)."""
-    dc = build_fleet(n_hosts=n_hosts, n_vms=n_vms, llmi_fraction=0.5,
-                     hours=hours, seed=seed)
-    if unique_ips:
-        for i, vm in enumerate(dc.vms):
-            vm.ip_address = f"10.9.{i // 200}.{i % 200 + 1}"
-    return dc
+def fleet(n_hosts=8, n_vms=24, hours=30, seed=3):
+    """The parity fleet (stock ``build_fleet`` addresses)."""
+    return build_fleet(n_hosts=n_hosts, n_vms=n_vms, llmi_fraction=0.5,
+                       hours=hours, seed=seed)
+
+
+def plain_hourly(controller, hours, **kw):
+    return Simulation(fleet(), controller, "hourly", **kw).run(hours)
+
+
+def sharded(controller, hours, shards, workers=0, **kw):
+    return Simulation(fleet(), controller, "sharded",
+                      config=ShardedConfig(shards=shards, workers=workers),
+                      **kw).run(hours)
+
+
+def as_hourly(result):
+    return dataclasses.replace(result, backend="hourly")
 
 
 def plain_event(controller, seed, hours, **kw):
-    # seed= is passed alongside the config so the fault injector (if
-    # any) draws from the same stream family as the sharded run's.
+    # An event result (request summary, fault summary) for the
+    # persistence round-trips.
     return Simulation(fleet(), controller, "event", seed=seed,
                       config=EventConfig(seed=seed,
                                          request_streams="per-vm"),
                       **kw).run(hours)
 
 
-def sharded(controller, seed, hours, shards, workers=0, inner="event",
-            **kw):
-    return Simulation(fleet(), controller, "sharded", seed=seed,
-                      backend_config=ShardedConfig(
-                          shards=shards, workers=workers, inner=inner),
-                      **kw).run(hours)
-
-
 # ----------------------------------------------------------------------
-# golden parity: sharded == inner backend, bit for bit
+# golden parity: sharded == plain hourly, bit for bit
 # ----------------------------------------------------------------------
-
-class TestEventParity:
-    @pytest.mark.parametrize("controller", ["drowsy", "neat"])
-    @pytest.mark.parametrize("seed", [0, 9])
-    def test_byte_identical_for_any_shard_count(self, controller, seed):
-        hours = 12
-        plain = plain_event(controller, seed, hours)
-        for shards in (1, 4):
-            s = sharded(controller, seed, hours, shards)
-            assert s.backend == "sharded"
-            assert dataclasses.replace(s, backend="event") == plain
-
-    def test_shard_count_does_not_matter(self):
-        a = sharded("drowsy", 2, 10, shards=2)
-        b = sharded("drowsy", 2, 10, shards=5)
-        assert dataclasses.replace(a, backend="x") == dataclasses.replace(
-            b, backend="x")
-
-    def test_process_workers_match_threads(self):
-        # Real spawn workers: the wire format (pickled sub-fleets,
-        # pipe frames) must not perturb a single float.
-        threads = sharded("neat", 9, 8, shards=3, workers=0)
-        procs = sharded("neat", 9, 8, shards=3, workers=2)
-        assert threads == dataclasses.replace(procs)
-
 
 class TestHourlyParity:
     @pytest.mark.parametrize("controller,shards",
@@ -103,9 +74,41 @@ class TestHourlyParity:
         plain = Simulation(fleet(), controller, "hourly",
                            config=HourlyConfig()).run(hours)
         s = Simulation(fleet(), controller, "sharded",
-                       backend_config=ShardedConfig(
+                       config=ShardedConfig(
                            shards=shards, inner="hourly")).run(hours)
-        assert dataclasses.replace(s, backend="hourly") == plain
+        assert as_hourly(s) == plain
+
+    @pytest.mark.parametrize("controller", ["drowsy", "neat"])
+    def test_byte_identical_for_any_shard_count(self, controller):
+        hours = 24
+        plain = plain_hourly(controller, hours)
+        for shards in (1, 2, 3, 4):
+            s = sharded(controller, hours, shards)
+            assert s.backend == "sharded"
+            assert as_hourly(s) == plain, shards
+
+    def test_relocate_all_mode(self):
+        # Drowsy's periodic full relocation reaches the shards as "bulk"
+        # blocks (swap-safe detach-then-attach, cross-shard bundles).
+        config = HourlyConfig(relocate_all_mode=True)
+        plain = plain_hourly("drowsy", 24, config=config)
+        assert plain.migrations > 0
+        for shards in (2, 4):
+            s = Simulation(fleet(), "drowsy", "sharded",
+                           config=ShardedConfig(shards=shards,
+                                                inner_config=config)
+                           ).run(24)
+            assert as_hourly(s) == plain, shards
+
+    def test_process_workers_match_threads(self):
+        # Real spawn workers: the wire format (pickled sub-fleets,
+        # pipe frames) must not perturb a single float.
+        plain = plain_hourly("neat", 12)
+        for shards in (2, 4):
+            threads = sharded("neat", 12, shards=shards, workers=0)
+            procs = sharded("neat", 12, shards=shards, workers=2)
+            assert threads == procs
+            assert as_hourly(procs) == plain
 
 
 # ----------------------------------------------------------------------
@@ -114,9 +117,9 @@ class TestHourlyParity:
 
 class AdminChurn(Observer):
     """Deterministic churn exercising the full admin op vocabulary:
-    arrivals (collision-free IPs), departures, maintenance drain with
-    evacuation, power-off/power-on, force-awake and check
-    reinstatement — the same calls a compiled scenario issues."""
+    arrivals, departures, maintenance drain with evacuation,
+    power-off/power-on, force-awake and check reinstatement — the same
+    calls compiled scenario churn makes."""
 
     wants_sim_time = True  # churn feeds ``now`` into simulated state
 
@@ -134,7 +137,6 @@ class AdminChurn(Observer):
                 trace = production_trace(1 + self.extra % 3, days=3,
                                          seed=100 + self.extra)
                 vm = VM(name, trace.with_name(name), FLEET_VM,
-                        ip_address=f"10.8.0.{self.extra + 1}",
                         params=dc.params)
                 self.extra += 1
                 dest = next(h for h in hosts if h.can_host(vm))
@@ -171,24 +173,12 @@ class AdminChurn(Observer):
 
 
 class TestAdminChurnParity:
-    def test_event_inner(self):
-        hours = 24
-        plain = plain_event("drowsy", 5, hours, observers=(AdminChurn(),))
-        for shards in (1, 4):
-            s = sharded("drowsy", 5, hours, shards,
-                        observers=(AdminChurn(),))
-            assert dataclasses.replace(s, backend="event") == plain
-
     def test_hourly_inner(self):
         hours = 24
-        plain = Simulation(fleet(), "drowsy", "hourly",
-                           config=HourlyConfig(),
-                           observers=(AdminChurn(),)).run(hours)
-        s = Simulation(fleet(), "drowsy", "sharded",
-                       backend_config=ShardedConfig(shards=3,
-                                                    inner="hourly"),
-                       observers=(AdminChurn(),)).run(hours)
-        assert dataclasses.replace(s, backend="hourly") == plain
+        plain = plain_hourly("drowsy", hours, observers=(AdminChurn(),))
+        for shards in (1, 3):
+            s = sharded("drowsy", hours, shards, observers=(AdminChurn(),))
+            assert as_hourly(s) == plain, shards
 
 
 # ----------------------------------------------------------------------
@@ -205,48 +195,16 @@ class TestFaultParity:
     @pytest.mark.parametrize("plan", [CRASH_PLAN, LOSSY_PLAN],
                              ids=lambda p: p.name)
     def test_chaos_plans_byte_identical(self, plan):
+        # The WoL-only plan is inert on hourly engines: the sharded run
+        # must accept it and report the same (empty) degradation.
         hours = 18
-        plain = plain_event("drowsy", 5, hours, faults=plan)
-        s = sharded("drowsy", 5, hours, shards=4, faults=plan)
-        assert dataclasses.replace(s, backend="event") == plain
+        plain = plain_hourly("drowsy", hours, seed=5, faults=plan)
+        s = sharded("drowsy", hours, shards=4, seed=5, faults=plan)
+        assert as_hourly(s) == plain
         assert s.fault_summary == plain.fault_summary
         assert s.fault_summary is not None
-
-
-# ----------------------------------------------------------------------
-# the waking-plane guard: refuse loudly, never diverge silently
-# ----------------------------------------------------------------------
-
-class TestWakingGuard:
-    def _run(self):
-        run = Simulation.from_scenario("dev-churn", seed=1,
-                                       controller="drowsy",
-                                       backend="sharded", shards=4,
-                                       hours=24)
-        return run.run()
-
-    def test_cross_shard_waking_raises_shard_error(self):
-        with pytest.raises(ShardError, match="cross-shard waking"):
-            self._run()
-
-    def test_refusal_is_deterministic(self):
-        messages = []
-        for _ in range(2):
-            with pytest.raises(ShardError) as exc:
-                self._run()
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1]
-
-    def test_shards_one_is_always_inside_the_envelope(self):
-        # One shard == one waking plane: even colliding-IP churn runs
-        # must succeed and match the plain event backend.
-        plain = Simulation.from_scenario(
-            "dev-churn", seed=1, controller="drowsy", backend="event",
-            hours=24).run()
-        single = Simulation.from_scenario(
-            "dev-churn", seed=1, controller="drowsy", backend="sharded",
-            shards=1, hours=24).run()
-        assert dataclasses.replace(single, backend="event") == plain
+        if plan is CRASH_PLAN:
+            assert s.fault_summary.host_crashes > 0
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +220,7 @@ class TestRejections:
             kill_primary_at_h=1.0))
         with pytest.raises(ValueError, match="waking-service faults"):
             Simulation(self.small(), "drowsy", "sharded", seed=1,
-                       backend_config=ShardedConfig(shards=2),
+                       config=ShardedConfig(shards=2),
                        faults=plan).run(2)
 
     def test_resume_failures(self):
@@ -270,37 +228,46 @@ class TestRejections:
             resume_failure_probability=0.1))
         with pytest.raises(ValueError, match="resume failures"):
             Simulation(self.small(), "drowsy", "sharded", seed=1,
-                       backend_config=ShardedConfig(shards=2),
+                       config=ShardedConfig(shards=2),
                        faults=plan).run(2)
-
-    def test_shared_request_streams(self):
-        with pytest.raises(ValueError, match="per-vm"):
-            Simulation(self.small(), "drowsy", "sharded",
-                       backend_config=ShardedConfig(
-                           shards=2,
-                           inner_config=EventConfig(
-                               seed=1, request_streams="shared"))).run(2)
 
     def test_per_host_sleep_veto_on_hourly_inner(self):
         with pytest.raises(ValueError, match="vetoes sleep"):
             Simulation(self.small(), "oasis", "sharded",
-                       backend_config=ShardedConfig(
+                       config=ShardedConfig(
                            shards=2, inner="hourly")).run(2)
 
-    def test_config_validation(self):
+    def test_config_validation(self, capsys):
+        from repro.cli import main
+
         with pytest.raises(ValueError, match="shards"):
             ShardedConfig(shards=0)
-        with pytest.raises(ValueError, match="inner engine"):
-            ShardedConfig(inner="analytic")
+        # The shards run the hourly engine only; request-level runs are
+        # pointed at the event backend.
+        assert ShardedConfig().inner == "hourly"
+        for bad in ("event", "analytic"):
+            with pytest.raises(ValueError, match='backend="event"'):
+                ShardedConfig(inner=bad)
+        with pytest.raises(ValueError, match='backend="event"'):
+            ShardedConfig(inner_config=EventConfig())
+        ShardedConfig(inner_config=HourlyConfig())  # accepted
+        # No scenario-level sharded simulator: the CLI refuses it at
+        # parse time, the façade has no shard geometry to pass.
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "run", "dev-churn", "--simulator", "sharded"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sharded'" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="shards"):
+            Simulation.from_scenario("dev-churn", seed=1, shards=2)
 
 
-@pytest.mark.parametrize("inner", ["hourly", "event"])
+@pytest.mark.parametrize("inner", ["hourly"])
 def test_replica_is_fleet_bound_for_both_inners(inner):
-    """The coordinator's replica runs on the columnar fleet binding
-    whatever the inner engine — never silently on the scalar path."""
+    """The coordinator's replica runs on the columnar fleet binding —
+    never silently on the scalar path."""
     sim = Simulation(fleet(n_hosts=4, n_vms=8, hours=10, seed=1), "drowsy",
                      "sharded", seed=1,
-                     backend_config=ShardedConfig(shards=2, inner=inner))
+                     config=ShardedConfig(shards=2, inner=inner))
     sim.run(2)
     binding = sim.engine._binding
     assert binding is not None
@@ -314,29 +281,27 @@ def test_replica_is_fleet_bound_for_both_inners(inner):
 class TestShardCountFuzz:
     _plain_cache: dict = {}
 
+    @staticmethod
+    def _fleet(fleet_seed):
+        return build_fleet(n_hosts=6, n_vms=12, llmi_fraction=0.5,
+                           hours=8, seed=fleet_seed)
+
     @classmethod
-    def _plain(cls, controller, seed):
-        key = (controller, seed)
+    def _plain(cls, controller, fleet_seed):
+        key = (controller, fleet_seed)
         if key not in cls._plain_cache:
-            dc = build_fleet(n_hosts=6, n_vms=12, llmi_fraction=0.5,
-                             hours=8, seed=11)
             cls._plain_cache[key] = Simulation(
-                dc, controller, "event",
-                config=EventConfig(seed=seed,
-                                   request_streams="per-vm")).run(6)
+                cls._fleet(fleet_seed), controller, "hourly").run(6)
         return cls._plain_cache[key]
 
     @settings(max_examples=8, deadline=None)
     @given(shards=st.integers(min_value=1, max_value=8),
            controller=st.sampled_from(["drowsy", "neat"]),
-           seed=st.integers(min_value=0, max_value=2))
-    def test_parity_over_shard_counts(self, shards, controller, seed):
-        dc = build_fleet(n_hosts=6, n_vms=12, llmi_fraction=0.5,
-                         hours=8, seed=11)
-        s = Simulation(dc, controller, "sharded", seed=seed,
-                       backend_config=ShardedConfig(shards=shards)).run(6)
-        assert dataclasses.replace(s, backend="event") == self._plain(
-            controller, seed)
+           fleet_seed=st.integers(min_value=10, max_value=12))
+    def test_parity_over_shard_counts(self, shards, controller, fleet_seed):
+        s = Simulation(self._fleet(fleet_seed), controller, "sharded",
+                       config=ShardedConfig(shards=shards)).run(6)
+        assert as_hourly(s) == self._plain(controller, fleet_seed)
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +368,7 @@ class TestResultPersistence:
         assert back == res
 
     def test_sharded_result_round_trips(self, tmp_path):
-        res = sharded("drowsy", 5, 8, shards=3)
+        res = sharded("drowsy", 8, shards=3, faults=CRASH_PLAN)
         path = tmp_path / "run.db"
         res.save(path)
         assert RunResult.load(path) == res
