@@ -42,8 +42,8 @@ def detached_model(model, params) -> IdlenessModel:
     m = IdlenessModel(params)
     m.sid[:] = model.sid
     m.siw[:] = model.siw
-    m.sim[:] = model.sim
-    m.siy[:] = model.siy
+    m.sim = model.sim
+    m.siy = model.siy
     m.weights = np.array(model.weights, dtype=float, copy=True)
     m._activity_sum = float(model._activity_sum)
     m._active_hours = int(model._active_hours)

@@ -34,7 +34,8 @@ class FleetVMView:
 
     Implements the scalar :class:`~repro.core.model.IdlenessModel` API
     (queries, ``observe``, table/weight attributes) backed by row ``i``
-    of the fleet arrays.  Reads are views, never copies; the scalar
+    of the fleet arrays.  Reads are views, except :attr:`sim`/:attr:`siy`
+    (one row's dense copy of the fleet's touched-day slabs); the scalar
     fallback :meth:`observe` delegates to the fleet's single-row update.
     """
 
@@ -71,11 +72,12 @@ class FleetVMView:
 
     @property
     def sim(self) -> np.ndarray:
-        return self._fleet.sim[self._i]
+        # One row's dense read (a copy): the fleet stores written days only.
+        return self._fleet._sim.dense(self._i)
 
     @property
     def siy(self) -> np.ndarray:
-        return self._fleet.siy[self._i]
+        return self._fleet._siy.dense(self._i)
 
     @property
     def weights(self) -> np.ndarray:
@@ -102,15 +104,9 @@ class FleetVMView:
 
     # -- queries -------------------------------------------------------
     def si_vector(self, slot: CalendarSlot) -> np.ndarray:
-        f, i = self._fleet, self._i
-        h = slot.hour
-        si = np.array([
-            f.sid[i, h],
-            f.siw[i, slot.day_of_week, h],
-            f.sim[i, slot.day_of_month, h],
-            f.siy[i, slot.day_of_year, h],
-        ])
-        return np.where(f.scale_mask, si, 0.0)
+        return self._fleet._gather(slot.hour, slot.day_of_week,
+                                   slot.day_of_month, slot.day_of_year,
+                                   np.empty(4), self._i)
 
     def raw_ip(self, slot: CalendarSlot) -> float:
         # One vectorized gather serves all n VMs' queries at this slot
@@ -242,8 +238,13 @@ class FleetBinding:
             raise ValueError("scale-mask mismatch importing model state")
         f.sid[i] = model.sid
         f.siw[i] = model.siw
-        f.sim[i] = model.sim
-        f.siy[i] = model.siy
+        # Only the days the source has written (none for a fresh model).
+        if type(model) is FleetVMView:
+            src, j = model._fleet, model._i
+        else:
+            src, j = model, ...
+        f._sim.import_row(i, src._sim, j)
+        f._siy.import_row(i, src._siy, j)
         f.weights[i] = model.weights
         f._activity_sum[i] = model._activity_sum
         f._active_hours[i] = model._active_hours

@@ -17,6 +17,7 @@ import numpy as np
 
 from .calendar import slot_of_hour
 from .params import DEFAULT_PARAMS, DrowsyParams
+from .slab import DaySlab, dense_property
 from .weights import descend_weights, initial_weights
 
 
@@ -34,8 +35,10 @@ class FleetIdlenessModel:
         self.params = params
         self.sid = np.zeros((n, 24))
         self.siw = np.zeros((n, 7, 24))
-        self.sim = np.zeros((n, 31, 24))
-        self.siy = np.zeros((n, 365, 24))
+        #: Monthly/yearly scales: only the days this fleet has written
+        #: (:mod:`repro.core.slab`); :attr:`sim`/:attr:`siy` read them dense.
+        self._sim = DaySlab(31, (n,))
+        self._siy = DaySlab(365, (n,))
         self.scale_mask = np.array(
             [True, params.use_weekly_scale, params.use_monthly_scale,
              params.use_yearly_scale])
@@ -69,18 +72,37 @@ class FleetIdlenessModel:
             self.blocked_io[i] = value
             self.blocked_version += 1
 
+    sim = dense_property("_sim", "Dense ``(n, 31, 24)`` monthly scores.")
+    siy = dense_property("_siy", "Dense ``(n, 365, 24)`` yearly scores.")
+
     # ------------------------------------------------------------------
+    def _gather(self, h: int, dw: int, dm: int, doy: int, out: np.ndarray,
+                rows=...) -> np.ndarray:
+        """Fill ``out[..., 4]`` with the SI scores of ``rows`` at one
+        calendar slot (masked scales read 0.0)."""
+        out[..., 0] = self.sid[rows, h]
+        out[..., 1] = self.siw[rows, dw, h]
+        out[..., 2] = self._sim.read(dm, h, rows)
+        out[..., 3] = self._siy.read(doy, h, rows)
+        out[..., ~self.scale_mask] = 0.0
+        return out
+
+    def _scatter(self, h: int, dw: int, dm: int, doy: int, si: np.ndarray,
+                 rows=...) -> None:
+        """Store ``si[..., 4]`` at one calendar slot.  A masked scale is
+        never written: its scores stay the 0.0 an unwritten day reads."""
+        self.sid[rows, h] = si[..., 0]
+        self.siw[rows, dw, h] = si[..., 1]
+        if self.scale_mask[2]:
+            self._sim.write(dm, h, si[..., 2], rows)
+        if self.scale_mask[3]:
+            self._siy.write(doy, h, si[..., 3], rows)
+
     def si_matrix(self, hour_index: int) -> np.ndarray:
         """(n, 4) SI scores of every VM for the given absolute hour."""
         s = slot_of_hour(hour_index)
-        si = np.stack([
-            self.sid[:, s.hour],
-            self.siw[:, s.day_of_week, s.hour],
-            self.sim[:, s.day_of_month, s.hour],
-            self.siy[:, s.day_of_year, s.hour],
-        ], axis=1)
-        si[:, ~self.scale_mask] = 0.0
-        return si
+        return self._gather(s.hour, s.day_of_week, s.day_of_month,
+                            s.day_of_year, np.empty((self.n, 4)))
 
     def raw_ip(self, hour_index: int) -> np.ndarray:
         """(n,) raw IPs ``w^T SI`` for the given absolute hour."""
@@ -106,14 +128,8 @@ class FleetIdlenessModel:
                slot.day_of_year, self.version)
         col = self._ip_cache.get(key)
         if col is None:
-            h = slot.hour
-            si = np.stack([
-                self.sid[:, h],
-                self.siw[:, slot.day_of_week, h],
-                self.sim[:, slot.day_of_month, h],
-                self.siy[:, slot.day_of_year, h],
-            ], axis=1)
-            si[:, ~self.scale_mask] = 0.0
+            si = self._gather(slot.hour, slot.day_of_week, slot.day_of_month,
+                              slot.day_of_year, np.empty((self.n, 4)))
             col = (self.weights[:, None, :] @ si[:, :, None]).reshape(self.n)
             self._ip_cache[key] = col
         return col
@@ -151,11 +167,8 @@ class FleetIdlenessModel:
                          -1.0, 1.0)
         si_new[:, ~self.scale_mask] = 0.0
 
-        # Scatter back (views into the per-scale tables, in place).
-        self.sid[:, s.hour] = si_new[:, 0]
-        self.siw[:, s.day_of_week, s.hour] = si_new[:, 1]
-        self.sim[:, s.day_of_month, s.hour] = si_new[:, 2]
-        self.siy[:, s.day_of_year, s.hour] = si_new[:, 3]
+        self._scatter(s.hour, s.day_of_week, s.day_of_month, s.day_of_year,
+                      si_new)
 
         if p.learn_weights:
             if p.weight_update_on_error_only:
@@ -172,7 +185,7 @@ class FleetIdlenessModel:
                 self.weights = np.where(update[:, None], new_weights,
                                         self.weights)
 
-        np.add.at(self._activity_sum, np.nonzero(~idle)[0], a_h[~idle])
+        np.add(self._activity_sum, a_h, out=self._activity_sum, where=~idle)
         self._active_hours += ~idle
         self.hours_observed += 1
         self.row_hours += 1
@@ -197,16 +210,10 @@ class FleetIdlenessModel:
         p = self.params
         s = slot_of_hour(hour_index)
         idle = activity == 0.0
-        h = s.hour
         mask = self.scale_mask
+        cell = (s.hour, s.day_of_week, s.day_of_month, s.day_of_year)
 
-        si_old = np.array([
-            self.sid[i, h],
-            self.siw[i, s.day_of_week, h],
-            self.sim[i, s.day_of_month, h],
-            self.siy[i, s.day_of_year, h],
-        ])
-        si_old = np.where(mask, si_old, 0.0)
+        si_old = self._gather(*cell, np.empty(4), i)
         w = self.weights[i]
         raw_before = float(w @ si_old)
 
@@ -223,10 +230,7 @@ class FleetIdlenessModel:
         si_new = np.clip(si_old + v if idle else si_old - v, -1.0, 1.0)
         si_new = np.where(mask, si_new, 0.0)
 
-        self.sid[i, h] = si_new[0]
-        self.siw[i, s.day_of_week, h] = si_new[1]
-        self.sim[i, s.day_of_month, h] = si_new[2]
-        self.siy[i, s.day_of_year, h] = si_new[3]
+        self._scatter(*cell, si_new, i)
 
         predicted_idle = raw_before > 0.0
         mispredicted = predicted_idle != idle
@@ -290,11 +294,7 @@ class FleetIdlenessModel:
             dw = int(dww[t])
             dm = int(dmm[t])
             doy = int(doyy[t])
-            si[:, 0] = self.sid[:, h]
-            si[:, 1] = self.siw[:, dw, h]
-            si[:, 2] = self.sim[:, dm, h]
-            si[:, 3] = self.siy[:, doy, h]
-            si[:, ~mask] = 0.0
+            self._gather(h, dw, dm, doy, si)
 
             raw = np.einsum("ij,ij->i", self.weights, si)
             preds[:, t] = raw > 0.0
@@ -310,10 +310,7 @@ class FleetIdlenessModel:
             si_new = np.clip(np.where(idle[:, None], si + v, si - v), -1.0, 1.0)
             si_new[:, ~mask] = 0.0
 
-            self.sid[:, h] = si_new[:, 0]
-            self.siw[:, dw, h] = si_new[:, 1]
-            self.sim[:, dm, h] = si_new[:, 2]
-            self.siy[:, doy, h] = si_new[:, 3]
+            self._scatter(h, dw, dm, doy, si_new)
 
             if p.learn_weights:
                 update = (preds[:, t] != idle) if p.weight_update_on_error_only \

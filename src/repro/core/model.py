@@ -19,6 +19,7 @@ import numpy as np
 
 from .calendar import CalendarSlot, slot_of_hour
 from .params import DEFAULT_PARAMS, DrowsyParams
+from .slab import DaySlab, dense_property
 from .weights import N_SCALES, descend_weights, initial_weights
 
 #: Index of each scale in SI/weight vectors, matching the paper's order
@@ -57,8 +58,10 @@ class IdlenessModel:
         self.params = params
         self.sid = np.zeros(24)
         self.siw = np.zeros((7, 24))
-        self.sim = np.zeros((31, 24))
-        self.siy = np.zeros((365, 24))
+        #: Monthly/yearly scales hold only the days written so far
+        #: (nothing before the first observation; :mod:`repro.core.slab`).
+        self._sim = DaySlab(31)
+        self._siy = DaySlab(365)
         self.scale_mask = np.array(
             [True, params.use_weekly_scale, params.use_monthly_scale,
              params.use_yearly_scale])
@@ -66,6 +69,9 @@ class IdlenessModel:
         self._activity_sum = 0.0
         self._active_hours = 0
         self.hours_observed = 0
+
+    sim = dense_property("_sim", "Dense ``(31, 24)`` monthly scores.")
+    siy = dense_property("_siy", "Dense ``(365, 24)`` yearly scores.")
 
     # ------------------------------------------------------------------
     # queries
@@ -76,8 +82,8 @@ class IdlenessModel:
         si = np.array([
             self.sid[h],
             self.siw[slot.day_of_week, h],
-            self.sim[slot.day_of_month, h],
-            self.siy[slot.day_of_year, h],
+            self._sim.read(slot.day_of_month, h),
+            self._siy.read(slot.day_of_year, h),
         ])
         return np.where(self.scale_mask, si, 0.0)
 
@@ -139,8 +145,10 @@ class IdlenessModel:
         h = slot.hour
         self.sid[h] = si_new[SCALE_DAY]
         self.siw[slot.day_of_week, h] = si_new[SCALE_WEEK]
-        self.sim[slot.day_of_month, h] = si_new[SCALE_MONTH]
-        self.siy[slot.day_of_year, h] = si_new[SCALE_YEAR]
+        if self.scale_mask[SCALE_MONTH]:
+            self._sim.write(slot.day_of_month, h, si_new[SCALE_MONTH])
+        if self.scale_mask[SCALE_YEAR]:
+            self._siy.write(slot.day_of_year, h, si_new[SCALE_YEAR])
 
         predicted_idle = raw_before > 0.0
         mispredicted = predicted_idle != idle

@@ -2,8 +2,11 @@
 
 A data center restarts its management plane without wanting to relearn
 months of idleness history, so models are saveable.  Format: a single
-NumPy ``.npz`` archive holding the four score tables, the weights and
-the scalar counters, plus a format version for forward compatibility.
+NumPy ``.npz`` archive holding the score tables, the weights and the
+scalar counters, plus a format version.  Version 2 stores the monthly
+and yearly scales as written (:mod:`repro.core.slab`): ``<scale>_days``
+(the day of each row) and ``<scale>_rows`` (the rows).  Version-1
+archives, whose ``sim``/``siy`` are dense tables, still load.
 """
 
 from __future__ import annotations
@@ -16,15 +19,39 @@ import numpy as np
 from .fleet import FleetIdlenessModel
 from .model import IdlenessModel
 from .params import DEFAULT_PARAMS, DrowsyParams
+from .slab import DaySlab
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: Versions :func:`load_model`/:func:`load_fleet` read (1: dense tables).
+READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 
-def _check_version(data) -> None:
+def _check_version(data) -> int:
     version = int(data["version"])
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise ValueError(f"unsupported model file version {version} "
-                         f"(expected {FORMAT_VERSION})")
+                         f"(expected one of {READABLE_VERSIONS})")
+    return version
+
+
+def _slab_arrays(model) -> dict:
+    """The touched-day layout of ``model``'s monthly and yearly scales."""
+    out = {}
+    for name in ("sim", "siy"):
+        slab = getattr(model, "_" + name)
+        out[name + "_days"] = slab.day_of_row()
+        out[name + "_rows"] = slab.written_rows()
+    return out
+
+
+def _load_slabs(model, data, version: int) -> None:
+    for name, days in (("sim", 31), ("siy", 365)):
+        if version == 1:
+            slab = DaySlab.from_dense(data[name])
+        else:
+            slab = DaySlab.from_rows(days, data[name + "_days"],
+                                     data[name + "_rows"])
+        setattr(model, "_" + name, slab)
 
 
 def save_model(model: IdlenessModel, path: str | Path) -> None:
@@ -33,7 +60,7 @@ def save_model(model: IdlenessModel, path: str | Path) -> None:
         path,
         version=FORMAT_VERSION,
         kind="scalar",
-        sid=model.sid, siw=model.siw, sim=model.sim, siy=model.siy,
+        sid=model.sid, siw=model.siw, **_slab_arrays(model),
         weights=model.weights,
         scale_mask=model.scale_mask,
         activity_sum=model._activity_sum,
@@ -46,14 +73,13 @@ def load_model(path: str | Path,
                params: DrowsyParams = DEFAULT_PARAMS) -> IdlenessModel:
     """Restore a scalar model saved by :func:`save_model`."""
     with np.load(path) as data:
-        _check_version(data)
+        version = _check_version(data)
         if str(data["kind"]) != "scalar":
             raise ValueError("file holds a fleet model; use load_fleet")
         model = IdlenessModel(params)
         model.sid = data["sid"].copy()
         model.siw = data["siw"].copy()
-        model.sim = data["sim"].copy()
-        model.siy = data["siy"].copy()
+        _load_slabs(model, data, version)
         model.weights = data["weights"].copy()
         model.scale_mask = data["scale_mask"].copy()
         model._activity_sum = float(data["activity_sum"])
@@ -69,7 +95,7 @@ def save_fleet(fleet: FleetIdlenessModel, path: str | Path) -> None:
         version=FORMAT_VERSION,
         kind="fleet",
         n=fleet.n,
-        sid=fleet.sid, siw=fleet.siw, sim=fleet.sim, siy=fleet.siy,
+        sid=fleet.sid, siw=fleet.siw, **_slab_arrays(fleet),
         weights=fleet.weights,
         scale_mask=fleet.scale_mask,
         activity_sum=fleet._activity_sum,
@@ -83,14 +109,13 @@ def load_fleet(path: str | Path,
                params: DrowsyParams = DEFAULT_PARAMS) -> FleetIdlenessModel:
     """Restore a fleet model saved by :func:`save_fleet`."""
     with np.load(path) as data:
-        _check_version(data)
+        version = _check_version(data)
         if str(data["kind"]) != "fleet":
             raise ValueError("file holds a scalar model; use load_model")
         fleet = FleetIdlenessModel(int(data["n"]), params)
         fleet.sid = data["sid"].copy()
         fleet.siw = data["siw"].copy()
-        fleet.sim = data["sim"].copy()
-        fleet.siy = data["siy"].copy()
+        _load_slabs(fleet, data, version)
         fleet.weights = data["weights"].copy()
         fleet.scale_mask = data["scale_mask"].copy()
         fleet._activity_sum = data["activity_sum"].copy()

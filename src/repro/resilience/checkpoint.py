@@ -41,8 +41,9 @@ from .io import atomic_write_bytes
 log = get_logger("resilience.checkpoint")
 
 #: On-disk format version; bump on any incompatible layout change
-#: (2: host meters became rows of the data center's meter bank).
-CHECKPOINT_VERSION = 2
+#: (2: host meters became rows of the data center's meter bank;
+#: 3: monthly/yearly idleness scales became touched-day slabs).
+CHECKPOINT_VERSION = 3
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

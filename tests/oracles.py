@@ -21,6 +21,10 @@ as test-only subclasses the parity suites compare against:
   the per-host loops the columnar hour tick replaces (DESIGN.md §7):
   a standalone scalar meter, the (VM, host) pair placement loops and
   Drowsy/Neat's per-host consolidation scans.
+* :class:`DenseFleetIdlenessModel` — the fleet idleness model on the
+  dense layout the touched-day slabs replace (:mod:`repro.core.slab`):
+  zero-initialized ``(n, 31, 24)``/``(n, 365, 24)`` tables, every
+  scale written every hour.
 * :class:`PerHostEventBackend` — a façade backend adapter building the
   event oracle, for runs that need the façade's wiring (faults,
   observers): ``Simulation(dc, "drowsy", PerHostEventBackend())``.
@@ -37,6 +41,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from repro.api.backends import EventBackend
 from repro.cluster.accounting import columnar_host_view
 from repro.cluster.power import PowerModel, PowerState
@@ -45,6 +51,7 @@ from repro.consolidation.neat import MANAGED_STATES
 from repro.consolidation.placement import _accounting_for, decreasing_demand
 from repro.consolidation.selection import select_until_not_overloaded
 from repro.core.binding import FleetBinding
+from repro.core.fleet import FleetIdlenessModel
 from repro.core.params import DEFAULT_PARAMS, DrowsyParams
 from repro.core.result import RunResult
 from repro.network.requests import Request
@@ -196,6 +203,35 @@ class ScalarHourlySimulator(HourlySimulator):
             if begin + p.suspend_latency_s < now + 3600.0:
                 host.begin_suspend(begin)
                 host.finish_suspend(begin + p.suspend_latency_s)
+
+
+class DenseFleetIdlenessModel(FleetIdlenessModel):
+    """:class:`FleetIdlenessModel` storing the monthly and yearly scales
+    as full zero-initialized tables, written in place every hour
+    (masked scales with 0.0) — the layout before the touched-day slabs.
+    """
+
+    def __init__(self, n: int, params: DrowsyParams = DEFAULT_PARAMS) -> None:
+        super().__init__(n, params)
+        self.dense_sim = np.zeros((n, 31, 24))
+        self.dense_siy = np.zeros((n, 365, 24))
+
+    sim = property(lambda self: self.dense_sim.copy())
+    siy = property(lambda self: self.dense_siy.copy())
+
+    def _gather(self, h, dw, dm, doy, out, rows=...):
+        out[..., 0] = self.sid[rows, h]
+        out[..., 1] = self.siw[rows, dw, h]
+        out[..., 2] = self.dense_sim[rows, dm, h]
+        out[..., 3] = self.dense_siy[rows, doy, h]
+        out[..., ~self.scale_mask] = 0.0
+        return out
+
+    def _scatter(self, h, dw, dm, doy, si, rows=...):
+        self.sid[rows, h] = si[..., 0]
+        self.siw[rows, dw, h] = si[..., 1]
+        self.dense_sim[rows, dm, h] = si[..., 2]
+        self.dense_siy[rows, doy, h] = si[..., 3]
 
 
 class PerHostEventBackend(EventBackend):

@@ -18,6 +18,7 @@ from repro.core import (
     save_fleet,
     save_model,
 )
+from repro.core.calendar import slot_of_hour
 from repro.core.params import DEFAULT_PARAMS
 from repro.suspend import (
     CombinedHeuristic,
@@ -98,16 +99,75 @@ class TestSerialization:
         np.testing.assert_array_equal(restored.sid, model.sid)
         np.testing.assert_array_equal(restored.weights, model.weights)
 
+    @staticmethod
+    def save_v1(model, path, **extra):
+        """Write ``model`` as a version-1 archive (dense sim/siy)."""
+        fleet = isinstance(model, FleetIdlenessModel)
+        counters = dict(n=model.n, row_hours=model.row_hours) if fleet else {}
+        counters.update(extra)
+        np.savez_compressed(
+            path, version=1, kind="fleet" if fleet else "scalar",
+            sid=model.sid, siw=model.siw, sim=model.sim, siy=model.siy,
+            weights=model.weights, scale_mask=model.scale_mask,
+            activity_sum=model._activity_sum,
+            active_hours=model._active_hours,
+            hours_observed=model.hours_observed, **counters)
+
+    @staticmethod
+    def assert_same_model(restored, model):
+        for name in ("sid", "siw", "sim", "siy", "weights"):
+            a, b = getattr(restored, name), getattr(model, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert restored.hours_observed == model.hours_observed
+
+    def test_scalar_roundtrip_both_versions(self, tmp_path):
+        model = self.train(IdlenessModel())
+        self.save_v1(model, tmp_path / "v1.npz")
+        save_model(model, tmp_path / "v2.npz")
+        for name in ("v1.npz", "v2.npz"):
+            restored = load_model(tmp_path / name)
+            self.assert_same_model(restored, model)
+            assert restored.raw_ip(slot_of_hour(300)) == model.raw_ip(
+                slot_of_hour(300))
+
     def test_fleet_roundtrip(self, tmp_path):
         fleet = FleetIdlenessModel(3)
         A = np.where(np.random.default_rng(0).random((3, 200)) < 0.6, 0.0, 0.4)
-        fleet.run_trace_matrix(A)
-        path = tmp_path / "fleet.npz"
-        save_fleet(fleet, path)
+        fleet.run_trace_matrix(A, start_hour=364 * 24 - 30)
+        fleet.observe_one(1, 364 * 24 + 170, 0.0)  # one row ahead
+        self.save_v1(fleet, tmp_path / "v1.npz")
+        save_fleet(fleet, tmp_path / "v2.npz")
+        for name in ("v1.npz", "v2.npz"):
+            restored = load_fleet(tmp_path / name)
+            assert restored.n == 3
+            self.assert_same_model(restored, fleet)
+            np.testing.assert_array_equal(restored.row_hours, fleet.row_hours)
+            np.testing.assert_array_equal(restored._active_hours,
+                                          fleet._active_hours)
+            nxt = 364 * 24 + 171
+            assert restored.raw_ip(nxt).tobytes() == fleet.raw_ip(nxt).tobytes()
+
+    def test_v2_stores_touched_days_only(self, tmp_path):
+        fleet = FleetIdlenessModel(3)
+        fleet.run_trace_matrix(np.zeros((3, 48)))
+        save_fleet(fleet, tmp_path / "f.npz")
+        with np.load(tmp_path / "f.npz") as data:
+            assert int(data["version"]) == 2
+            assert data["siy_days"].tolist() == [0, 1]
+            assert data["siy_rows"].shape == (3, 2, 24)
+            assert "siy" not in data.files
+
+    def test_v1_without_row_hours_loads(self, tmp_path):
+        fleet = FleetIdlenessModel(2)
+        fleet.run_trace_matrix(np.full((2, 30), 0.3))
+        path = tmp_path / "old.npz"
+        self.save_v1(fleet, path)
+        with np.load(path) as data:
+            legacy = {k: data[k] for k in data.files if k != "row_hours"}
+        np.savez(path, **legacy)
         restored = load_fleet(path)
-        assert restored.n == 3
-        np.testing.assert_array_equal(restored.siw, fleet.siw)
-        np.testing.assert_array_equal(restored._active_hours, fleet._active_hours)
+        np.testing.assert_array_equal(restored.row_hours, [30, 30])
+        self.assert_same_model(restored, fleet)
 
     def test_kind_mismatch_rejected(self, tmp_path):
         model = self.train(IdlenessModel())

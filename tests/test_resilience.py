@@ -35,6 +35,7 @@ from repro.api.sharded import ShardedConfig
 from repro.experiments.common import build_fleet
 from repro.faults import FaultPlan, HostCrashFaults, WolFaults
 from repro.resilience import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointError,
     CheckpointPolicy,
@@ -227,6 +228,18 @@ class TestCheckpointFiles:
         wrapper["version"] = 99
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError, match="format 99"):
+            Checkpoint.load(path)
+
+    def test_previous_version_refused(self, tmp_path):
+        # Version-2 checkpoints pickled dense idleness tables; this build
+        # stores touched-day slabs and must not unpickle the old layout.
+        assert CHECKPOINT_VERSION == 3
+        path = self._one_checkpoint(tmp_path)
+        wrapper = pickle.loads(path.read_bytes())
+        wrapper["version"] = CHECKPOINT_VERSION - 1
+        path.write_bytes(pickle.dumps(wrapper))
+        with pytest.raises(CheckpointError,
+                           match=f"format 2; this build reads {CHECKPOINT_VERSION}"):
             Checkpoint.load(path)
 
     def test_corrupt_payload_fails_digest(self, tmp_path):
