@@ -13,6 +13,7 @@ Two guards:
   trajectory.
 """
 
+import gc
 import os
 import time
 
@@ -42,6 +43,13 @@ def _run(faults, hours=72):
     dc = build_fleet(n_hosts=16, n_vms=64, llmi_fraction=0.5,
                      hours=hours, seed=7)
     sim = Simulation(dc, "drowsy", "event", seed=7, faults=faults)
+    # Each run leaves ~47 k objects in reference cycles.  Left to the
+    # collector, a full (gen-2) pass over the whole process heap fires
+    # every other run or so, inside whichever timed run trips it; in a
+    # full test session that pass alone costs ~0.3 s, so it would be read
+    # as hook overhead.  Collecting here starts every timed run from the
+    # same collector state.
+    gc.collect()
     t0 = time.perf_counter()
     result = sim.run(hours)
     return time.perf_counter() - t0, result
