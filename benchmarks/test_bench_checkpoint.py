@@ -12,6 +12,7 @@ Two guards:
   a resumed run must reproduce the uninterrupted result exactly.
 """
 
+import gc
 import os
 import time
 from pathlib import Path
@@ -28,6 +29,10 @@ def _run(checkpoint=None, hours=HOURS):
     dc = build_fleet(n_hosts=16, n_vms=64, llmi_fraction=0.5,
                      hours=hours, seed=7)
     sim = Simulation(dc, "drowsy", "event", seed=7, checkpoint=checkpoint)
+    # Start every timed run from the same collector state, as
+    # test_bench_faults.py does: a full gen-2 pass over the session
+    # heap would otherwise land in whichever run trips it.
+    gc.collect()
     t0 = time.perf_counter()
     result = sim.run(hours)
     return time.perf_counter() - t0, result, sim

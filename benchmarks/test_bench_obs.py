@@ -16,6 +16,7 @@ CI).  Measured overheads land in BENCH_PR.json (``extra_info``) for
 the per-PR perf trajectory.
 """
 
+import gc
 import os
 import time
 
@@ -31,6 +32,10 @@ def _run(telemetry=None, hours=HOURS):
     dc = build_fleet(n_hosts=16, n_vms=64, llmi_fraction=0.5,
                      hours=hours, seed=7)
     sim = Simulation(dc, "drowsy", "event", seed=7, telemetry=telemetry)
+    # Start every timed run from the same collector state, as
+    # test_bench_faults.py does: a full gen-2 pass over the session
+    # heap would otherwise land in whichever run trips it.
+    gc.collect()
     t0 = time.perf_counter()
     result = sim.run(hours)
     return time.perf_counter() - t0, result, sim

@@ -13,23 +13,23 @@ hour with one vectorized ``observe`` call (DESIGN.md §6).
 
 Bit-for-bit equivalence with the scalar path is a hard requirement (the
 parity suite in ``tests/test_fleet_binding.py`` asserts identical energy
-totals, suspend cycles, migrations and SLATAH): views compute queries
-with exactly the scalar model's expressions over the fleet rows, and the
-batched update is the property-tested vectorized kernel of
-:mod:`repro.core.fleet`.
+totals, suspend cycles, migrations and SLATAH): views share the scalar
+model's derived queries (:class:`~repro.core.model.ModelQueries`), and
+both models run the one hourly update
+(:func:`~repro.core.model.hourly_update`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .calendar import CalendarSlot, slot_of_hour
+from .calendar import CalendarSlot
 from .fleet import FleetIdlenessModel
-from .model import IdlenessModel
+from .model import IdlenessModel, ModelQueries
 from .params import DrowsyParams
 
 
-class FleetVMView:
+class FleetVMView(ModelQueries):
     """One VM's window into a :class:`FleetIdlenessModel`.
 
     Implements the scalar :class:`~repro.core.model.IdlenessModel` API
@@ -95,39 +95,19 @@ class FleetVMView:
     def _active_hours(self) -> int:
         return int(self._fleet._active_hours[self._i])
 
-    @property
-    def mean_active_activity(self) -> float:
-        f, i = self._fleet, self._i
-        if f._active_hours[i] == 0:
-            return f.params.default_activity
-        return f._activity_sum[i] / f._active_hours[i]
-
     # -- queries -------------------------------------------------------
     def si_vector(self, slot: CalendarSlot) -> np.ndarray:
-        return self._fleet._gather(slot.hour, slot.day_of_week,
-                                   slot.day_of_month, slot.day_of_year,
-                                   np.empty(4), self._i)
+        return self._fleet._gather(slot, np.empty(4), self._i)
 
     def raw_ip(self, slot: CalendarSlot) -> float:
         # One vectorized gather serves all n VMs' queries at this slot
         # (bit-identical to the scalar w @ si, see raw_ip_column).
         return float(self._fleet.raw_ip_column(slot)[self._i])
 
-    def idleness_probability(self, slot: CalendarSlot) -> float:
-        return (self.raw_ip(slot) + 1.0) / 2.0
-
-    def predict_idle(self, slot: CalendarSlot) -> bool:
-        return self.idleness_probability(slot) > 0.5
-
     # -- updates -------------------------------------------------------
     def observe(self, hour_index: int, activity: float):
         """Single-row scalar update (for VMs observed outside a batch)."""
         return self._fleet.observe_one(self._i, hour_index, float(activity))
-
-    def predict_and_observe(self, hour_index: int, activity: float) -> tuple[bool, bool]:
-        predicted = self.predict_idle(slot_of_hour(hour_index))
-        obs = self.observe(hour_index, activity)
-        return predicted, obs.idle
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FleetVMView(row={self._i}, n={self._fleet.n})"

@@ -7,8 +7,10 @@ the wall clock, so a single calendar slot indexes one column per scale
 table — gathers and scatters are plain fancy indexing on the trailing
 axes, updated in place per the hpc-parallel guidance (views, no copies).
 
-Semantics are identical to :class:`repro.core.model.IdlenessModel`; the
-equivalence is enforced by property-based tests.
+The hourly update is :func:`repro.core.model.hourly_update`, the one
+the scalar :class:`~repro.core.model.IdlenessModel` runs on a one-row
+batch; property tests check every entry point bit for bit against a
+scalar reference.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .calendar import slot_of_hour
+from .model import IdlenessObservation, hourly_update, raw_ips
 from .params import DEFAULT_PARAMS, DrowsyParams
 from .slab import DaySlab, dense_property
-from .weights import descend_weights, initial_weights
+from .weights import initial_weights
 
 
 class FleetIdlenessModel:
@@ -76,37 +79,35 @@ class FleetIdlenessModel:
     siy = dense_property("_siy", "Dense ``(n, 365, 24)`` yearly scores.")
 
     # ------------------------------------------------------------------
-    def _gather(self, h: int, dw: int, dm: int, doy: int, out: np.ndarray,
-                rows=...) -> np.ndarray:
+    def _gather(self, slot, out: np.ndarray, rows=...) -> np.ndarray:
         """Fill ``out[..., 4]`` with the SI scores of ``rows`` at one
         calendar slot (masked scales read 0.0)."""
+        h = slot.hour
         out[..., 0] = self.sid[rows, h]
-        out[..., 1] = self.siw[rows, dw, h]
-        out[..., 2] = self._sim.read(dm, h, rows)
-        out[..., 3] = self._siy.read(doy, h, rows)
+        out[..., 1] = self.siw[rows, slot.day_of_week, h]
+        out[..., 2] = self._sim.read(slot.day_of_month, h, rows)
+        out[..., 3] = self._siy.read(slot.day_of_year, h, rows)
         out[..., ~self.scale_mask] = 0.0
         return out
 
-    def _scatter(self, h: int, dw: int, dm: int, doy: int, si: np.ndarray,
-                 rows=...) -> None:
+    def _scatter(self, slot, si: np.ndarray, rows=...) -> None:
         """Store ``si[..., 4]`` at one calendar slot.  A masked scale is
         never written: its scores stay the 0.0 an unwritten day reads."""
+        h = slot.hour
         self.sid[rows, h] = si[..., 0]
-        self.siw[rows, dw, h] = si[..., 1]
+        self.siw[rows, slot.day_of_week, h] = si[..., 1]
         if self.scale_mask[2]:
-            self._sim.write(dm, h, si[..., 2], rows)
+            self._sim.write(slot.day_of_month, h, si[..., 2], rows)
         if self.scale_mask[3]:
-            self._siy.write(doy, h, si[..., 3], rows)
+            self._siy.write(slot.day_of_year, h, si[..., 3], rows)
 
     def si_matrix(self, hour_index: int) -> np.ndarray:
         """(n, 4) SI scores of every VM for the given absolute hour."""
-        s = slot_of_hour(hour_index)
-        return self._gather(s.hour, s.day_of_week, s.day_of_month,
-                            s.day_of_year, np.empty((self.n, 4)))
+        return self._gather(slot_of_hour(hour_index), np.empty((self.n, 4)))
 
     def raw_ip(self, hour_index: int) -> np.ndarray:
         """(n,) raw IPs ``w^T SI`` for the given absolute hour."""
-        return np.einsum("ij,ij->i", self.weights, self.si_matrix(hour_index))
+        return raw_ips(self.weights, self.si_matrix(hour_index))
 
     def idleness_probability(self, hour_index: int) -> np.ndarray:
         """(n,) normalized IPs in [0, 1]."""
@@ -118,19 +119,17 @@ class FleetIdlenessModel:
         Consolidation controllers query every VM's IP at the same hour
         (selection distances, host means, the 7-sigma range); this
         amortizes those n scalar queries into one vectorized gather per
-        (slot, state-version).  The batched product is computed with the
-        same BLAS dot kernel as the scalar model's ``w @ si`` — the
-        per-row values are bit-identical to
-        :meth:`repro.core.model.IdlenessModel.raw_ip`, which the parity
-        suite relies on.
+        (slot, state-version).  Per row the values are bit-identical to
+        :meth:`repro.core.model.IdlenessModel.raw_ip` (see
+        :func:`~repro.core.model.raw_ips`), which the parity suite
+        relies on.
         """
         key = (slot.hour, slot.day_of_week, slot.day_of_month,
                slot.day_of_year, self.version)
         col = self._ip_cache.get(key)
         if col is None:
-            si = self._gather(slot.hour, slot.day_of_week, slot.day_of_month,
-                              slot.day_of_year, np.empty((self.n, 4)))
-            col = (self.weights[:, None, :] @ si[:, :, None]).reshape(self.n)
+            col = raw_ips(self.weights,
+                          self._gather(slot, np.empty((self.n, 4))))
             self._ip_cache[key] = col
         return col
 
@@ -138,119 +137,72 @@ class FleetIdlenessModel:
         """(n,) bool: predicted idle iff probability > 0.5."""
         return self.idleness_probability(hour_index) > 0.5
 
+    def _mean_active(self, rows=...) -> np.ndarray:
+        """a-bar of ``rows``, with the cold-start fallback applied."""
+        hours = self._active_hours[rows]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = self._activity_sum[rows] / hours
+        return np.where(hours > 0, mean, self.params.default_activity)
+
     @property
     def mean_active_activity(self) -> np.ndarray:
         """(n,) a-bar values with the cold-start fallback applied."""
-        fallback = np.full(self.n, self.params.default_activity)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = self._activity_sum / self._active_hours
-        return np.where(self._active_hours > 0, mean, fallback)
+        return self._mean_active()
 
     # ------------------------------------------------------------------
+    def _update(self, slot, a_h: np.ndarray, rows=...) -> np.ndarray:
+        """The hourly update of the rows ``rows`` selects (all, or a
+        slice) with their activities ``a_h``.
+
+        Gathers the rows' scores, runs
+        :func:`~repro.core.model.hourly_update` on them (its weight
+        descent only on the mispredicted rows, written in place),
+        scatters the new scores and advances the rows' counters.
+        Returns the rows' raw IPs before the update.
+        """
+        si_old = self._gather(slot, np.empty((a_h.shape[0], 4)), rows)
+        si_new, raw = hourly_update(self.params, self.scale_mask,
+                                    self.weights[rows], si_old, a_h,
+                                    self._mean_active(rows))
+        self._scatter(slot, si_new, rows)
+
+        active = a_h != 0.0
+        sums = self._activity_sum[rows]
+        np.add(sums, a_h, out=sums, where=active)
+        self._active_hours[rows] += active
+        self.row_hours[rows] += 1
+        self.version += 1
+        self._ip_cache.clear()
+        return raw
+
     def observe(self, hour_index: int, activities: np.ndarray) -> None:
         """Ingest one hour of activity levels for the whole fleet."""
         a_h = np.asarray(activities, dtype=np.float64)
         if a_h.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {a_h.shape}")
-        if np.any((a_h < 0.0) | (a_h > 1.0)):
-            raise ValueError("activities must be in [0, 1]")
-        p = self.params
-        s = slot_of_hour(hour_index)
-        idle = a_h == 0.0
-
-        si_old = self.si_matrix(hour_index)
-        a = np.where(idle, self.mean_active_activity, a_h)
-        a_star = (p.sigma * a)[:, None]
-        u = 1.0 / (1.0 + np.exp(p.alpha * (np.abs(si_old) - p.beta)))
-        v = a_star * u
-        si_new = np.clip(np.where(idle[:, None], si_old + v, si_old - v),
-                         -1.0, 1.0)
-        si_new[:, ~self.scale_mask] = 0.0
-
-        self._scatter(s.hour, s.day_of_week, s.day_of_month, s.day_of_year,
-                      si_new)
-
-        if p.learn_weights:
-            if p.weight_update_on_error_only:
-                predicted_idle = np.einsum("ij,ij->i", self.weights, si_old) > 0.0
-                update = predicted_idle != idle
-            else:
-                update = np.ones(self.n, dtype=bool)
-            if update.any():
-                new_weights = descend_weights(
-                    self.weights, si_old, si_new,
-                    steps=p.weight_descent_steps,
-                    learning_rate=p.weight_learning_rate,
-                    mask=self.scale_mask)
-                self.weights = np.where(update[:, None], new_weights,
-                                        self.weights)
-
-        np.add(self._activity_sum, a_h, out=self._activity_sum, where=~idle)
-        self._active_hours += ~idle
+        _check_range(a_h)
+        self._update(slot_of_hour(hour_index), a_h)
         self.hours_observed += 1
-        self.row_hours += 1
-        self.version += 1
-        self._ip_cache.clear()
 
-    # ------------------------------------------------------------------
-    def observe_one(self, i: int, hour_index: int, activity: float):
-        """Scalar-path hourly update of row ``i`` only.
+    def observe_one(self, i: int, hour_index: int, activity: float) -> IdlenessObservation:
+        """Hourly update of row ``i`` only: :meth:`observe`'s update on
+        a one-row selection.
 
-        Bit-identical to :meth:`repro.core.model.IdlenessModel.observe`
-        on a standalone model holding this row's state — the operations
-        below are the scalar model's, applied to row views.  Used by
-        :class:`~repro.core.binding.FleetVMView` when a bound VM must be
-        observed outside the fleet batch (e.g. after new VMs joined the
-        data center and the simulator fell back to the per-VM loop).
+        Used by :class:`~repro.core.binding.FleetVMView` when a bound VM
+        must be observed outside the fleet batch (e.g. after new VMs
+        joined the data center and the simulator fell back to the
+        per-VM loop).  Advances the row's counters, not the fleet's
+        :attr:`hours_observed`.
         """
-        from .model import IdlenessObservation
-
         if not 0.0 <= activity <= 1.0:
             raise ValueError(f"activity must be in [0, 1], got {activity}")
-        p = self.params
-        s = slot_of_hour(hour_index)
-        idle = activity == 0.0
-        mask = self.scale_mask
-        cell = (s.hour, s.day_of_week, s.day_of_month, s.day_of_year)
-
-        si_old = self._gather(*cell, np.empty(4), i)
-        w = self.weights[i]
-        raw_before = float(w @ si_old)
-
-        if idle:
-            if self._active_hours[i] == 0:
-                a = p.default_activity
-            else:
-                a = self._activity_sum[i] / self._active_hours[i]
-        else:
-            a = activity
-        a_star = p.sigma * a
-        u = 1.0 / (1.0 + np.exp(p.alpha * (np.abs(si_old) - p.beta)))
-        v = a_star * u
-        si_new = np.clip(si_old + v if idle else si_old - v, -1.0, 1.0)
-        si_new = np.where(mask, si_new, 0.0)
-
-        self._scatter(*cell, si_new, i)
-
-        predicted_idle = raw_before > 0.0
-        mispredicted = predicted_idle != idle
-        if p.learn_weights and (mispredicted or not p.weight_update_on_error_only):
-            self.weights[i] = descend_weights(
-                w.copy(), si_old, si_new,
-                steps=p.weight_descent_steps,
-                learning_rate=p.weight_learning_rate,
-                mask=mask)
-
-        if not idle:
-            self._activity_sum[i] += activity
-            self._active_hours[i] += 1
-        self.row_hours[i] += 1
-        self.version += 1
-        self._ip_cache.clear()
-
+        slot = slot_of_hour(hour_index)
+        raw = self._update(slot, np.array([activity], dtype=np.float64),
+                           slice(i, i + 1))
+        si_new = self._gather(slot, np.empty(4), i)
         return IdlenessObservation(
-            hour_index=hour_index, activity=activity, idle=idle,
-            raw_ip_before=raw_before,
+            hour_index=hour_index, activity=activity, idle=activity == 0.0,
+            raw_ip_before=float(raw[0]),
             raw_ip_after=float(self.weights[i] @ si_new))
 
     def predict_and_observe(self, hour_index: int, activities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,69 +217,25 @@ class FleetIdlenessModel:
         """Feed an ``(n, T)`` activity matrix hour by hour.
 
         Returns ``(predictions, actuals)`` bool arrays of shape (n, T)
-        following the online protocol (predict before observe).  This is
-        the hot path for Fig. 4 and the fleet benchmarks: calendar
-        coordinates are precomputed for the whole horizon and the
-        per-hour update is inlined so each SI gather happens once per
-        hour instead of once per query (profiling-driven, see the
-        hpc-parallel notes in DESIGN.md §6).
+        following the online protocol (predict before observe): each
+        hour is one :meth:`observe` update, whose pre-update raw IPs are
+        that hour's predictions, so each SI gather happens once per
+        hour.  This is the hot path for Fig. 4 and the fleet
+        benchmarks.
         """
         activities = np.asarray(activities, dtype=np.float64)
         if activities.ndim != 2 or activities.shape[0] != self.n:
             raise ValueError(f"expected (n={self.n}, T) matrix, got {activities.shape}")
-        if np.any((activities < 0.0) | (activities > 1.0)):
-            raise ValueError("activities must be in [0, 1]")
+        _check_range(activities)
         T = activities.shape[1]
         preds = np.empty((self.n, T), dtype=bool)
-        actual = activities == 0.0
-
-        from .calendar import slots_of_hours
-
-        hh, dww, dmm, mm, doyy = slots_of_hours(start_hour + np.arange(T))
-        p = self.params
-        mask = self.scale_mask
-        fallback = p.default_activity
-        si = np.empty((self.n, 4))
-
         for t in range(T):
-            h = int(hh[t])
-            dw = int(dww[t])
-            dm = int(dmm[t])
-            doy = int(doyy[t])
-            self._gather(h, dw, dm, doy, si)
-
-            raw = np.einsum("ij,ij->i", self.weights, si)
+            raw = self._update(slot_of_hour(start_hour + t), activities[:, t])
             preds[:, t] = raw > 0.0
+        self.hours_observed += T
+        return preds, activities == 0.0
 
-            a_h = activities[:, t]
-            idle = actual[:, t]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                mean_active = self._activity_sum / self._active_hours
-            a = np.where(idle,
-                         np.where(self._active_hours > 0, mean_active, fallback),
-                         a_h)
-            v = (p.sigma * a)[:, None] / (1.0 + np.exp(p.alpha * (np.abs(si) - p.beta)))
-            si_new = np.clip(np.where(idle[:, None], si + v, si - v), -1.0, 1.0)
-            si_new[:, ~mask] = 0.0
 
-            self._scatter(h, dw, dm, doy, si_new)
-
-            if p.learn_weights:
-                update = (preds[:, t] != idle) if p.weight_update_on_error_only \
-                    else np.ones(self.n, dtype=bool)
-                if update.any():
-                    new_weights = descend_weights(
-                        self.weights, si, si_new,
-                        steps=p.weight_descent_steps,
-                        learning_rate=p.weight_learning_rate,
-                        mask=mask)
-                    self.weights = np.where(update[:, None], new_weights,
-                                            self.weights)
-
-            self._activity_sum += np.where(idle, 0.0, a_h)
-            self._active_hours += ~idle
-            self.hours_observed += 1
-        self.row_hours += T
-        self.version += 1
-        self._ip_cache.clear()
-        return preds, actual
+def _check_range(activities: np.ndarray) -> None:
+    if np.any((activities < 0.0) | (activities > 1.0)):
+        raise ValueError("activities must be in [0, 1]")

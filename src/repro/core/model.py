@@ -38,7 +38,94 @@ class IdlenessObservation:
     raw_ip_after: float
 
 
-class IdlenessModel:
+def raw_ips(weights: np.ndarray, si: np.ndarray) -> np.ndarray:
+    """Raw IPs ``w^T SI`` (paper eq. (1)) of ``k`` rows: ``(k, 4)``
+    weights and scores give ``(k,)``.
+
+    A batched matmul: each row is bit-identical to the scalar
+    ``w @ si`` (``einsum`` is not, in the last ulp).
+    """
+    return (weights[:, None, :] @ si[:, :, None])[:, 0, 0]
+
+
+def hourly_update(p: DrowsyParams, mask: np.ndarray, weights: np.ndarray,
+                  si_old: np.ndarray, a_h: np.ndarray,
+                  mean_active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hourly update of ``k`` models at one calendar slot (paper
+    section III-C).
+
+    ``si_old`` are the ``(k, 4)`` scores before the hour (masked scales
+    0.0), ``a_h`` the hour's ``(k,)`` activities and ``mean_active``
+    each model's a-bar.  Returns ``(si_new, raw)``: the updated scores
+    and the raw IPs before the update.  ``weights`` (``(k, 4)``) is
+    corrected in place, on the rows whose prediction missed (on every
+    row when ``weight_update_on_error_only`` is off).  Every step works
+    row by row, so a row's result does not depend on the batch.
+    """
+    idle = a_h == 0.0
+    raw = raw_ips(weights, si_old)
+    # Eq. (2): the hour's activity when active, the mean past active
+    # level when idle.
+    a = np.where(idle, mean_active, a_h)
+    a_star = (p.sigma * a)[:, None]  # eq. (3)
+    # Eq. (4)-(5): one update value per scale, damped near the bounds.
+    u = 1.0 / (1.0 + np.exp(p.alpha * (np.abs(si_old) - p.beta)))
+    v = a_star * u
+    si_new = np.clip(np.where(idle[:, None], si_old + v, si_old - v),
+                     -1.0, 1.0)
+    si_new[:, ~mask] = 0.0
+
+    if p.learn_weights:
+        # Eq. (8) descent, gated on the prediction error.
+        learn = ((raw > 0.0) != idle if p.weight_update_on_error_only
+                 else np.ones_like(idle))
+        rows = np.flatnonzero(learn)
+        if rows.size:
+            weights[rows] = descend_weights(
+                weights[rows], si_old[rows], si_new[rows],
+                steps=p.weight_descent_steps,
+                learning_rate=p.weight_learning_rate, mask=mask)
+    return si_new, raw
+
+
+class ModelQueries:
+    """The queries derived from ``raw_ip``, ``observe`` and the a-bar
+    counters, shared by :class:`IdlenessModel` and the fleet's per-VM
+    view (:class:`~repro.core.binding.FleetVMView`)."""
+
+    __slots__ = ()
+
+    def idleness_probability(self, slot: CalendarSlot) -> float:
+        """Raw IP mapped affinely to [0, 1] (DESIGN.md interpretation).
+
+        0.5 means undetermined; above 0.5 the VM is predicted idle.
+        """
+        return (self.raw_ip(slot) + 1.0) / 2.0
+
+    def predict_idle(self, slot: CalendarSlot) -> bool:
+        """Paper section VI-A.5: positive prediction iff IP > 50 %."""
+        return self.idleness_probability(slot) > 0.5
+
+    @property
+    def mean_active_activity(self) -> float:
+        """Mean activity level over past *active* hours (a-bar, eq. (2))."""
+        if self._active_hours == 0:
+            return self.params.default_activity
+        return self._activity_sum / self._active_hours
+
+    def predict_and_observe(self, hour_index: int, activity: float) -> tuple[bool, bool]:
+        """Convenience for evaluation: prediction *then* ground truth.
+
+        Returns ``(predicted_idle, actually_idle)`` for the hour, making
+        the prediction with the model state *before* ingesting the hour
+        (exactly the online protocol of Fig. 4).
+        """
+        predicted = self.predict_idle(slot_of_hour(hour_index))
+        obs = self.observe(hour_index, activity)
+        return predicted, obs.idle
+
+
+class IdlenessModel(ModelQueries):
     """Idleness model of a single VM.
 
     Parameters
@@ -95,24 +182,6 @@ class IdlenessModel:
         """
         return float(self.weights @ self.si_vector(slot))
 
-    def idleness_probability(self, slot: CalendarSlot) -> float:
-        """Raw IP mapped affinely to [0, 1] (DESIGN.md interpretation).
-
-        0.5 means undetermined; above 0.5 the VM is predicted idle.
-        """
-        return (self.raw_ip(slot) + 1.0) / 2.0
-
-    def predict_idle(self, slot: CalendarSlot) -> bool:
-        """Paper section VI-A.5: positive prediction iff IP > 50 %."""
-        return self.idleness_probability(slot) > 0.5
-
-    @property
-    def mean_active_activity(self) -> float:
-        """Mean activity level over past *active* hours (a-bar, eq. (2))."""
-        if self._active_hours == 0:
-            return self.params.default_activity
-        return self._activity_sum / self._active_hours
-
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
@@ -121,26 +190,21 @@ class IdlenessModel:
 
         ``activity`` is the fraction of scheduler quanta the VM consumed
         during that hour, in [0, 1], *after* noise filtering (paper
-        section III-C; see :mod:`repro.traces.noise`).
+        section III-C; see :mod:`repro.traces.noise`).  The update is
+        :func:`hourly_update` on a one-row batch.
         """
         if not 0.0 <= activity <= 1.0:
             raise ValueError(f"activity must be in [0, 1], got {activity}")
-        p = self.params
         slot = slot_of_hour(hour_index)
         idle = activity == 0.0
 
-        si_old = self.si_vector(slot)
-        raw_before = float(self.weights @ si_old)
-
-        # Paper eq. (2): use the hour's activity when active, the mean
-        # past active level when idle.
-        a = activity if not idle else self.mean_active_activity
-        a_star = p.sigma * a  # eq. (3)
-        # Eq. (4)-(5): one update value per scale, damped near the bounds.
-        u = 1.0 / (1.0 + np.exp(p.alpha * (np.abs(si_old) - p.beta)))
-        v = a_star * u
-        si_new = np.clip(si_old + v if idle else si_old - v, -1.0, 1.0)
-        si_new = np.where(self.scale_mask, si_new, 0.0)
+        weights = np.array(self.weights, dtype=np.float64, ndmin=2)
+        si_new, raw = hourly_update(
+            self.params, self.scale_mask, weights, self.si_vector(slot)[None],
+            np.array([activity], dtype=np.float64),
+            np.array([self.mean_active_activity]))
+        si_new = si_new[0]
+        self.weights = weights[0]
 
         h = slot.hour
         self.sid[h] = si_new[SCALE_DAY]
@@ -150,15 +214,6 @@ class IdlenessModel:
         if self.scale_mask[SCALE_YEAR]:
             self._siy.write(slot.day_of_year, h, si_new[SCALE_YEAR])
 
-        predicted_idle = raw_before > 0.0
-        mispredicted = predicted_idle != idle
-        if p.learn_weights and (mispredicted or not p.weight_update_on_error_only):
-            self.weights = descend_weights(
-                self.weights, si_old, si_new,
-                steps=p.weight_descent_steps,
-                learning_rate=p.weight_learning_rate,
-                mask=self.scale_mask)
-
         if not idle:
             self._activity_sum += activity
             self._active_hours += 1
@@ -166,18 +221,5 @@ class IdlenessModel:
 
         return IdlenessObservation(
             hour_index=hour_index, activity=activity, idle=idle,
-            raw_ip_before=raw_before,
+            raw_ip_before=float(raw[0]),
             raw_ip_after=float(self.weights @ si_new))
-
-    # ------------------------------------------------------------------
-    def predict_and_observe(self, hour_index: int, activity: float) -> tuple[bool, bool]:
-        """Convenience for evaluation: prediction *then* ground truth.
-
-        Returns ``(predicted_idle, actually_idle)`` for the hour, making
-        the prediction with the model state *before* ingesting the hour
-        (exactly the online protocol of Fig. 4).
-        """
-        slot = slot_of_hour(hour_index)
-        predicted = self.predict_idle(slot)
-        obs = self.observe(hour_index, activity)
-        return predicted, obs.idle

@@ -35,10 +35,17 @@ def _check_version(data) -> int:
 
 
 def _slab_arrays(model) -> dict:
-    """The touched-day layout of ``model``'s monthly and yearly scales."""
+    """The touched-day layout of ``model``'s monthly and yearly scales.
+
+    A fleet-bound VM's model (a :class:`~repro.core.binding.FleetVMView`)
+    has no slabs of its own: its dense row is compressed, exactly as a
+    detached scalar copy of it stores them.
+    """
     out = {}
     for name in ("sim", "siy"):
-        slab = getattr(model, "_" + name)
+        slab = getattr(model, "_" + name, None)
+        if slab is None:
+            slab = DaySlab.from_dense(getattr(model, name))
         out[name + "_days"] = slab.day_of_row()
         out[name + "_rows"] = slab.written_rows()
     return out

@@ -11,8 +11,9 @@ scores *after* the hourly update and ``SI`` the scores *before* it.
 The paper treats weights as relative importances ("higher means more
 important"); we therefore keep them on the non-negative unit simplex via
 Euclidean projection after the descent (see DESIGN.md, interpretation
-choices).  Both a scalar (one VM) and a batched (fleet) implementation
-are provided; they are property-tested to agree exactly.
+choices).  :func:`descend_weights` works on any leading batch axes, row
+by row: one VM's model and the fleet model share it (through
+:func:`repro.core.model.hourly_update`).
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ as test-only subclasses the parity suites compare against:
   dense layout the touched-day slabs replace (:mod:`repro.core.slab`):
   zero-initialized ``(n, 31, 24)``/``(n, 365, 24)`` tables, every
   scale written every hour.
+* :class:`ReferenceIdlenessModel` — the scalar idleness model with the
+  hourly update of paper §III-C written out for one VM, the reference
+  for the one batched update every model runs
+  (:func:`repro.core.model.hourly_update`).
 * :class:`PerHostEventBackend` — a façade backend adapter building the
   event oracle, for runs that need the façade's wiring (faults,
   observers): ``Simulation(dc, "drowsy", PerHostEventBackend())``.
@@ -32,7 +36,8 @@ as test-only subclasses the parity suites compare against:
   acceptance run (oracle or production), picklable for
   :class:`~repro.sim.sweep.SweepRunner` workers.
 * :func:`assert_results_equal` / :func:`assert_matches_oracle` — the
-  parity contract, one definition for every suite.
+  parity contract, one definition for every suite; and
+  :func:`assert_bits_equal`, the bit-for-bit array comparison.
 """
 
 from __future__ import annotations
@@ -51,9 +56,13 @@ from repro.consolidation.neat import MANAGED_STATES
 from repro.consolidation.placement import _accounting_for, decreasing_demand
 from repro.consolidation.selection import select_until_not_overloaded
 from repro.core.binding import FleetBinding
+from repro.core.calendar import slot_of_hour
 from repro.core.fleet import FleetIdlenessModel
+from repro.core.model import (SCALE_DAY, SCALE_MONTH, SCALE_WEEK, SCALE_YEAR,
+                              IdlenessModel, IdlenessObservation)
 from repro.core.params import DEFAULT_PARAMS, DrowsyParams
 from repro.core.result import RunResult
+from repro.core.weights import descend_weights
 from repro.network.requests import Request
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.sim.hourly import HourlySimulator
@@ -63,6 +72,13 @@ BINDINGS = ("fleet", "scalar", "no-accounting")
 #: Every RunResult field is a parity observable — derived, not
 #: hardcoded, so fields added later are covered automatically.
 RESULT_FIELDS = tuple(f.name for f in fields(RunResult))
+
+
+def assert_bits_equal(a, b, what=""):
+    """Equal shapes and identical bit patterns (-0.0 != +0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
 
 
 def assert_results_equal(a, b, skip=()):
@@ -219,19 +235,75 @@ class DenseFleetIdlenessModel(FleetIdlenessModel):
     sim = property(lambda self: self.dense_sim.copy())
     siy = property(lambda self: self.dense_siy.copy())
 
-    def _gather(self, h, dw, dm, doy, out, rows=...):
+    def _gather(self, slot, out, rows=...):
+        h = slot.hour
         out[..., 0] = self.sid[rows, h]
-        out[..., 1] = self.siw[rows, dw, h]
-        out[..., 2] = self.dense_sim[rows, dm, h]
-        out[..., 3] = self.dense_siy[rows, doy, h]
+        out[..., 1] = self.siw[rows, slot.day_of_week, h]
+        out[..., 2] = self.dense_sim[rows, slot.day_of_month, h]
+        out[..., 3] = self.dense_siy[rows, slot.day_of_year, h]
         out[..., ~self.scale_mask] = 0.0
         return out
 
-    def _scatter(self, h, dw, dm, doy, si, rows=...):
+    def _scatter(self, slot, si, rows=...):
+        h = slot.hour
         self.sid[rows, h] = si[..., 0]
-        self.siw[rows, dw, h] = si[..., 1]
-        self.dense_sim[rows, dm, h] = si[..., 2]
-        self.dense_siy[rows, doy, h] = si[..., 3]
+        self.siw[rows, slot.day_of_week, h] = si[..., 1]
+        self.dense_sim[rows, slot.day_of_month, h] = si[..., 2]
+        self.dense_siy[rows, slot.day_of_year, h] = si[..., 3]
+
+
+class ReferenceIdlenessModel(IdlenessModel):
+    """:class:`IdlenessModel` with the hourly update written out for one
+    VM in scalar arithmetic — the independent reference the shared
+    batched update (:func:`repro.core.model.hourly_update`) is checked
+    against."""
+
+    def observe(self, hour_index: int, activity: float) -> IdlenessObservation:
+        if not 0.0 <= activity <= 1.0:
+            raise ValueError(f"activity must be in [0, 1], got {activity}")
+        p = self.params
+        slot = slot_of_hour(hour_index)
+        idle = activity == 0.0
+
+        si_old = self.si_vector(slot)
+        raw_before = float(self.weights @ si_old)
+
+        # Paper eq. (2): use the hour's activity when active, the mean
+        # past active level when idle.
+        a = activity if not idle else self.mean_active_activity
+        a_star = p.sigma * a  # eq. (3)
+        # Eq. (4)-(5): one update value per scale, damped near the bounds.
+        u = 1.0 / (1.0 + np.exp(p.alpha * (np.abs(si_old) - p.beta)))
+        v = a_star * u
+        si_new = np.clip(si_old + v if idle else si_old - v, -1.0, 1.0)
+        si_new = np.where(self.scale_mask, si_new, 0.0)
+
+        h = slot.hour
+        self.sid[h] = si_new[SCALE_DAY]
+        self.siw[slot.day_of_week, h] = si_new[SCALE_WEEK]
+        if self.scale_mask[SCALE_MONTH]:
+            self._sim.write(slot.day_of_month, h, si_new[SCALE_MONTH])
+        if self.scale_mask[SCALE_YEAR]:
+            self._siy.write(slot.day_of_year, h, si_new[SCALE_YEAR])
+
+        predicted_idle = raw_before > 0.0
+        mispredicted = predicted_idle != idle
+        if p.learn_weights and (mispredicted or not p.weight_update_on_error_only):
+            self.weights = descend_weights(
+                self.weights, si_old, si_new,
+                steps=p.weight_descent_steps,
+                learning_rate=p.weight_learning_rate,
+                mask=self.scale_mask)
+
+        if not idle:
+            self._activity_sum += activity
+            self._active_hours += 1
+        self.hours_observed += 1
+
+        return IdlenessObservation(
+            hour_index=hour_index, activity=activity, idle=idle,
+            raw_ip_before=raw_before,
+            raw_ip_after=float(self.weights @ si_new))
 
 
 class PerHostEventBackend(EventBackend):

@@ -182,6 +182,37 @@ class TestSerialization:
         restored = model_from_bytes(blob)
         np.testing.assert_array_equal(restored.sid, model.sid)
 
+    def test_bound_view_roundtrip(self, tmp_path):
+        """A fleet-bound VM's model saves like its detached scalar copy
+        and loads back bit for bit."""
+        from repro.api.sharded.wire import detached_model
+        from repro.core.binding import FleetBinding
+
+        vms = [VM(f"v{i}", always_idle_trace(48), TESTBED_VM)
+               for i in range(3)]
+        binding = FleetBinding(vms, DEFAULT_PARAMS)
+        rng = np.random.default_rng(5)
+        start = 30 * 24 - 5  # crosses a month boundary
+        for h in range(start, start + 40):
+            binding.observe(h, np.where(rng.random(3) < 0.5, 0.0,
+                                        rng.random(3)))
+        vms[1].model.observe(start + 40, 0.25)  # one row ahead
+        for vm in vms:
+            view = vm.model
+            save_model(view, tmp_path / "view.npz")
+            save_model(detached_model(view, DEFAULT_PARAMS),
+                       tmp_path / "copy.npz")
+            with np.load(tmp_path / "view.npz") as a, \
+                    np.load(tmp_path / "copy.npz") as b:
+                assert a.files == b.files
+                for key in a.files:
+                    assert a[key].tobytes() == b[key].tobytes(), key
+            for restored in (load_model(tmp_path / "view.npz"),
+                             model_from_bytes(model_to_bytes(view))):
+                self.assert_same_model(restored, view)
+                assert restored._activity_sum == view._activity_sum
+                assert restored._active_hours == view._active_hours
+
 
 class TestHeuristics:
     def make_host(self, activity):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.calendar import slot_of_hour
 from repro.core.fleet import FleetIdlenessModel
-from repro.core.model import IdlenessModel
 from repro.core.params import DEFAULT_PARAMS
+from tests.oracles import ReferenceIdlenessModel, assert_bits_equal
 
 
 class TestBasics:
@@ -41,8 +42,29 @@ activity_matrix = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+#: Parameter sets the kernel-agreement cases run under: the paper's
+#: defaults, learning off, descent on every row, and a masked scale.
+KERNEL_PARAMS = {
+    "default": DEFAULT_PARAMS,
+    "no-learning": DEFAULT_PARAMS.replace(learn_weights=False),
+    "descend-always": DEFAULT_PARAMS.replace(weight_update_on_error_only=False),
+    "no-monthly": DEFAULT_PARAMS.replace(use_monthly_scale=False),
+}
+
+FLEET_STATE = ("sid", "siw", "sim", "siy", "weights", "_activity_sum",
+               "_active_hours", "row_hours")
+
+
+def continuous_activities(seed, n, T, idle_fraction):
+    """An ``(n, T)`` matrix: idle hours (0.0) and uniform activities."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((n, T)) < idle_fraction, 0.0,
+                    rng.random((n, T)))
+
+
 class TestScalarEquivalence:
-    """The fleet model must agree with the scalar model bit-for-bit."""
+    """Every way of running the hourly update must agree bit for bit
+    with the scalar reference of ``tests/oracles.py``."""
 
     @settings(max_examples=15, deadline=None)
     @given(activity_matrix)
@@ -50,14 +72,14 @@ class TestScalarEquivalence:
         A = np.array(rows)
         n, T = A.shape
         fleet = FleetIdlenessModel(n)
-        scalars = [IdlenessModel() for _ in range(n)]
-        fleet_pred, fleet_act = fleet.run_trace_matrix(A)
+        scalars = [ReferenceIdlenessModel() for _ in range(n)]
+        fleet.run_trace_matrix(A)
         for i, m in enumerate(scalars):
             for t in range(T):
                 m.observe(t, float(A[i, t]))
-            np.testing.assert_allclose(fleet.sid[i], m.sid, atol=0)
-            np.testing.assert_allclose(fleet.siw[i], m.siw, atol=0)
-            np.testing.assert_allclose(fleet.weights[i], m.weights, atol=1e-12)
+            assert_bits_equal(fleet.sid[i], m.sid, "sid")
+            assert_bits_equal(fleet.siw[i], m.siw, "siw")
+            assert_bits_equal(fleet.weights[i], m.weights, "weights")
 
     def test_predictions_match_scalar(self):
         rng = np.random.default_rng(3)
@@ -65,12 +87,56 @@ class TestScalarEquivalence:
         fleet = FleetIdlenessModel(3)
         preds, actual = fleet.run_trace_matrix(A)
         for i in range(3):
-            m = IdlenessModel()
+            m = ReferenceIdlenessModel()
             expected = []
             for t in range(120):
                 p, _ = m.predict_and_observe(t, float(A[i, t]))
                 expected.append(p)
             np.testing.assert_array_equal(preds[i], expected)
+
+    @pytest.mark.parametrize("params", KERNEL_PARAMS.values(),
+                             ids=KERNEL_PARAMS.keys())
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           T=st.integers(24, 96), start=st.integers(0, 2 * 365 * 24),
+           idle_fraction=st.floats(0.1, 0.9))
+    def test_kernels_agree(self, params, seed, n, T, start, idle_fraction):
+        """``run_trace_matrix``, hour-by-hour ``observe``, a row-by-row
+        ``observe_one`` loop and the scalar reference end in the same
+        state and make the same predictions, on continuous activities."""
+        A = continuous_activities(seed, n, T, idle_fraction)
+        batch = FleetIdlenessModel(n, params)
+        preds, _ = batch.run_trace_matrix(A, start_hour=start)
+        hourly = FleetIdlenessModel(n, params)
+        rowwise = FleetIdlenessModel(n, params)
+        refs = [ReferenceIdlenessModel(params) for _ in range(n)]
+        expected = np.empty((n, T), dtype=bool)
+        for t in range(T):
+            hourly.observe(start + t, A[:, t])
+            for i in range(n):
+                rowwise.observe_one(i, start + t, float(A[i, t]))
+                expected[i, t], _ = refs[i].predict_and_observe(
+                    start + t, float(A[i, t]))
+        np.testing.assert_array_equal(preds, expected)
+        for other in (hourly, rowwise):
+            for name in FLEET_STATE:
+                assert_bits_equal(getattr(other, name), getattr(batch, name), name)
+        for i, ref in enumerate(refs):
+            for name in ("sid", "siw", "sim", "siy", "weights"):
+                assert_bits_equal(getattr(batch, name)[i], getattr(ref, name), name)
+            assert_bits_equal(batch._activity_sum[i], ref._activity_sum,
+                              "_activity_sum")
+            assert batch._active_hours[i] == ref._active_hours
+            assert batch.row_hours[i] == ref.hours_observed
+
+        # One raw-IP expression: every query agrees with the scalar w @ si.
+        for h in range(start + T, start + T + 48):
+            slot = slot_of_hour(h)
+            scalar = np.array([ref.raw_ip(slot) for ref in refs])
+            assert_bits_equal(batch.raw_ip(h), scalar, "raw_ip")
+            assert_bits_equal(batch.raw_ip_column(slot), scalar, "raw_ip_column")
+            np.testing.assert_array_equal(
+                batch.predict_idle(h), [ref.predict_idle(slot) for ref in refs])
 
     def test_mean_active_activity_matches(self):
         A = np.array([[0.5, 0.0, 0.3, 0.0], [0.0, 0.0, 0.0, 0.0]])

@@ -16,17 +16,10 @@ from repro.core.slab import DaySlab
 from repro.experiments.common import build_fleet
 from repro.traces.synthetic import always_idle_trace
 
-from tests.oracles import DenseFleetIdlenessModel
+from tests.oracles import DenseFleetIdlenessModel, assert_bits_equal
 
 #: Bytes of one stored day: n VMs x 24 hours of float64.
 DAY_BYTES = 24 * 8
-
-
-def assert_bits_equal(a, b):
-    """Equal shapes and identical bit patterns (-0.0 != +0.0)."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    assert a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
 
 
 def assert_same_state(fleet, dense):
