@@ -10,13 +10,15 @@ round "instead of waiting for the need of a migration decision".
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 
 from ..cluster.accounting import columnar_host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
 from ..cluster.vm import VM
-from ..core.calendar import slot_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .detection import OverloadDetector
 from .neat import MigrationExecutor, NeatController
@@ -143,26 +145,19 @@ class DrowsyController(NeatController):
         # Groups are lists of rows of the VMs' IP-profile matrix.
         rows = iter(range(len(vms)))
         groups = [[next(rows) for _ in h.vms] for h in hosts]
-        profile = ip_profiles(vms, hour_index)
-        mem = [vm.resources.memory_mb for vm in vms]
-        cpu = [vm.resources.cpus for vm in vms]
-        caps = [(h.capacity.memory_mb, h.capacity.schedulable_cpus)
-                for h in hosts]
-        threshold = self.params.ip_distance_tolerance
-        # Host pairs in name order.
-        order = sorted(range(len(hosts)), key=lambda k: hosts[k].name)
+        search = PairSearch(
+            ip_profiles(vms, hour_index), groups,
+            [vm.resources.memory_mb for vm in vms],
+            [vm.resources.cpus for vm in vms],
+            [(h.capacity.memory_mb, h.capacity.schedulable_cpus)
+             for h in hosts],
+            self.params.ip_distance_tolerance,
+            # Host pairs in name order.
+            sorted(range(len(hosts)), key=lambda k: hosts[k].name))
         for _ in range(len(vms)):  # convergence bound
             improved = False
-            for n, i in enumerate(order):
-                for j in order[n + 1:]:
-                    g1, g2 = groups[i], groups[j]
-                    move = best_move(profile, g1, g2, mem, cpu,
-                                     caps[i], caps[j], threshold)
-                    if move is not None:
-                        a, b = move
-                        groups[i] = [r for r in g1 if r != a] + ([b] if b >= 0 else [])
-                        groups[j] = [r for r in g2 if r != b] + ([a] if a >= 0 else [])
-                        improved = True
+            for n in range(len(search.pairs)):
+                improved |= search.visit(n)
             if not improved:
                 break
         assignment = {vms[r].name: host
@@ -176,96 +171,197 @@ class DrowsyController(NeatController):
 #: differ at 9 am.
 PROFILE_HOURS = 24
 
+#: Profile rows one scoring round gathers at most (1.5 MB of
+#: ``PROFILE_HOURS`` floats, twice over): host pairs grow as O(H²), so
+#: a large fleet's pass is scored in chunks of pairs, in pass order.
+_CHUNK_ROWS = 1 << 13
+
 
 def ip_profiles(vms: list[VM], hour_index: int) -> np.ndarray:
     """``(len(vms), PROFILE_HOURS)`` predicted raw IPs over the next
     day of hourly slots (models trained on the past only -- no oracle).
 
-    VMs bound to one fleet model are read off its cached raw-IP column,
-    one gather per slot: the very floats ``FleetVMView.raw_ip`` returns.
-    Anything else falls back to one ``vm.raw_ip`` query per VM and slot.
+    VMs bound to one fleet model are read off it in one window gather
+    (:meth:`~repro.core.fleet.FleetIdlenessModel.raw_ip_window`): the
+    very floats ``FleetVMView.raw_ip`` returns.  Anything else falls
+    back to one ``vm.raw_ip`` query per VM and slot.
     """
     models = [vm.model for vm in vms]
     fleet = getattr(models[0], "fleet", None)
     if fleet is not None and all(getattr(m, "fleet", None) is fleet
                                  for m in models):
         rows = np.array([m.fleet_index for m in models], dtype=np.intp)
-        return np.stack([fleet.raw_ip_column(slot_of_hour(hour_index + k))[rows]
-                         for k in range(PROFILE_HOURS)], axis=1)
+        return fleet.raw_ip_window(hour_index, PROFILE_HOURS, rows)
     return np.array([[vm.raw_ip(hour_index + k) for k in range(PROFILE_HOURS)]
                      for vm in vms])
 
 
-def group_dispersion(stacked: np.ndarray) -> np.ndarray:
-    """Summed per-slot IP spread of ``C`` groups of ``k`` VMs each.
+def group_dispersion(profile: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Summed per-slot IP spread of ``C`` groups of ``k`` profile rows.
 
-    ``stacked`` is ``(C, k, window)``; entry ``c`` is bit-identical to
-    ``float(np.abs(v - v.mean(0)).sum())`` for ``v = stacked[c]``: the
-    axis-1 mean adds the ``k`` rows in order exactly like a 2-D axis-0
-    mean, and the flattened row sum is numpy's pairwise sum over the
+    ``rows`` is ``(C, k)``; entry ``c`` is bit-identical to
+    ``float(np.abs(v - v.mean(0)).sum())`` for ``v = profile[rows[c]]``.
+    The groups are gathered member-major, ``(k, C, window)``: the axis-0
+    mean adds the ``k`` members in order exactly like the 2-D axis-0
+    mean, one long add per member.  The spread is written back
+    group-major, so each group's sum is numpy's pairwise sum over the
     same contiguous ``k * window`` block.  Groups under two VMs have no
     spread.
     """
-    c, k = stacked.shape[:2]
+    c, k = rows.shape
     if k < 2:
         return np.zeros(c)
-    spread = stacked - stacked.mean(axis=1)[:, None]
+    block = profile[rows.T]
+    spread = np.empty((c, k, profile.shape[1]))
+    np.subtract(block, block.mean(axis=0), out=spread.transpose(1, 0, 2))
     np.abs(spread, out=spread)
     return spread.reshape(c, -1).sum(axis=1)
 
 
-def best_move(profile: np.ndarray, g1: list[int], g2: list[int],
-              mem: list, cpu: list, cap1: tuple, cap2: tuple,
-              threshold: float) -> tuple[int, int] | None:
-    """The move between two hosts' groups of ``profile`` rows that cuts
-    their dispersion the most, by more than ``threshold``.
+@lru_cache(maxsize=None)
+def _shape(k1: int, k2: int) -> tuple:
+    """The candidate moves between non-empty groups of ``k1`` and ``k2``
+    VMs, in order: the swaps, the moves ``a ->`` into free slots, the
+    moves ``<- b`` (never onto an emptied host: splitting a group onto
+    idle metal is anti-consolidation).
 
-    Candidates are the swaps ``(a, b)``, the one-way moves ``(a, -1)``
-    and ``(-1, b)``, in that order; the first of equal gains wins.
-    Every candidate group of one size is scored in one
-    ``group_dispersion`` call.  Returns None when no move qualifies.
+    Returns ``(a, b, parts)`` as positions into a pair's rows
+    ``g1 + g2 + [-1]``.  ``a``/``b`` give the VM each candidate takes out
+    of ``g1``/``g2``; the trailing ``-1`` (no VM) marks a one-way move.
+    ``parts`` lists the candidates' new groups by size, as ``(size,
+    positions, slots)``: ``slots`` index a ``2C`` row of dispersions (the
+    ``C`` new ``g1`` groups, then the ``C`` new ``g2`` groups).  Groups
+    under two VMs have no spread and no part.
     """
-    mem1 = sum(mem[r] for r in g1)
-    cpu1 = sum(cpu[r] for r in g1)
-    mem2 = sum(mem[r] for r in g2)
-    cpu2 = sum(cpu[r] for r in g2)
-    # Swaps and one-way moves into genuinely free slots (never onto an
-    # emptied host: splitting a group onto idle metal is
-    # anti-consolidation).
-    candidates = [(a, b) for a in g1 for b in g2]
-    if g2:
-        candidates += [(a, -1) for a in g1]
-    if g1:
-        candidates += [(-1, b) for b in g2]
-    moves: list[tuple[int, int]] = []
-    new1: list[list[int]] = []
-    new2: list[list[int]] = []
-    for a, b in candidates:
-        am, ac = (mem[a], cpu[a]) if a >= 0 else (0, 0)
-        bm, bc = (mem[b], cpu[b]) if b >= 0 else (0, 0)
-        # Capacity is a hard constraint in *both* directions: with
-        # heterogeneous flavors (the scenario fleets) even a swap is not
-        # capacity-neutral.
-        if (mem1 - am + bm > cap1[0] or cpu1 - ac + bc > cap1[1]
-                or mem2 - bm + am > cap2[0] or cpu2 - bc + ac > cap2[1]):
-            continue
-        moves.append((a, b))
-        new1.append([r for r in g1 if r != a] + ([b] if b >= 0 else []))
-        new2.append([r for r in g2 if r != b] + ([a] if a >= 0 else []))
-    if not moves:
-        return None
-    # The two current groups, then each candidate's two, batched by size.
-    flat = [g1, g2] + new1 + new2
+    g1, g2 = range(k1), range(k1, k1 + k2)
+    moves = ([(x, y) for x in g1 for y in g2]
+             + [(x, -1) for x in g1] + [(-1, y) for y in g2])
+    new = ([[p for p in g1 if p != x] + ([y] if y >= 0 else []) for x, y in moves]
+           + [[p for p in g2 if p != y] + ([x] if x >= 0 else []) for x, y in moves])
     by_size: dict[int, list[int]] = {}
-    for n, group in enumerate(flat):
-        by_size.setdefault(len(group), []).append(n)
-    disp = np.zeros(len(flat))
-    for k, at in by_size.items():
-        if k >= 2:
-            disp[at] = group_dispersion(profile[[flat[n] for n in at]])
-    c = len(moves)
-    gains = (disp[0] + disp[1]) - (disp[2:2 + c] + disp[2 + c:])
-    ok = gains > threshold
-    if not ok.any():
-        return None
-    return moves[int(np.argmax(np.where(ok, gains, -np.inf)))]
+    for slot, group in enumerate(new):
+        by_size.setdefault(len(group), []).append(slot)
+    parts = tuple((k, np.array([new[s] for s in slots]), slots)
+                  for k, slots in by_size.items() if k >= 2)
+    return np.array([x for x, _ in moves]), np.array([y for _, y in moves]), parts
+
+
+class PairSearch:
+    """``relocate_all``'s first-improvement search over host pairs.
+
+    ``groups`` (lists of ``profile`` rows, one per host) are updated in
+    place as moves apply.  A pair's best move is a pure function of its
+    two groups, so :attr:`known` keeps each scored pair's result (a
+    move, or None) until a move changes either group; a pair known to
+    have no move is settled and skipped.  Unknown pairs are scored
+    together, in pass order, bucketed by group sizes: every candidate
+    group of one size, across all pairs, is one :func:`group_dispersion`
+    call.
+    """
+
+    def __init__(self, profile: np.ndarray, groups: list[list[int]],
+                 mem: list, cpu: list, caps: list[tuple], threshold: float,
+                 order: list[int]) -> None:
+        self.profile, self.groups, self.threshold = profile, groups, threshold
+        self.mem, self.cpu = mem, cpu
+        # (memory, CPUs) per row as floats, exact for the integer
+        # flavors; row -1, no VM, weighs nothing.
+        self.res = np.array([*zip(mem, cpu), (0, 0)], dtype=np.float64)
+        self.cap = np.array(caps, dtype=np.float64)
+        self.used = np.zeros_like(self.cap)
+        self.disp = np.zeros(len(groups))
+        self._refresh(range(len(groups)))
+        self.pairs = [(i, j) for n, i in enumerate(order) for j in order[n + 1:]]
+        self.touching: list[list[tuple[int, int]]] = [[] for _ in groups]
+        for i, j in self.pairs:
+            self.touching[i].append((i, j))
+            self.touching[j].append((i, j))
+        self.known: dict[tuple[int, int], tuple[int, int] | None] = {}
+
+    def _refresh(self, hosts) -> None:
+        """Recompute the hosts' resource sums and dispersions."""
+        by_size: dict[int, list[int]] = {}
+        for h in hosts:
+            g = self.groups[h]
+            self.used[h] = (sum(self.mem[r] for r in g),
+                            sum(self.cpu[r] for r in g))
+            by_size.setdefault(len(g), []).append(h)
+        for hs in by_size.values():
+            rows = np.array([self.groups[h] for h in hs], dtype=np.intp)
+            self.disp[hs] = group_dispersion(self.profile, rows)
+
+    def visit(self, n: int) -> bool:
+        """Apply pair ``n``'s best move, if any; True if one applied."""
+        pair = self.pairs[n]
+        if pair not in self.known:
+            self._score(self._chunk(n))
+        move = self.known[pair]
+        if move is None:
+            return False
+        (i, j), (a, b) = pair, move
+        g1, g2 = self.groups[i], self.groups[j]
+        self.groups[i] = [r for r in g1 if r != a] + ([b] if b >= 0 else [])
+        self.groups[j] = [r for r in g2 if r != b] + ([a] if a >= 0 else [])
+        for p in self.touching[i] + self.touching[j]:
+            self.known.pop(p, None)
+        self._refresh(pair)
+        return True
+
+    def _chunk(self, n: int) -> list[tuple[int, int]]:
+        """The unknown pairs from ``n`` on, up to ``_CHUNK_ROWS`` rows."""
+        chunk, rows = [], 0
+        for i, j in itertools.islice(self.pairs, n, None):
+            if (i, j) not in self.known:
+                chunk.append((i, j))
+                k1, k2 = len(self.groups[i]), len(self.groups[j])
+                rows += (k1 + k2) * (k1 * k2 + k1 + k2)
+                if rows >= _CHUNK_ROWS:
+                    break
+        return chunk
+
+    def _score(self, pairs: list[tuple[int, int]]) -> None:
+        """Score ``pairs``' best moves into :attr:`known`."""
+        self.known.update(dict.fromkeys(pairs))
+        buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, j in pairs:
+            if self.groups[i] and self.groups[j]:
+                shape = (len(self.groups[i]), len(self.groups[j]))
+                buckets.setdefault(shape, []).append((i, j))
+        # Per bucket: its pairs, the rows each candidate takes out of g1
+        # and g2, and the candidates' new-group dispersions (filled size
+        # by size below).
+        scored = []
+        by_size: dict[int, list] = {}
+        for shape, ps in buckets.items():
+            a, b, parts = _shape(*shape)
+            rows = np.array([self.groups[i] + self.groups[j] + [-1]
+                             for i, j in ps], dtype=np.intp)
+            new = np.zeros((len(ps), 2 * len(a)))
+            for k, at, slots in parts:
+                by_size.setdefault(k, []).append((rows[:, at], new, slots))
+            scored.append((ps, rows[:, a], rows[:, b], new))
+        for k, parts in by_size.items():
+            disp = group_dispersion(self.profile, np.concatenate(
+                [r.reshape(-1, k) for r, _, _ in parts]))
+            start = 0
+            for r, new, slots in parts:
+                end = start + r.shape[0] * r.shape[1]
+                new[:, slots] = disp[start:end].reshape(r.shape[:2])
+                start = end
+        for ps, a, b, new in scored:
+            i, j = np.array(ps, dtype=np.intp).T
+            c = a.shape[1]
+            gains = ((self.disp[i] + self.disp[j])[:, None]
+                     - (new[:, :c] + new[:, c:]))
+            # Capacity is a hard constraint in *both* directions: with
+            # heterogeneous flavors (the scenario fleets) even a swap is
+            # not capacity-neutral.
+            ra, rb = self.res[a], self.res[b]
+            ok = ((self.used[i, None] - ra + rb <= self.cap[i, None]).all(axis=2)
+                  & (self.used[j, None] - rb + ra <= self.cap[j, None]).all(axis=2)
+                  & (gains > self.threshold))
+            # The first of equal gains wins; a candidate that breaks
+            # capacity or misses the tolerance scores -inf.
+            best = np.where(ok, gains, -np.inf).argmax(axis=1)
+            for p in np.flatnonzero(ok.any(axis=1)).tolist():
+                self.known[ps[p]] = (int(a[p, best[p]]), int(b[p, best[p]]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calendar import slot_of_hour
+from .calendar import slot_of_hour, slots_of_hours
 from .model import IdlenessObservation, hourly_update, raw_ips
 from .params import DEFAULT_PARAMS, DrowsyParams
 from .slab import DaySlab, dense_property
@@ -132,6 +132,24 @@ class FleetIdlenessModel:
                           self._gather(slot, np.empty((self.n, 4))))
             self._ip_cache[key] = col
         return col
+
+    def raw_ip_window(self, hour_index: int, hours: int,
+                      rows: np.ndarray) -> np.ndarray:
+        """``(len(rows), hours)`` raw IPs of the fleet rows ``rows`` over
+        the hours from ``hour_index`` on, in one gather: entry ``[r, k]``
+        is bit-identical to ``raw_ip_column(slot_of_hour(hour_index +
+        k))[rows[r]]``.
+        """
+        h, dw, dm, _, doy = slots_of_hours(hour_index + np.arange(hours))
+        at = rows[:, None]
+        si = np.empty((len(rows), hours, 4))
+        si[..., 0] = self.sid[at, h]
+        si[..., 1] = self.siw[at, dw, h]
+        si[..., 2] = self._sim.read_hours(dm, h, rows)
+        si[..., 3] = self._siy.read_hours(doy, h, rows)
+        si[..., ~self.scale_mask] = 0.0
+        return raw_ips(np.repeat(self.weights[rows], hours, axis=0),
+                       si.reshape(-1, 4)).reshape(len(rows), hours)
 
     def predict_idle(self, hour_index: int) -> np.ndarray:
         """(n,) bool: predicted idle iff probability > 0.5."""

@@ -92,6 +92,17 @@ class DaySlab:
             return 0.0
         return self.data[rows, r, hour]
 
+    def read_hours(self, days: np.ndarray, hours: np.ndarray,
+                   rows: np.ndarray) -> np.ndarray:
+        """``(len(rows), len(days))`` scores of the lead rows ``rows`` at
+        each ``(days[k], hours[k])``, ``0.0`` where a day is unwritten."""
+        if self.data is None:
+            return np.zeros((len(rows), len(days)))
+        at = np.array([self.index.get(d, -1) for d in days.tolist()])
+        out = self.data[rows[:, None], at, hours]
+        out[:, at < 0] = 0.0
+        return out
+
     def write(self, day: int, hour: int, value, rows=...) -> None:
         """Store ``value`` at ``(day, hour)``, adding the day's row if new."""
         r = self.index.get(day)

@@ -32,26 +32,25 @@ def project_to_simplex(v: np.ndarray, mask: np.ndarray | None = None) -> np.ndar
     coordinates with arbitrary leading batch axes.
     """
     v = np.asarray(v, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(v.shape[-1], dtype=bool)
-    mask = np.broadcast_to(mask, v.shape)
-    w = np.where(mask, v, -np.inf)
-
+    n = v.shape[-1]
+    mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("projection requires at least one active scale")
     # Sort descending along the last axis; -inf (masked) entries sink.
-    u = -np.sort(-w, axis=-1)
-    k = np.arange(1, v.shape[-1] + 1, dtype=np.float64)
+    u = np.where(mask, v, -np.inf)
+    np.negative(u, out=u)
+    u.sort(axis=-1)
+    np.negative(u, out=u)
     finite = np.isfinite(u)
-    safe_u = np.where(finite, u, 0.0)
-    css = np.cumsum(safe_u, axis=-1) - 1.0
-    cond = (u - css / k > 0) & finite
+    css = np.where(finite, u, 0.0).cumsum(axis=-1)
+    css -= 1.0
+    cond = (u - css / np.arange(1.0, n + 1.0) > 0) & finite
     # rho: last index where cond holds (at least one always holds for a
     # non-empty mask because the largest active coordinate satisfies it).
-    rho = cond.shape[-1] - 1 - np.argmax(cond[..., ::-1], axis=-1)
-    any_active = mask.any(axis=-1)
-    if not np.all(any_active):
-        raise ValueError("projection requires at least one active scale")
-    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
-    out = np.maximum(np.where(mask, v, 0.0) - theta, 0.0)
+    rho = n - 1 - cond[..., ::-1].argmax(axis=-1)
+    rows = css.reshape(-1, n)
+    theta = rows[np.arange(rows.shape[0]), rho.ravel()].reshape(rho.shape + (1,))
+    out = np.maximum(np.where(mask, v, 0.0) - theta / (rho[..., None] + 1.0), 0.0)
     return np.where(mask, out, 0.0)
 
 
@@ -82,17 +81,18 @@ def descend_weights(
         si_old = np.where(mask, si_old, 0.0)
         si_new = np.where(mask, si_new, 0.0)
 
-    target = np.sum(w0 * si_new, axis=-1)  # IP' (paper eq. (7))
-    w = w0.copy()
+    target = (w0 * si_new).sum(axis=-1)  # IP' (paper eq. (7))
     # Steepest descent on Q(w): grad = -2 (target - w.SI) SI.
     # Normalize the step by |SI|^2 so convergence speed is independent of
     # the (tiny) SI magnitude; eta=1 would solve exactly in one step.
-    norm2 = np.sum(si_old * si_old, axis=-1)
-    safe = np.where(norm2 > 0.0, norm2, 1.0)
+    norm2 = (si_old * si_old).sum(axis=-1)
+    live = norm2 > 0.0
+    safe = np.where(live, norm2, 1.0)
+    w = w0
     for _ in range(steps):
-        err = target - np.sum(w * si_old, axis=-1)
+        err = target - (w * si_old).sum(axis=-1)
         w = w + (learning_rate * err / safe)[..., None] * si_old
-    w = np.where((norm2 > 0.0)[..., None], w, w0)
+    w = np.where(live[..., None], w, w0)
     return project_to_simplex(w, mask)
 
 

@@ -1,24 +1,30 @@
 """``DrowsyController.relocate_all`` against its original per-candidate loop.
 
-The controller scores each host pair's candidate moves in size-bucketed
-batches (``repro.consolidation.drowsy.best_move``).  :func:`reference_relocate_all` below is
-the original implementation, kept verbatim as the oracle: one
-``dispersion`` reduction per candidate group, pairs visited one at a
-time.  Both must produce the same placement, in the same per-host VM
-order, and report the same migration count.
+The controller's search (``repro.consolidation.drowsy.PairSearch``)
+scores every unknown host pair of a pass in one size-bucketed batch and
+keeps each pair's result until a move changes either of its groups.
+:func:`reference_relocate_all` below is the original implementation,
+kept verbatim as the oracle: one ``dispersion`` reduction per candidate
+group, every pair re-scored on every visit.  Both must produce the same
+placement, in the same per-host VM order, and report the same migration
+count.  The pinned examples each catch one wrong reuse of a result: a
+pair visited earlier in the pass left settled after a move, a pass that
+walks only the pairs unknown at its start, and a batched result used
+after one of its hosts moved.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import VM, DataCenter, Host, HostCapacity, ResourceSpec
-from repro.consolidation import DrowsyController
+from repro.consolidation import DrowsyController, drowsy
 from repro.consolidation.drowsy import group_dispersion, ip_profiles
 from repro.consolidation.neat import MANAGED_STATES
 from repro.core.binding import FleetBinding
+from repro.core.calendar import slot_of_hour
 from repro.core.params import DEFAULT_PARAMS
 from repro.traces.synthetic import always_idle_trace
 
@@ -156,6 +162,17 @@ fleets = st.fixed_dictionaries({
 
 class TestMatchesReference:
     @settings(max_examples=60, deadline=None)
+    # A pair visited earlier in the pass stays settled after a move.
+    @example(fleet={"seed": 2253027920, "n_hosts": 10, "max_vms": 6},
+             hour=313, tolerance=0.0, bound=False)
+    # The pass walks only the pairs unknown at its start.
+    @example(fleet={"seed": 4265854110, "n_hosts": 10, "max_vms": 3},
+             hour=183, tolerance=DEFAULT_PARAMS.ip_distance_tolerance,
+             bound=False)
+    # A batched result is used after one of its hosts moved.
+    @example(fleet={"seed": 2046968324, "n_hosts": 5, "max_vms": 4},
+             hour=214, tolerance=DEFAULT_PARAMS.ip_distance_tolerance,
+             bound=True)
     @given(fleet=fleets,
            hour=st.integers(TRAINED_HOURS, TRAINED_HOURS + 24 * 30),
            tolerance=st.sampled_from(
@@ -189,13 +206,66 @@ class TestMatchesReference:
             TRAINED_HOURS, 1.0)
         assert (moved, layout(dc)) == (0, before)
 
+    def test_pass_spans_several_chunks(self, monkeypatch):
+        """A 40-host fleet's first pass is scored in more than one chunk."""
+        chunks = []
+        chunk = drowsy.PairSearch._chunk
+
+        def logged(search, n):
+            pairs = chunk(search, n)
+            chunks.append((n, len(pairs), len(search.pairs)))
+            return pairs
+
+        monkeypatch.setattr(drowsy.PairSearch, "_chunk", logged)
+        ref_dc, new_dc = build_fleet(2, 40, 6), build_fleet(2, 40, 6)
+        FleetBinding.try_bind(new_dc, DEFAULT_PARAMS)
+        expected = reference_relocate_all(
+            DrowsyController(ref_dc), TRAINED_HOURS + 7, 1.0)
+        moved = DrowsyController(new_dc).relocate_all(TRAINED_HOURS + 7, 1.0)
+        assert layout(new_dc) == layout(ref_dc)
+        assert moved == expected > 0
+        n, scored, n_pairs = chunks[0]
+        assert n == 0 and scored < n_pairs
+
     def test_fleet_profile_matches_per_vm_queries(self):
-        dc = build_fleet(5, n_hosts=4, max_vms=6)
-        vms = dc.vms
-        scalar = ip_profiles(vms, TRAINED_HOURS + 5)
-        FleetBinding.try_bind(dc, DEFAULT_PARAMS)
-        assert all(vm.model.fleet is not None for vm in vms)
-        assert np.array_equal(ip_profiles(vms, TRAINED_HOURS + 5), scalar)
+        """The fleet's window gather equals the per-VM queries and the
+        per-slot columns, on windows that cross midnight, a month end
+        (Jan 31 -> Feb 1) and the year wrap (day 364 -> day 0), on days
+        never written, and with a masked scale."""
+        windows = (TRAINED_HOURS + 5, 30 * 24 + 12, 364 * 24 + 12,
+                   200 * 24 + 12)
+        masked = DEFAULT_PARAMS.replace(use_monthly_scale=False)
+        for params in (DEFAULT_PARAMS, masked):
+            dc = calendar_fleet(params)
+            vms = dc.vms
+            scalar = [ip_profiles(vms, hour) for hour in windows]
+            FleetBinding.try_bind(dc, params)
+            assert all(vm.model.fleet is not None for vm in vms)
+            fleet = vms[0].model.fleet
+            rows = np.array([vm.model.fleet_index for vm in vms])
+            for hour, expected in zip(windows, scalar):
+                assert np.array_equal(ip_profiles(vms, hour), expected)
+                columns = [fleet.raw_ip_column(slot_of_hour(hour + k))[rows]
+                           for k in range(drowsy.PROFILE_HOURS)]
+                assert np.array_equal(np.stack(columns, axis=1), expected)
+
+
+def calendar_fleet(params) -> DataCenter:
+    """Six VMs trained on the first days of the year, around the end of
+    January and around the year's end, so day-long profile windows read
+    written monthly and yearly days on both sides of a day change."""
+    rng = np.random.default_rng(3)
+    dc = DataCenter([Host(f"h{k}", CAPACITIES[1]) for k in range(2)])
+    hours = [*range(0, 5 * 24), *range(29 * 24, 33 * 24),
+             *range(363 * 24, 367 * 24)]
+    for k in range(6):
+        vm = VM(f"v{k}", always_idle_trace(24), ResourceSpec(1, 1024),
+                params=params)
+        for t in hours:
+            vm.model.observe(t, float(rng.uniform(0.1, 0.9))
+                             if rng.random() < 0.4 else 0.0)
+        dc.place(vm, dc.hosts[k % 2])
+    return dc
 
 
 class TestGroupDispersion:
@@ -205,10 +275,11 @@ class TestGroupDispersion:
         # 128-element pairwise-sum block: any reordering shows there.
         # A wide dynamic range makes every rounding visible.
         rng = np.random.default_rng(k)
-        stacked = (rng.normal(size=(40, k, 24))
-                   * 10.0 ** rng.uniform(-6, 6, size=(40, k, 24)))
-        batched = group_dispersion(stacked)
-        for c, v in enumerate(stacked):
+        profile = (rng.normal(size=(40, 24))
+                   * 10.0 ** rng.uniform(-6, 6, size=(40, 24)))
+        rows = rng.integers(0, 40, size=(40, k))
+        batched = group_dispersion(profile, rows)
+        for c, v in enumerate(profile[rows]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # k == 0
                 expected = float(np.abs(v - v.mean(0)).sum())
