@@ -48,13 +48,15 @@ class SLAReport:
 
 
 def sla_report(log: RequestLog, bound_s: float = SLA_LATENCY_S) -> SLAReport:
+    """Every statistic from one latency array (:meth:`RequestLog.summary`)."""
+    s = log.summary(bound_s)
     return SLAReport(
-        total_requests=len(log.requests),
-        sla_fraction=log.sla_fraction(bound_s),
-        p50_s=log.percentile(50),
-        p99_s=log.percentile(99),
-        max_s=log.percentile(100),
-        wake_requests=len(log.wake_requests),
-        max_wake_latency_s=log.max_wake_latency(),
+        total_requests=int(s["requests"]),
+        sla_fraction=s["sla_fraction"],
+        p50_s=s["p50_s"],
+        p99_s=s["p99_s"],
+        max_s=s["max_s"],
+        wake_requests=int(s["wake_requests"]),
+        max_wake_latency_s=s["max_wake_latency_s"],
         sla_bound_s=bound_s,
     )

@@ -8,6 +8,9 @@ timestamp), which the reproduction relies on for exact repeatability.
 Cancellation is O(1) by tombstoning: cancelled events stay in the heap
 and are skipped on pop (the standard lazy-deletion idiom, cheaper than
 re-heapifying).
+
+Bulk arrivals bypass the heap: :meth:`EventSimulator.run_until` reads a
+sorted block through a cursor, merged with the heap by ``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Iterable
+import operator
+from typing import Any, Callable
 
 
 def first_grid_point(first: float, period: float, target: float) -> float:
@@ -65,11 +69,19 @@ class EventSimulator:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self.events_processed = 0
+        #: Live events popped off the heap: ``events_processed`` less the
+        #: stream entries, inline completions and coalesced credits.
+        self.heap_pops = 0
         #: Live (non-cancelled) events in the heap; kept in lockstep by
         #: schedule/cancel/pop so :attr:`pending` is O(1), not a scan.
         self._live = 0
         #: The bound :meth:`run_until` is draining to; ``-inf`` outside it.
         self.draining_until = -math.inf
+        #: The arrival stream ``(times, callback, keys, values, seq)``:
+        #: ``callback(keys[i], values[i])`` at ``times[i]`` with sequence
+        #: number ``seq + i``; entries before ``_stream_pos`` have run.
+        self._stream: tuple = ([], None, [], [], 0)
+        self._stream_pos = 0
 
     @property
     def now(self) -> float:
@@ -94,33 +106,35 @@ class EventSimulator:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_batch(
-            self, entries: Iterable[tuple[float, Callable[..., None], tuple]]
-    ) -> list[Event]:
-        """Schedule a block of ``(time, callback, args)`` entries at once.
-
-        Behaviourally identical to calling :meth:`schedule_at` once per
-        entry in order — sequence numbers are assigned in entry order, so
-        FIFO-within-timestamp ties break exactly the same way — but the
-        heap is restored with one O(n + m) ``heapify`` instead of m
-        O(log n) sifts, which is what makes bulk request generation
-        cheap (DESIGN.md §10).
+    def schedule_stream(self, times: list[float],
+                        callback: Callable[..., None], keys: list,
+                        values: list) -> None:
+        """Schedule ``callback(keys[i], values[i])`` at each ``times[i]``
+        of a sorted list, as one :meth:`schedule_at` per entry in order
+        would: entry ``i`` takes sequence number ``base + i``.  The
+        entries never enter the heap; :meth:`run_until` reads them with
+        a cursor (DESIGN.md §10).  The unconsumed rest of the previous
+        block moves to the heap with its own sequence numbers.
         """
-        events: list[Event] = []
-        now = self._now
-        # Validate and build first, then commit: a bad entry must not
-        # leave the heap half-extended or the live counter skewed.
-        for time, callback, args in entries:
-            if time < now - 1e-9:
-                raise ValueError(
-                    f"cannot schedule in the past: {time} < now {now}")
-            events.append(Event(time=max(time, now), seq=next(self._seq),
-                                callback=callback, args=args, owner=self))
-        if events:
-            self._heap.extend((ev.time, ev.seq, ev) for ev in events)
+        if not times:
+            return
+        if times[0] < self._now:
+            raise ValueError(
+                f"cannot schedule in the past: {times[0]} < now {self._now}")
+        if any(map(operator.lt, times[1:], times)):
+            raise ValueError("stream times must be sorted")
+        rest, cb, rest_keys, rest_values, seq = self._stream
+        if self._stream_pos < len(rest):
+            for i in range(self._stream_pos, len(rest)):
+                ev = Event(rest[i], seq + i, cb,
+                           (rest_keys[i], rest_values[i]), self)
+                self._heap.append((ev.time, ev.seq, ev))
+                self._live += 1
             heapq.heapify(self._heap)
-            self._live += len(events)
-        return events
+        base = next(self._seq)
+        self._seq = itertools.count(base + len(times))
+        self._stream = (times, callback, keys, values, base)
+        self._stream_pos = 0
 
     def count_coalesced(self, n: int) -> None:
         """Account ``n`` extra *logical* events absorbed by the currently
@@ -136,35 +150,51 @@ class EventSimulator:
         self.events_processed += n
 
     # ------------------------------------------------------------------
+    def _stream_leads(self) -> bool:
+        """Is the stream's next entry due before every live heap event?
+        Drops cancelled heap tops on the way."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        times, pos = self._stream[0], self._stream_pos
+        if pos == len(times):
+            return False
+        return not heap or heap[0][:2] > (times[pos], self._stream[4] + pos)
+
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is drained."""
-        while self._heap:
-            _, _, ev = self._heap[0]
-            if ev.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return ev.time
-        return None
+        if self._stream_leads():
+            return self._stream[0][self._stream_pos]
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Process the next live event.  Returns False when drained."""
-        while self._heap:
-            _, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._live -= 1
-            ev._owner = None  # consumed: a late cancel() must not decrement
-            self._now = ev.time
-            cb, args = ev.callback, ev.args
+        if self._stream_leads():
+            times, cb, keys, values, _ = self._stream
+            pos = self._stream_pos
+            self._stream_pos = pos + 1
+            self._now = times[pos]
             self.events_processed += 1
-            assert cb is not None
-            cb(*args)
+            cb(keys[pos], values[pos])
             return True
-        return False
+        if not self._heap:
+            return False
+        ev = heapq.heappop(self._heap)[2]
+        self._live -= 1
+        ev._owner = None  # consumed: a late cancel() must not decrement
+        self._now = ev.time
+        self.events_processed += 1
+        self.heap_pops += 1
+        ev.callback(*ev.args)
+        return True
 
     def run_until(self, end_time: float) -> None:
         """Process events up to and including ``end_time``, then advance
         the clock to ``end_time`` even if the queue drained earlier.
+
+        Stream entries run straight off the cursor while they precede
+        the heap's top, which is re-read after each one: its callback
+        may schedule an event before the next entry.
 
         While it runs, :attr:`draining_until` is ``end_time``: an event
         a callback would schedule at or before it is certain to fire in
@@ -174,7 +204,30 @@ class EventSimulator:
         pop = heapq.heappop
         self.draining_until = end_time
         try:
-            while heap and heap[0][0] <= end_time:
+            while True:
+                stream, pos = self._stream, self._stream_pos
+                times, cb, keys, values, base = stream
+                first, n = pos, len(times)
+                while pos < n:
+                    at = times[pos]
+                    if at > end_time:
+                        break
+                    if heap:
+                        top = heap[0]
+                        if top[0] < at or (top[0] == at
+                                           and top[1] < base + pos):
+                            break
+                    self._now = at
+                    self._stream_pos = pos + 1
+                    cb(keys[pos], values[pos])
+                    pos += 1
+                    if self._stream is not stream:
+                        break  # the callback fed a new block
+                self.events_processed += pos - first
+                if self._stream is not stream:
+                    continue
+                if not heap or heap[0][0] > end_time:
+                    break
                 ev = pop(heap)[2]
                 if ev.cancelled:
                     continue
@@ -182,6 +235,7 @@ class EventSimulator:
                 ev._owner = None  # consumed: a late cancel() must not decrement
                 self._now = ev.time
                 self.events_processed += 1
+                self.heap_pops += 1
                 ev.callback(*ev.args)
         finally:
             self.draining_until = -math.inf
@@ -194,6 +248,6 @@ class EventSimulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1):
-        a maintained counter, not a heap scan."""
-        return self._live
+        """Number of live (non-cancelled) events still queued, stream
+        entries included.  O(1): a maintained counter, not a heap scan."""
+        return self._live + len(self._stream[0]) - self._stream_pos

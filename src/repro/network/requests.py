@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -234,63 +235,47 @@ class RequestProfile:
             0.0, self.service_sigma, size=n)
 
 
-def summarize_latencies(latencies_s: np.ndarray,
-                        wake_latencies_s: np.ndarray) -> dict[str, float]:
-    """The request-latency digest over raw latency arrays.
-
-    Canonicalizes through one ``np.sort`` so the digest is a pure
-    function of the latency *multiset*: any partition of the same
-    requests (e.g. the sharded backend's per-shard logs) concatenated in
-    any order produces the bit-identical digest, because every float
-    reduction below runs over the same sorted array.
-    """
-    lat = np.sort(np.asarray(latencies_s, dtype=float))
-    wake = np.asarray(wake_latencies_s, dtype=float)
-    if lat.size:
-        p50, p99, p100 = np.percentile(lat, (50, 99, 100))
-        sla = float(np.mean(lat <= SLA_LATENCY_S))
-        mean = float(np.mean(lat))
-    else:
-        p50 = p99 = p100 = sla = mean = float("nan")
-    return {
-        "requests": float(lat.size),
-        "sla_fraction": sla,
-        "mean_s": mean,
-        "p50_s": float(p50),
-        "p99_s": float(p99),
-        "max_s": float(p100),
-        "wake_requests": float(wake.size),
-        "max_wake_latency_s": float(wake.max()) if wake.size else 0.0,
-    }
-
-
-@dataclass
 class RequestLog:
-    """Completed-request archive with the paper's SLA metrics."""
+    """Completed-request archive with the paper's SLA metrics.
 
-    requests: list[Request] = field(default_factory=list)
+    Columnar (DESIGN.md §10): parallel arrays, one row per completed
+    request in completion order, so a day of traffic costs no object
+    per request.
+    """
+
+    def __init__(self) -> None:
+        self.arrivals = array("d")
+        self.vm_names: list[str] = []
+        self.service_times = array("d")
+        self.completions = array("d")
+        #: 1 where the request found its host drowsy (section VI-A.3).
+        self.woke = array("b")
+
+    def __len__(self) -> int:
+        return len(self.arrivals)
+
+    def append(self, arrival_s: float, vm_name: str, service_time_s: float,
+               completion_s: float, woke_host: bool = False) -> None:
+        self.arrivals.append(arrival_s)
+        self.vm_names.append(vm_name)
+        self.service_times.append(service_time_s)
+        self.completions.append(completion_s)
+        self.woke.append(woke_host)
 
     def record(self, request: Request) -> None:
         if not request.completed:
             raise ValueError("only completed requests can be recorded")
-        self.requests.append(request)
+        self.append(request.arrival_s, request.vm_name,
+                    request.service_time_s, request.completion_s,
+                    request.woke_host)
 
     @property
-    def latencies_s(self) -> np.ndarray:
-        return np.array([r.latency_s for r in self.requests])
-
-    def sla_fraction(self, bound_s: float = SLA_LATENCY_S) -> float:
-        """Fraction of requests serviced within ``bound_s``."""
-        lat = self.latencies_s
-        if lat.size == 0:
-            return float("nan")
-        return float(np.mean(lat <= bound_s))
-
-    def percentile(self, q: float) -> float:
-        lat = self.latencies_s
-        if lat.size == 0:
-            return float("nan")
-        return float(np.percentile(lat, q))
+    def requests(self) -> list[Request]:
+        """The rows as :class:`Request` objects, built on each call (for
+        inspection; no statistic reads it)."""
+        return [Request(*row[:4], woke_host=bool(row[4])) for row in zip(
+            self.arrivals, self.vm_names, self.service_times,
+            self.completions, self.woke)]
 
     @property
     def wake_requests(self) -> list[Request]:
@@ -298,14 +283,31 @@ class RequestLog:
         return [r for r in self.requests if r.woke_host]
 
     @property
-    def wake_latencies_s(self) -> np.ndarray:
-        return np.array([r.latency_s for r in self.requests if r.woke_host])
+    def latencies_s(self) -> np.ndarray:
+        """``completion - arrival`` per row: the float subtraction
+        :attr:`Request.latency_s` makes."""
+        return np.array(self.completions) - np.array(self.arrivals)
 
-    def max_wake_latency(self) -> float:
-        wl = [r.latency_s for r in self.wake_requests]
-        return max(wl) if wl else 0.0
-
-    def summary(self) -> dict[str, float]:
-        # One materialization of the latency array for all the digest
-        # stats (a week-long fleet run logs millions of requests).
-        return summarize_latencies(self.latencies_s, self.wake_latencies_s)
+    def summary(self, bound_s: float = SLA_LATENCY_S) -> dict[str, float]:
+        """The request-latency digest, every statistic from one latency
+        array.  It is reduced in sorted order, so the digest is a pure
+        function of the latency *multiset*, whatever the log order."""
+        lat = self.latencies_s
+        wake = lat[np.array(self.woke, dtype=bool)]
+        lat.sort()
+        if lat.size:
+            p50, p99, p100 = np.percentile(lat, (50, 99, 100))
+            sla = float(np.mean(lat <= bound_s))
+            mean = float(np.mean(lat))
+        else:
+            p50 = p99 = p100 = sla = mean = float("nan")
+        return {
+            "requests": float(lat.size),
+            "sla_fraction": sla,
+            "mean_s": mean,
+            "p50_s": float(p50),
+            "p99_s": float(p99),
+            "max_s": float(p100),
+            "wake_requests": float(wake.size),
+            "max_wake_latency_s": float(wake.max()) if wake.size else 0.0,
+        }

@@ -17,7 +17,7 @@ from ..cluster.host import Host
 from ..cluster.power import PowerState
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .requests import Request, RequestLog
-from ..waking.packets import Packet, PacketKind, WoLPacket
+from ..waking.packets import WoLPacket
 
 
 def _never_satisfied(mac: str) -> bool:
@@ -164,28 +164,37 @@ class SDNSwitch:
         self.requests_dropped = 0
 
     # ------------------------------------------------------------------
-    def _vm_host(self, vm_name: str):
+    def submit_request(self, vm_name: str, arrival_s: float,
+                       service_time_s: float) -> None:
+        """A request for ``vm_name`` enters the rack at ``arrival_s``
+        (= sim.now).  Only a request that waits — for a drowsy host, or
+        past the drain's bound — becomes a :class:`Request`."""
         # O(1) registry lookup; this runs once per packet, where the old
         # O(hosts x vms) scan dominated the submit path (DESIGN.md §10).
-        return self.dc.find_vm(vm_name)
-
-    def submit_request(self, request: Request) -> None:
-        """A request enters the rack at ``request.arrival_s`` (= sim.now)."""
-        vm, host = self._vm_host(request.vm_name)
-        packet = Packet(dst_ip=vm.ip_address, kind=PacketKind.REQUEST,
-                        payload=request)
+        vm, host = self.dc.find_vm(vm_name)
         woke = False
         if self.waking_service is not None:
-            woke = self.waking_service.analyze_packet(packet)
+            woke = self.waking_service.analyze_packet(vm.ip_address)
         self.packets_forwarded += 1
 
         if host.state is PowerState.ON:
-            self._complete(request, self.sim.now + request.service_time_s)
+            at = arrival_s + service_time_s
+            sim = self.sim
+            if at <= sim.draining_until:
+                # The completion would fire inside the running drain, and
+                # nothing can cancel it: record it now, at its own
+                # instant, and count it as the event it stands in for
+                # (DESIGN.md §10).
+                self.log.append(arrival_s, vm_name, service_time_s, at)
+                sim.events_processed += 1
+            else:
+                self._complete(Request(arrival_s, vm_name, service_time_s),
+                               at)
         else:
             # Host is drowsy (or transitioning): the request waits on the
             # switch until the host is available again.
-            request.woke_host = True
-            self._pending.append(request)
+            self._pending.append(Request(arrival_s, vm_name, service_time_s,
+                                         woke_host=True))
             if not woke and self.wol_sender is not None:
                 self.wol_sender(WoLPacket(host.mac_address,
                                           reason="switch-port"), self.sim.now)
@@ -193,9 +202,6 @@ class SDNSwitch:
     def _complete(self, request: Request, at: float) -> None:
         sim = self.sim
         if at <= sim.draining_until:
-            # The completion would fire inside the running drain, and
-            # nothing can cancel it: record it now, at its own instant,
-            # and count it as the event it stands in for (DESIGN.md §10).
             request.completion_s = at
             self.log.record(request)
             sim.events_processed += 1
@@ -233,7 +239,7 @@ class SDNSwitch:
         still_waiting: list[Request] = []
         woken: set[str] = set()
         for request in self._pending:
-            _, host = self._vm_host(request.vm_name)
+            _, host = self.dc.find_vm(request.vm_name)
             if host.state is PowerState.ON:
                 self._complete(request, self.sim.now + request.service_time_s)
             else:

@@ -33,7 +33,7 @@ from ..core.binding import FleetBinding
 from ..core.calendar import time_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from ..core.result import RunResult
-from ..network.requests import PerVMRequestStreams, Request, RequestProfile
+from ..network.requests import PerVMRequestStreams, RequestProfile
 from ..network.sdn import ReliableWolChannel, SDNSwitch
 from ..suspend.columnar import (
     CODE_CANDIDATE,
@@ -165,9 +165,10 @@ class EventDrivenSimulation:
         return self.continue_run()
 
     def continue_run(self) -> RunResult:
-        """Run (or finish) the scheduled horizon.  The event heap holds
-        every piece of in-flight state — hour ticks, suspend checks,
-        request arrivals, transitions — so a run restored from a
+        """Run (or finish) the scheduled horizon.  The event kernel
+        holds every piece of in-flight state — hour ticks, suspend
+        checks, transitions in the heap, the hour's request arrivals in
+        its stream — so a run restored from a
         checkpoint resumes by simply draining the clock to the end of
         the horizon, exactly as the uninterrupted run would
         (DESIGN.md §16)."""
@@ -268,6 +269,8 @@ class EventDrivenSimulation:
             # Coalesced logical events are folded into events_processed
             # by EventSimulator.count_coalesced (a parity observable).
             "events_processed": sim.events_processed,
+            # Pending counts the hour's unconsumed arrivals; the heap
+            # (tombstones included) never holds them.
             "events_pending": sim.pending,
             "heap_depth": len(sim._heap),
             "migrations": len(self.dc.migrations),
@@ -291,8 +294,9 @@ class EventDrivenSimulation:
         with a stable sort (equal-time ties keep fleet order — the FIFO
         order per-request events would get from their sequence
         numbers), and service times are sampled from the shared stream
-        in dispatch order: bit-identical to scheduling each arrival as
-        its own event and drawing its service time at submit
+        in dispatch order.  The block goes to the kernel as one arrival
+        stream, off the heap: bit-identical to scheduling each arrival
+        as its own event and drawing its service time at submit
         (``tests/oracles.py`` keeps that per-push reference).
         """
         streams = self._request_streams
@@ -327,20 +331,16 @@ class EventDrivenSimulation:
             services = profile.sample_service_times(self.rng, times.size)
         else:
             services = np.concatenate(svc_arrays)[order]
-        submit = self._submit_generated
-        self.sim.schedule_batch(
-            (t, submit, (names[o], s))
-            for t, o, s in zip(times.tolist(), owners.tolist(),
-                               services.tolist()))
+        self.sim.schedule_stream(
+            times.tolist(), self._submit_generated,
+            np.array(names, dtype=object)[owners].tolist(), services.tolist())
 
     def _submit_generated(self, vm_name: str, service_time_s: float) -> None:
         """Submit a request whose service time was pre-sampled at
         generation time."""
         if vm_name in self._departed_vms:
             return  # VM churned away after this hour's traffic was drawn
-        self.switch.submit_request(Request(
-            arrival_s=self.sim.now, vm_name=vm_name,
-            service_time_s=service_time_s))
+        self.switch.submit_request(vm_name, self.sim.now, service_time_s)
 
     def note_vm_departed(self, vm_name: str) -> None:
         """A VM left the fleet mid-run (scenario churn): swallow its

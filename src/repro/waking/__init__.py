@@ -2,12 +2,10 @@
 
 from .failover import ReplicatedWakingService
 from .module import WakingModule, WakingModuleState, WolSender
-from .packets import Packet, PacketKind, WoLPacket
+from .packets import WoLPacket
 from .sharding import RackShardedWakingService
 
 __all__ = [
-    "Packet",
-    "PacketKind",
     "RackShardedWakingService",
     "ReplicatedWakingService",
     "WakingModule",

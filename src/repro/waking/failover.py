@@ -34,7 +34,6 @@ from ..cluster.events import EventSimulator, first_grid_point
 from ..cluster.host import Host
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .module import WakingModule, WolSender
-from .packets import Packet
 
 
 class _GuardedWolSender:
@@ -119,13 +118,14 @@ class ReplicatedWakingService:
         else:
             self.lost_calls += 1
 
-    def analyze_packet(self, packet: Packet) -> bool:
-        if not self.active.alive:
+    def analyze_packet(self, dst_ip: str) -> bool:
+        active = self.active
+        if not active.alive:
             # Window or total outage: analysis is unavailable; the SDN
             # switch's port-level WoL fallback covers inbound requests.
             self.unanswered_packets += 1
             return False
-        return self.active.analyze_packet(packet)
+        return active.analyze_packet(dst_ip)
 
     def note_vm_moved(self, ip: str, mac: str | None) -> None:
         """Map update for a VM relocated without a wake (bulk moves)."""

@@ -26,7 +26,7 @@ from typing import Callable
 from ..cluster.events import Event, EventSimulator
 from ..cluster.host import Host
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
-from .packets import Packet, PacketKind, WoLPacket
+from .packets import WoLPacket
 
 WolSender = Callable[[WoLPacket, float], None]
 
@@ -158,14 +158,13 @@ class WakingModule:
         self.state.waking_dates.pop(mac, None)
         self._send_wol(mac, reason="scheduled-date")
 
-    def analyze_packet(self, packet: Packet) -> bool:
-        """Section V-A packet analysis.  Returns True if a WoL was sent."""
+    def analyze_packet(self, dst_ip: str) -> bool:
+        """Section V-A packet analysis of an inbound request to
+        ``dst_ip``.  Returns True if a WoL was sent."""
         if not self.alive:
             raise RuntimeError(f"waking module {self.name} is down")
         self.packets_analyzed += 1
-        if packet.kind is not PacketKind.REQUEST:
-            return False
-        mac = self.state.vm_to_mac.get(packet.dst_ip)
+        mac = self.state.vm_to_mac.get(dst_ip)
         if mac is None:
             return False
         self._send_wol(mac, reason="inbound-request")

@@ -1,33 +1,13 @@
-"""Network packets seen by the SDN switch (paper section V-A).
+"""Wake-on-LAN packets (paper section V).
 
-The waking module includes "a lightweight packet analyzer": every
-request entering the switch is checked against the map of VMs hosted on
-suspended servers.  We model just enough of a packet for that analysis:
-destination IP, a source tag and a payload kind.
+The waking module's "lightweight packet analyzer" only needs an inbound
+request's destination IP (:meth:`~repro.waking.module.WakingModule.analyze_packet`);
+the one packet modelled as an object is the magic packet it emits.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class PacketKind(enum.Enum):
-    REQUEST = "request"       # client request to a VM service
-    HEARTBEAT = "heartbeat"   # waking-module mirroring traffic
-    WOL = "wake-on-lan"       # magic packet
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A unicast packet traversing the rack switch."""
-
-    dst_ip: str
-    src: str = "client"
-    kind: PacketKind = PacketKind.REQUEST
-    size_bytes: int = 512
-    #: Opaque payload (e.g. the Request object for service packets).
-    payload: object | None = None
 
 
 @dataclass(frozen=True)

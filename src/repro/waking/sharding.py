@@ -17,7 +17,6 @@ from ..cluster.host import Host
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .failover import ReplicatedWakingService
 from .module import WolSender
-from .packets import Packet
 
 
 class RackShardedWakingService:
@@ -53,16 +52,16 @@ class RackShardedWakingService:
     def on_host_awake(self, host: Host) -> None:
         self.shard_for_host(host).on_host_awake(host)
 
-    def analyze_packet(self, packet: Packet) -> bool:
-        """Route the packet to the rack shard that owns its destination.
+    def analyze_packet(self, dst_ip: str) -> bool:
+        """Route a request to the rack shard that owns its destination.
 
         Unknown destinations (VM never seen suspended) are broadcast to
         no one — exactly the single-module behaviour.
         """
-        rack = self._vm_rack.get(packet.dst_ip)
+        rack = self._vm_rack.get(dst_ip)
         if rack is None:
             return False
-        return self.shards[rack].analyze_packet(packet)
+        return self.shards[rack].analyze_packet(dst_ip)
 
     # ------------------------------------------------------------------
     def fail_rack_primary(self, rack: str) -> None:

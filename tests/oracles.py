@@ -63,7 +63,6 @@ from repro.core.model import (SCALE_DAY, SCALE_MONTH, SCALE_WEEK, SCALE_YEAR,
 from repro.core.params import DEFAULT_PARAMS, DrowsyParams
 from repro.core.result import RunResult
 from repro.core.weights import descend_weights
-from repro.network.requests import Request
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.sim.hourly import HourlySimulator
 
@@ -161,12 +160,14 @@ class PerHostEventSimulation(EventDrivenSimulation):
                                              vm.name)
 
     def _submit_request(self, vm_name: str) -> None:
+        # Drawn before the departure check: the production engine draws
+        # a service time for every generated arrival, a departed VM's
+        # included, so the shared stream stays aligned.
+        service_time_s = self.config.request_profile.sample_service_time(
+            self.rng)
         if vm_name in self._departed_vms:
             return  # VM churned away after this hour's traffic was drawn
-        profile = self.config.request_profile
-        self.switch.submit_request(Request(
-            arrival_s=self.sim.now, vm_name=vm_name,
-            service_time_s=profile.sample_service_time(self.rng)))
+        self.switch.submit_request(vm_name, self.sim.now, service_time_s)
 
 
 class ScalarHourlySimulator(HourlySimulator):

@@ -67,6 +67,68 @@ def _build(n_hosts=3, n_vms=9, hours=24, seed=11, oracle=None,
 # parity: batched sweep vs per-host event oracle
 # ----------------------------------------------------------------------
 
+class _CyclicTransport:
+    """A lossy WoL wire with a fixed verdict cycle: every engine making
+    the same sends in the same order gets the same verdicts."""
+
+    VERDICTS = (("ok", 0.0), ("drop", 0.0), ("delay", 0.5), ("drop", 0.0))
+
+    def __init__(self):
+        self.sent = 0
+
+    def __call__(self, packet):
+        self.sent += 1
+        return self.VERDICTS[self.sent % len(self.VERDICTS)]
+
+
+def _run_awkward(seed, hours, alias, lossy, ops, oracle):
+    """One run of the awkward-path parity case: the per-push oracle
+    (with the production sweeps, so the event counts match too) or the
+    production engine.  Returns the result, the switch and waking
+    observables and the engine."""
+    dc = build_fleet(n_hosts=3, n_vms=9, llmi_fraction=0.5, hours=24,
+                     seed=seed)
+    if alias:
+        for a, b in ((0, 1), (3, 4), (3, 7)):
+            dc.vms[b].ip_address = dc.vms[a].ip_address
+    engine = (PerHostEventSimulation(dc, DrowsyController(dc),
+                                     per_host_checks=False)
+              if oracle else EventDrivenSimulation(dc, DrowsyController(dc)))
+    if lossy:
+        engine.wol_channel.transport = _CyclicTransport()
+
+    def fire(kind, target):
+        hosts, vms = dc.hosts, dc.vms
+        if kind == "crash":
+            engine.crash_host(hosts[target % len(hosts)],
+                              recover_after_s=60.0 * (1 + target % 20))
+        elif kind == "kill":
+            engine.waking.fail_primary()
+            if target % 2:
+                engine.waking.mirror.fail()  # total outage
+        elif kind == "depart" and vms:
+            vm = vms[target % len(vms)]
+            dc.remove(vm, engine.sim.now)
+            engine.note_vm_departed(vm.name)
+            engine.rebind_fleet()
+        elif kind == "wol":
+            engine._on_wol(WoLPacket(hosts[target % len(hosts)].mac_address,
+                                     reason="test"), engine.sim.now)
+    for at, kind, target in ops:
+        engine.sim.schedule_at(at, fire, kind, target)
+    result = engine.run(hours)
+    switch, channel = engine.switch, engine.wol_channel
+    observed = (
+        {h.name: list(h.transitions) for h in dc.hosts},
+        switch.log.requests,
+        (switch.packets_forwarded, switch.queued_requests,
+         switch.requests_dropped, engine.sim.pending),
+        (engine.waking.unanswered_packets, channel.attempts,
+         channel.dropped, channel.delayed, channel.retries),
+    )
+    return result, observed, engine
+
+
 class TestSweepParity:
     def test_batched_matches_oracle(self):
         oracle, dc_o = _build(oracle={})
@@ -180,6 +242,63 @@ class TestSweepParity:
         r_b, t_b = run_one(True)
         assert_results_equal(r_o, r_b, skip=("events_processed",))
         assert t_o == t_b
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_awkward_request_paths_bit_identical(self, data):
+        """The arrival stream against one heap event per arrival, event
+        count included, where requests do not simply complete: hosts
+        crashing and recovering (arrivals to SUSPENDING, SUSPENDED and
+        CRASHED hosts), VMs sharing an IP (aliased WoLs), the waking
+        primary killed (unanswered analyses), a lossy WoL transport and
+        VMs departing mid-hour."""
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        hours = data.draw(st.integers(1, 3), label="hours")
+        alias = data.draw(st.booleans(), label="alias")
+        lossy = data.draw(st.booleans(), label="lossy")
+        ops = data.draw(st.lists(st.tuples(
+            st.floats(1.0, hours * 3600.0 - 1.0),
+            st.sampled_from(["crash", "kill", "depart", "wol"]),
+            st.integers(0, 63)), max_size=6), label="ops")
+        oracle = _run_awkward(seed, hours, alias, lossy, ops, oracle=True)
+        stream = _run_awkward(seed, hours, alias, lossy, ops, oracle=False)
+        assert_results_equal(oracle[0], stream[0])
+        assert oracle[1] == stream[1]
+
+    def test_awkward_request_paths_are_reached(self):
+        """One fixed case of the property above, checked to reach every
+        path it names."""
+        ops = [(1500.0, "crash", 0), (1600.0, "crash", 1),
+               (1700.0, "kill", 1), (2000.0, "depart", 4),
+               (5000.0, "wol", 2)]
+        oracle = _run_awkward(5, 2, True, True, ops, oracle=True)
+        result, observed, engine = _run_awkward(5, 2, True, True, ops,
+                                                oracle=False)
+        assert_results_equal(oracle[0], result)
+        assert oracle[1] == observed
+        assert engine.host_crashes == 2 and engine.recovered_requests > 0
+        assert engine.waking.unanswered_packets > 0
+        assert engine.wol_channel.dropped > 0
+        assert engine.wol_channel.delayed > 0
+        assert result.request_summary["wake_requests"] > 0
+
+
+class TestArrivalStream:
+    def test_hour_tick_leaves_no_arrival_in_the_heap(self):
+        """The hour's arrivals wait in the kernel's stream: at the end of
+        every hour tick the heap holds none of them."""
+        sim, _ = _build()
+        seen = []
+
+        def check(t, now):
+            heap = sim.sim._heap
+            seen.append((sum(1 for _, _, ev in heap
+                             if ev.callback == sim._submit_generated),
+                         sim.sim.pending - sim.sim._live))
+        sim.hour_hooks += (check,)
+        sim.run(4)
+        assert [in_heap for in_heap, _ in seen] == [0] * 4
+        assert all(in_stream > 0 for _, in_stream in seen)
 
 
 # ----------------------------------------------------------------------

@@ -103,46 +103,41 @@ def _busy_host_sim():
                                  config=EventConfig(seed=3))
 
 
-def _in_flight(engine) -> int:
-    """Completions still waiting in the heap."""
+def _in_flight(engine) -> list[Request]:
+    """Requests whose completion still waits in the heap."""
     finish = engine.switch._finish
-    return sum(1 for _, _, ev in engine.sim._heap
-               if not ev.cancelled and ev.callback == finish)
+    return [ev.args[0] for _, _, ev in engine.sim._heap
+            if not ev.cancelled and ev.callback == finish]
 
 
 def _conserved(engine) -> bool:
     switch = engine.switch
-    return (len(switch.log.requests) + switch.queued_requests
-            + switch.requests_dropped + _in_flight(engine)
+    return (len(switch.log) + switch.queued_requests
+            + switch.requests_dropped + len(_in_flight(engine))
             == switch.packets_forwarded)
 
 
 class TestInlineCompletions:
     def test_completion_inside_the_drain_is_recorded_at_its_instant(self):
         engine = _busy_host_sim()
-        request = Request(arrival_s=0.0, vm_name="v0", service_time_s=0.25)
-
-        def submit():
-            request.arrival_s = engine.sim.now
-            engine.switch.submit_request(request)
-        engine.sim.schedule_at(1000.0, submit)
+        engine.sim.schedule_at(1000.0, engine.switch.submit_request, "v0",
+                               1000.0, 0.25)
         engine.run(1)
-        assert request.completion_s == 1000.0 + 0.25
-        assert request in engine.switch.log.requests
+        assert Request(arrival_s=1000.0, vm_name="v0", service_time_s=0.25,
+                       completion_s=1000.0 + 0.25) in engine.switch.log.requests
         assert _conserved(engine)
 
     def test_request_straddling_the_horizon_is_in_flight_not_lost(self):
         engine = _busy_host_sim()
         arrival = 3600.0 - 0.01
-        request = Request(arrival_s=arrival, vm_name="v0",
-                          service_time_s=0.05)
-        engine.sim.schedule_at(arrival, engine.switch.submit_request,
-                               request)
+        engine.sim.schedule_at(arrival, engine.switch.submit_request, "v0",
+                               arrival, 0.05)
         engine.run(1)
+        [request] = [r for r in _in_flight(engine) if r.arrival_s == arrival]
+        assert (request.vm_name, request.service_time_s) == ("v0", 0.05)
         assert not request.completed
-        assert request not in engine.switch.log.requests
-        assert _in_flight(engine) >= 1
-        assert engine.sim.pending >= _in_flight(engine)
+        assert arrival not in engine.switch.log.arrivals
+        assert engine.sim.pending >= len(_in_flight(engine))
         assert _conserved(engine)
         # The next drain fires it at the very instant it was due.
         engine.run(1, start_hour=1)
@@ -154,9 +149,9 @@ class TestInlineCompletions:
         engine = _busy_host_sim()
         engine.run(1)
         before = engine.sim.events_processed
-        request = Request(arrival_s=engine.sim.now, vm_name="v0",
-                          service_time_s=0.0)
-        engine.switch.submit_request(request)
+        now = engine.sim.now
+        engine.switch.submit_request("v0", now, 0.0)
+        [request] = [r for r in _in_flight(engine) if r.arrival_s == now]
         assert not request.completed  # nothing is draining
         assert engine.sim.events_processed == before
         engine.sim.run_until(engine.sim.now)

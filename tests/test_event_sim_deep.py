@@ -14,7 +14,6 @@ from repro.cluster import (
 )
 from repro.consolidation import NeatController
 from repro.core.params import DEFAULT_PARAMS
-from repro.network.requests import Request
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.traces.base import ActivityTrace
 from repro.traces.synthetic import always_idle_trace
@@ -39,14 +38,10 @@ def single_host_sim(trace=None, timers=(), interactive=True, params=DEFAULT_PARA
 class TestWakePaths:
     def test_request_wol_resume_flush_sequence(self):
         sim, dc, host, vm = single_host_sim()
-        req = Request(arrival_s=0.0, vm_name="v0", service_time_s=0.05)
-
-        def submit():
-            req.arrival_s = sim.sim.now
-            sim.switch.submit_request(req)
-
-        sim.sim.schedule_at(120.0, submit)  # host asleep by then
+        sim.sim.schedule_at(120.0, sim.switch.submit_request, "v0", 120.0,
+                            0.05)  # host asleep by then
         sim.run(1)
+        [req] = sim.switch.log.requests
         assert req.completed
         assert req.woke_host
         # Latency = resume latency + service time (within scheduling noise).
@@ -69,9 +64,7 @@ class TestWakePaths:
 
         def burst():
             for i in range(5):
-                sim.switch.submit_request(Request(
-                    arrival_s=sim.sim.now, vm_name="v0",
-                    service_time_s=0.02))
+                sim.switch.submit_request("v0", sim.sim.now, 0.02)
 
         sim.sim.schedule_at(200.0, burst)
         sim.run(1)
@@ -82,8 +75,7 @@ class TestWakePaths:
         sim, dc, host, vm = single_host_sim()
 
         def submit():
-            sim.switch.submit_request(Request(
-                arrival_s=sim.sim.now, vm_name="v0", service_time_s=0.02))
+            sim.switch.submit_request("v0", sim.sim.now, 0.02)
 
         sim.sim.schedule_at(100.0, submit)
         result = sim.run(1)
@@ -170,8 +162,7 @@ class TestEventResultConsistency:
         sim, dc, host, vm = single_host_sim()
 
         def submit():
-            sim.switch.submit_request(Request(
-                arrival_s=sim.sim.now, vm_name="v0", service_time_s=0.02))
+            sim.switch.submit_request("v0", sim.sim.now, 0.02)
 
         sim.sim.schedule_at(100.0, submit)
         sim.run(2)

@@ -1,7 +1,9 @@
 """Tests for the discrete-event kernel."""
 
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.events import EventSimulator
 
@@ -103,11 +105,20 @@ class TestCancellation:
         assert sim.pending == 1
 
 
+def _stream(sim, times, sink):
+    """Feed ``times`` as one block whose entry ``i`` appends ``(t, i)``."""
+    sim.schedule_stream(list(times), lambda t, i: sink.append((t, i)),
+                        list(times), list(range(len(times))))
+
+
 class TestScheduleBatch:
+    """A whole block scheduled at once: the arrival stream
+    (:meth:`EventSimulator.schedule_stream`)."""
+
     def test_matches_n_individual_pushes(self):
-        """A batch is behaviourally identical to N schedule_at calls:
+        """A block is behaviourally identical to N schedule_at calls:
         same processing order (incl. FIFO ties) and same clock stops."""
-        times = [5.0, 1.0, 1.0, 3.0, 1.0, 9.0, 3.0]
+        times = [1.0, 1.0, 1.0, 3.0, 3.0, 5.0, 9.0]
 
         ref_sim, ref_order = EventSimulator(), []
         for i, t in enumerate(times):
@@ -115,59 +126,61 @@ class TestScheduleBatch:
         ref_sim.run()
 
         sim, order = EventSimulator(), []
-        sim.schedule_batch((t, order.append, ((t, i),))
-                           for i, t in enumerate(times))
+        _stream(sim, times, order)
+        assert not sim._heap  # the block stays off the heap
         sim.run()
         assert order == ref_order
         assert sim.events_processed == ref_sim.events_processed
+        assert sim.now == ref_sim.now
 
     def test_interleaves_with_scheduled_events_by_seq(self):
-        """Batch entries get sequence numbers in entry order, after any
+        """Block entries get sequence numbers in entry order, after any
         previously scheduled events — ties at the same timestamp break
         exactly like individual pushes would."""
-        sim, order = EventSimulator(), []
-        sim.schedule_at(2.0, order.append, "pre")
-        sim.schedule_batch([(2.0, order.append, ("b0",)),
-                            (2.0, order.append, ("b1",))])
-        sim.schedule_at(2.0, order.append, "post")
-        sim.run()
-        assert order == ["pre", "b0", "b1", "post"]
+        for drain in (EventSimulator.run, lambda s: s.run_until(2.0)):
+            sim, order = EventSimulator(), []
+            sim.schedule_at(2.0, order.append, "pre")
+            sim.schedule_stream([2.0, 2.0], lambda k, v: order.append(k),
+                                ["b0", "b1"], [None, None])
+            sim.schedule_at(2.0, order.append, "post")
+            drain(sim)
+            assert order == ["pre", "b0", "b1", "post"]
 
     def test_cancellation_and_live_counter_lockstep(self):
-        sim = EventSimulator()
-        fired = []
-        events = sim.schedule_batch([(1.0, fired.append, (0,)),
-                                     (2.0, fired.append, (1,)),
-                                     (3.0, fired.append, (2,))])
+        """``pending`` counts the unconsumed entries beside the live heap
+        events, in lockstep with cancellation and consumption."""
+        sim, fired = EventSimulator(), []
+        _stream(sim, [1.0, 2.0, 3.0], fired)
+        ev = sim.schedule_at(1.5, fired.append, "x")
+        assert sim.pending == 4
+        ev.cancel()
+        ev.cancel()  # double-cancel counts once
         assert sim.pending == 3
-        events[1].cancel()
-        assert sim.pending == 2
-        events[1].cancel()  # double-cancel counts once
-        assert sim.pending == 2
+        sim.run_until(2.0)
+        assert fired == [(1.0, 0), (2.0, 1)]
+        assert sim.pending == 1
         sim.run()
-        assert fired == [0, 2]
         assert sim.pending == 0
-        events[0].cancel()  # cancel after execution: no corruption
-        assert sim.pending == 0
+        assert sim.events_processed == 3
 
     def test_rejects_past_times(self):
         sim = EventSimulator(start_time=10.0)
         with pytest.raises(ValueError):
-            sim.schedule_batch([(11.0, lambda: None, ()),
-                                (5.0, lambda: None, ())])
+            _stream(sim, [5.0, 11.0], [])
+        assert sim.pending == 0
 
     def test_empty_batch(self):
         sim = EventSimulator()
-        assert sim.schedule_batch([]) == []
+        _stream(sim, [], [])
         assert sim.pending == 0
+        assert sim.peek_time() is None
 
-    def test_unsorted_batch_still_runs_in_time_order(self):
-        sim, order = EventSimulator(), []
-        sim.schedule_batch([(9.0, order.append, (9,)),
-                            (1.0, order.append, (1,)),
-                            (5.0, order.append, (5,))])
-        sim.run()
-        assert order == [1, 5, 9]
+    def test_unsorted_batch_is_refused(self):
+        """The cursor needs a sorted block; the engine sorts once."""
+        sim = EventSimulator()
+        with pytest.raises(ValueError):
+            _stream(sim, [9.0, 1.0, 5.0], [])
+        assert sim.pending == 0
 
     def test_count_coalesced(self):
         sim = EventSimulator()
@@ -176,6 +189,127 @@ class TestScheduleBatch:
         assert sim.events_processed == 5
         with pytest.raises(ValueError):
             sim.count_coalesced(-1)
+
+
+class _Script:
+    """Records every callback; entry ``key`` of ``plan`` schedules one
+    follow-up per listed delay.  Picklable, so a run can be pickled and
+    resumed mid-block."""
+
+    def __init__(self, sim, plan):
+        self.sim, self.plan, self.log = sim, plan, []
+
+    def fire(self, key, value):
+        self.log.append((self.sim.now, key, value))
+        for delay in self.plan.get(key, ()):
+            self.sim.schedule_in(delay, self.fire, f"{key}>", delay)
+
+
+_GRID = st.sampled_from([0.5 * k for k in range(13)])
+
+
+class TestArrivalStream:
+    """The cursor merged with the heap against a plain-heap reference
+    that pushes every stream entry with :meth:`schedule_at`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.lists(_GRID, max_size=12),
+           second=st.lists(_GRID, max_size=6),
+           pre=st.lists(_GRID, max_size=6),
+           post=st.lists(_GRID, max_size=6),
+           delays=st.dictionaries(
+               st.integers(0, 17),
+               st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+                        max_size=2)),
+           cuts=st.lists(st.tuples(_GRID, st.booleans()), max_size=4))
+    def test_matches_plain_heap_reference(self, first, second, pre, post,
+                                          delays, cuts):
+        """Heap events at exactly the stream's times, before and after
+        the block; callbacks scheduling before, at and after the next
+        entry; ``run_until`` bounds that cut the block; a pickle round
+        trip mid-block; and a second block fed while the first is
+        unconsumed."""
+        first.sort()
+        plan = {f"s{i}": d for i, d in delays.items()}
+
+        def build(use_stream):
+            sim = EventSimulator()
+            script = _Script(sim, plan)
+            for i, t in enumerate(pre):
+                sim.schedule_at(t, script.fire, f"pre{i}", t)
+            keys = [f"s{i}" for i in range(len(first))]
+            if use_stream:
+                sim.schedule_stream(first, script.fire, keys, first)
+            else:
+                for t, k in zip(first, keys):
+                    sim.schedule_at(t, script.fire, k, t)
+            for i, t in enumerate(post):
+                sim.schedule_at(t, script.fire, f"post{i}", t)
+            return sim, script
+
+        def feed_second(sim, script, use_stream):
+            times = sorted(sim.now + t for t in second)
+            keys = [f"s{len(first) + i}" for i in range(len(times))]
+            if use_stream:
+                sim.schedule_stream(times, script.fire, keys, times)
+            else:
+                for t, k in zip(times, keys):
+                    sim.schedule_at(t, script.fire, k, t)
+
+        def play(use_stream):
+            sim, script = build(use_stream)
+            seen = []
+            for n, (bound, round_trip) in enumerate(sorted(cuts)):
+                sim.run_until(bound)
+                seen.append((sim.now, sim.pending, sim.events_processed))
+                if round_trip and use_stream:
+                    sim, script = pickle.loads(pickle.dumps((sim, script)))
+                if n == 0:
+                    feed_second(sim, script, use_stream)
+            if not cuts:
+                feed_second(sim, script, use_stream)
+            sim.run()
+            seen.append((sim.now, sim.pending, sim.events_processed))
+            return script.log, seen
+
+        assert play(True) == play(False)
+
+    def test_block_fed_while_one_is_unconsumed_moves_the_rest_to_the_heap(
+            self):
+        sim, order = EventSimulator(), []
+        _stream(sim, [1.0, 4.0, 6.0], order)
+        sim.run_until(2.0)
+        sim.schedule_stream([4.0, 5.0], lambda t, i: order.append(("b", t)),
+                            [4.0, 5.0], [0, 1])
+        assert len(sim._heap) == 2  # the first block's unconsumed rest
+        assert sim.pending == 4
+        sim.run()
+        assert order == [(1.0, 0), (4.0, 1), ("b", 4.0), ("b", 5.0),
+                         (6.0, 2)]
+
+    def test_callback_may_feed_the_next_block(self):
+        sim, order = EventSimulator(), []
+
+        def arrive(t, i):
+            order.append(t)
+            if i == 0:
+                sim.schedule_stream([t, t + 1.0], arrive, [t, t + 1.0],
+                                    [1, 1])
+        sim.schedule_stream([1.0, 3.0], arrive, [1.0, 3.0], [0, 2])
+        sim.run_until(10.0)
+        assert order == [1.0, 1.0, 2.0, 3.0]
+        assert sim.events_processed == 4
+
+    def test_pickles_mid_block(self):
+        sim = EventSimulator()
+        script = _Script(sim, {})
+        sim.schedule_stream([1.0, 2.0, 3.0], script.fire, ["a", "b", "c"],
+                            [0, 1, 2])
+        sim.run_until(1.5)
+        sim, script = pickle.loads(pickle.dumps((sim, script)))
+        assert sim.pending == 2
+        sim.run()
+        assert [k for _, k, _ in script.log] == ["a", "b", "c"]
 
 
 class TestRunUntil:

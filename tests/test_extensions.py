@@ -28,7 +28,7 @@ from repro.suspend import (
     SuspendingModule,
 )
 from repro.traces.synthetic import always_idle_trace
-from repro.waking import Packet, RackShardedWakingService
+from repro.waking import RackShardedWakingService
 
 
 class TestAdaptiveModel:
@@ -297,13 +297,13 @@ class TestRackSharding:
         sim, service, hosts, wols = self.make_service()
         service.register_suspension(hosts[3], None)
         vm_ip = hosts[3].vms[0].ip_address
-        assert service.analyze_packet(Packet(dst_ip=vm_ip))
+        assert service.analyze_packet(vm_ip)
         assert len(wols) == 1
         assert wols[0].mac_address == hosts[3].mac_address
 
     def test_unknown_destination(self):
         sim, service, hosts, wols = self.make_service()
-        assert not service.analyze_packet(Packet(dst_ip="1.2.3.4"))
+        assert not service.analyze_packet("1.2.3.4")
 
     def test_shard_failover_isolated(self):
         sim, service, hosts, wols = self.make_service()

@@ -185,12 +185,9 @@ class TestEventSimRaces:
                                     config=EventConfig(seed=1))
         # Let the suspend begin (first check at ~5 s), then fire a
         # request exactly inside the SUSPENDING window.
-        from repro.network.requests import Request
-
         def fire_request():
             assert host.state is PowerState.SUSPENDING
-            sim.switch.submit_request(Request(
-                arrival_s=sim.sim.now, vm_name="v", service_time_s=0.01))
+            sim.switch.submit_request("v", sim.sim.now, 0.01)
 
         sim.sim.schedule_at(DEFAULT_PARAMS.suspend_check_period_s + 1.0,
                             fire_request)

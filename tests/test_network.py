@@ -59,7 +59,7 @@ class TestRequestLog:
         log = RequestLog()
         for lat in (0.05, 0.1, 0.15, 0.9):
             log.record(self.make_request(lat))
-        assert log.sla_fraction(0.2) == pytest.approx(0.75)
+        assert log.summary(0.2)["sla_fraction"] == pytest.approx(0.75)
 
     def test_incomplete_request_rejected(self):
         log = RequestLog()
@@ -71,13 +71,14 @@ class TestRequestLog:
         log.record(self.make_request(0.9, woke=True))
         log.record(self.make_request(0.1))
         assert len(log.wake_requests) == 1
-        assert log.max_wake_latency() == pytest.approx(0.9)
+        assert log.summary()["max_wake_latency_s"] == pytest.approx(0.9)
 
     def test_empty_log_nan(self):
         log = RequestLog()
-        assert np.isnan(log.sla_fraction())
-        assert np.isnan(log.percentile(99))
-        assert log.max_wake_latency() == 0.0
+        s = log.summary()
+        assert np.isnan(s["sla_fraction"])
+        assert np.isnan(s["p99_s"])
+        assert s["max_wake_latency_s"] == 0.0
 
     def test_summary_keys(self):
         log = RequestLog()
@@ -101,14 +102,13 @@ class TestSDNSwitch:
         return sim, dc, switch, module, host, vm, wols
 
     def submit(self, sim, switch, vm, at=0.0, service=0.05):
-        req = Request(arrival_s=at, vm_name=vm.name, service_time_s=service)
-        sim.schedule_at(at, switch.submit_request, req)
-        return req
+        sim.schedule_at(at, switch.submit_request, vm.name, at, service)
 
     def test_request_to_on_host_completes(self):
         sim, dc, switch, module, host, vm, wols = self.make_stack()
-        req = self.submit(sim, switch, vm, at=1.0, service=0.05)
+        self.submit(sim, switch, vm, at=1.0, service=0.05)
         sim.run()
+        [req] = switch.log.requests
         assert req.completed
         assert req.latency_s == pytest.approx(0.05)
         assert not req.woke_host
@@ -118,7 +118,7 @@ class TestSDNSwitch:
         host.begin_suspend(0.0)
         host.finish_suspend(0.5)
         module.register_suspension(host, None)
-        req = self.submit(sim, switch, vm, at=10.0, service=0.05)
+        self.submit(sim, switch, vm, at=10.0, service=0.05)
         sim.run_until(10.1)
         assert switch.queued_requests == 1
         assert len(wols) == 1  # analyzer sent the WoL
@@ -127,6 +127,7 @@ class TestSDNSwitch:
         host.finish_resume(10.8, 0.0)
         sim.schedule_at(10.8, switch.on_host_available, host)
         sim.run()
+        [req] = switch.log.requests
         assert req.completed
         assert req.woke_host
         assert req.latency_s == pytest.approx(0.85)
@@ -145,9 +146,8 @@ class TestSDNSwitch:
 
     def test_unknown_vm_rejected(self):
         sim, dc, switch, module, host, vm, wols = self.make_stack()
-        req = Request(arrival_s=0.0, vm_name="ghost", service_time_s=0.1)
         with pytest.raises(KeyError):
-            switch.submit_request(req)
+            switch.submit_request("ghost", 0.0, 0.1)
 
 
 class TestBatchedRedispatch:
@@ -176,9 +176,8 @@ class TestBatchedRedispatch:
         host.begin_suspend(0.0)
         host.finish_suspend(0.5)
         for i, vm in enumerate(vms):
-            req = Request(arrival_s=1.0 + i, vm_name=vm.name,
-                          service_time_s=0.05)
-            sim.schedule_at(req.arrival_s, switch.submit_request, req)
+            sim.schedule_at(1.0 + i, switch.submit_request, vm.name,
+                            1.0 + i, 0.05)
         sim.run_until(4.0)
         assert switch.queued_requests == len(vms)
         wols.clear()
@@ -192,8 +191,7 @@ class TestBatchedRedispatch:
         host.begin_suspend(0.0)
         host.finish_suspend(0.5)
         for vm in vms:
-            req = Request(arrival_s=1.0, vm_name=vm.name, service_time_s=0.05)
-            sim.schedule_at(1.0, switch.submit_request, req)
+            sim.schedule_at(1.0, switch.submit_request, vm.name, 1.0, 0.05)
         sim.run_until(2.0)
         host.begin_resume(2.0)
         host.finish_resume(2.8, 0.0)
@@ -207,8 +205,7 @@ class TestBatchedRedispatch:
         host.begin_suspend(0.0)
         host.finish_suspend(0.5)
         for vm in vms:
-            req = Request(arrival_s=1.0, vm_name=vm.name, service_time_s=0.05)
-            sim.schedule_at(1.0, switch.submit_request, req)
+            sim.schedule_at(1.0, switch.submit_request, vm.name, 1.0, 0.05)
         sim.run_until(2.0)
         switch.drop_vm(vms[0].name)
         assert switch.queued_requests == 1

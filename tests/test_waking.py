@@ -6,8 +6,6 @@ from repro.cluster import EventSimulator, Host, TESTBED_VM, VM
 from repro.core.params import DEFAULT_PARAMS
 from repro.traces.synthetic import always_idle_trace
 from repro.waking import (
-    Packet,
-    PacketKind,
     ReplicatedWakingService,
     WakingModule,
     WoLPacket,
@@ -43,7 +41,7 @@ class TestPacketAnalysis:
     def test_request_to_suspended_host_triggers_wol(self, setup):
         sim, spy, module, host, vm = setup
         module.register_suspension(host, waking_date_s=None)
-        woke = module.analyze_packet(Packet(dst_ip=vm.ip_address))
+        woke = module.analyze_packet(vm.ip_address)
         assert woke
         assert spy.sent[0][0].mac_address == host.mac_address
         assert module.wol_sent == 1
@@ -51,25 +49,19 @@ class TestPacketAnalysis:
     def test_unknown_destination_ignored(self, setup):
         sim, spy, module, host, vm = setup
         module.register_suspension(host, None)
-        assert not module.analyze_packet(Packet(dst_ip="10.99.99.99"))
+        assert not module.analyze_packet("10.99.99.99")
         assert spy.sent == []
-
-    def test_non_request_packets_ignored(self, setup):
-        sim, spy, module, host, vm = setup
-        module.register_suspension(host, None)
-        assert not module.analyze_packet(
-            Packet(dst_ip=vm.ip_address, kind=PacketKind.HEARTBEAT))
 
     def test_mapping_removed_on_awake(self, setup):
         sim, spy, module, host, vm = setup
         module.register_suspension(host, None)
         module.on_host_awake(host)
-        assert not module.analyze_packet(Packet(dst_ip=vm.ip_address))
+        assert not module.analyze_packet(vm.ip_address)
 
     def test_packets_analyzed_counter(self, setup):
         sim, spy, module, host, vm = setup
-        module.analyze_packet(Packet(dst_ip="10.0.0.1"))
-        module.analyze_packet(Packet(dst_ip="10.0.0.2"))
+        module.analyze_packet("10.0.0.1")
+        module.analyze_packet("10.0.0.2")
         assert module.packets_analyzed == 2
 
 
@@ -156,7 +148,7 @@ class TestFailover:
         service.register_suspension(host, waking_date_s=None)
         service.fail_primary()
         sim.run_until(service.detection_delay_s + 2.0)
-        assert service.analyze_packet(Packet(dst_ip=vm.ip_address))
+        assert service.analyze_packet(vm.ip_address)
 
     def test_healthy_primary_keeps_running(self):
         sim, spy, service, host, vm = self.make_service()
@@ -168,7 +160,7 @@ class TestFailover:
         sim, spy, service, host, vm = self.make_service()
         service.fail_primary()
         with pytest.raises(RuntimeError):
-            service.primary.analyze_packet(Packet(dst_ip=vm.ip_address))
+            service.primary.analyze_packet(vm.ip_address)
 
 
 class TestFailoverWindow:
@@ -224,7 +216,7 @@ class TestFailoverWindow:
         sim, spy, service, host, vm = self.make_service()
         service.register_suspension(host, waking_date_s=None)
         service.fail_primary()
-        assert service.analyze_packet(Packet(dst_ip=vm.ip_address)) is False
+        assert service.analyze_packet(vm.ip_address) is False
         assert service.unanswered_packets == 1
         assert spy.sent == []
 
@@ -243,7 +235,7 @@ class TestFailoverWindow:
         service.register_suspension(host, waking_date_s=1000.0)
         service.on_host_awake(host)
         assert service.lost_calls == 2
-        assert service.analyze_packet(Packet(dst_ip=vm.ip_address)) is False
+        assert service.analyze_packet(vm.ip_address) is False
         sim.run_until(2000.0)
         assert spy.sent == []
 
