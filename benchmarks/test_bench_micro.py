@@ -2,8 +2,8 @@
 
 These keep the per-operation costs honest: the idleness model is O(1)
 per VM-hour, the fleet update is vectorized, the event kernel processes
-hundreds of thousands of events per second, the red-black tree stays
-logarithmic.
+hundreds of thousands of events per second, the hrtimer registry
+registers and cancels by bisection.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from repro.cluster.events import EventSimulator
 from repro.core.fleet import FleetIdlenessModel
 from repro.core.model import IdlenessModel
 from repro.core.weights import project_to_simplex
-from repro.suspend.rbtree import RedBlackTree
+from repro.suspend.timers import TimerEntry, TimerRegistry
 
 
 def test_scalar_model_hourly_update(benchmark):
@@ -84,18 +84,21 @@ def test_event_kernel_throughput(benchmark):
         assert benchmark.stats["mean"] < 0.1
 
 
-def test_rbtree_insert_pop(benchmark):
+def test_timer_registry_register_cancel(benchmark):
     rng = np.random.default_rng(1)
-    keys = rng.uniform(0, 1e6, 1000)
+    entries = [TimerEntry(float(k), f"p{i}", "t")
+               for i, k in enumerate(rng.uniform(0, 1e6, 1000))]
+    earliest_first = sorted(entries, key=lambda e: e.fire_time_s)
 
     def churn():
-        tree = RedBlackTree()
-        for k in keys:
-            tree.insert(float(k), None)
-        while tree:
-            tree.pop_min()
+        registry = TimerRegistry()
+        for entry in entries:
+            registry.register(entry)
+        for entry in earliest_first:
+            registry.cancel(entry.process_name, entry.timer_name)
+        return len(registry)
 
-    benchmark(churn)
+    assert benchmark(churn) == 0
 
 
 def test_simplex_projection_batched(benchmark):

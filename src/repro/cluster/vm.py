@@ -10,6 +10,7 @@ the false-positive analysis of section IV.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from ..core.calendar import slot_of_hour
@@ -29,8 +30,8 @@ def _default_ip(name: str) -> str:
 class ServiceTimer:
     """A periodic in-guest timer (e.g. the 2 am backup cron job).
 
-    The suspending module reads these out of the (simulated) kernel
-    hrtimer tree to compute the waking date (section V-B).
+    The suspending module reads their next fire times to compute the
+    waking date (section V-B).  ``period_s`` must be finite and > 0.
     """
 
     name: str
@@ -39,6 +40,14 @@ class ServiceTimer:
     #: Timers of blacklisted processes are filtered out when computing
     #: the waking date (watchdogs, monitoring agents).
     process_name: str = "service"
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ValueError(f"timer {self.name!r}: period_s must be finite "
+                             f"and > 0, got {self.period_s!r}")
+        if not math.isfinite(self.first_fire_s):
+            raise ValueError(f"timer {self.name!r}: first_fire_s must be "
+                             f"finite, got {self.first_fire_s!r}")
 
     def next_fire(self, now: float) -> float:
         """Earliest fire time strictly after ``now``."""
@@ -68,6 +77,9 @@ class VM:
         # sweep workers must derive identical addresses for the same VM.
         self.ip_address = ip_address or _default_ip(name)
         self.params = params
+        if len({(t.process_name, t.name) for t in timers}) != len(timers):
+            raise ValueError(f"VM {name!r}: two timers share a "
+                             "(process_name, name)")
         self.timers = timers
         #: Interactive services receive network requests; their activity
         #: is externally triggered so a suspended host adds wake latency.

@@ -11,8 +11,8 @@ survive and are reproduced here:
 2. **overhead** — wall-clock cost of one idleness evaluation and of one
    waking-date computation;
 3. **scalability** — evaluation cost as the number of processes/timers
-   on the host grows (the module walks the process table and the hrtimer
-   tree, both linear scans over logarithmic structures).
+   on the host grows (the module scans the process table and walks the
+   expiry-ordered hrtimers to the first valid one).
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def evaluation_overhead_us(params: DrowsyParams = DEFAULT_PARAMS,
 
 def waking_date_scalability(sizes: tuple[int, ...] = (100, 1000, 10000),
                             seed: int = 5) -> dict[int, float]:
-    """Cost of earliest-valid-timer over growing hrtimer trees."""
+    """Cost of earliest-valid-timer over growing hrtimer registries."""
     rng = np.random.default_rng(seed)
     out = {}
     for n in sizes:

@@ -17,8 +17,7 @@ from .process import (
     is_host_idle,
     vm_process_name,
 )
-from .rbtree import RedBlackTree
-from .timers import TimerEntry, TimerRegistry, build_host_registry, compute_waking_date
+from .timers import TimerEntry, TimerRegistry, compute_waking_date
 
 __all__ = [
     "CombinedHeuristic",
@@ -28,13 +27,11 @@ __all__ = [
     "ProcState",
     "ResourceFractionHeuristic",
     "Process",
-    "RedBlackTree",
     "SuspendDecision",
     "SuspendVerdict",
     "SuspendingModule",
     "TimerEntry",
     "TimerRegistry",
-    "build_host_registry",
     "classify_hosts",
     "compute_waking_date",
     "grace_from_raw_ip",

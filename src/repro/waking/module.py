@@ -33,29 +33,21 @@ WolSender = Callable[[WoLPacket, float], None]
 
 @dataclass
 class WakingModuleState:
-    """The replicable state of a waking module (mirrored on each update)."""
+    """The replicable state of a waking module (mirrored on each update).
+
+    A state starts empty and changes only through its update methods,
+    which keep the reverse index in step with ``vm_to_mac``.
+    """
 
     #: VM IP -> MAC of the suspended host running it.
-    vm_to_mac: dict[str, str] = field(default_factory=dict)
+    vm_to_mac: dict[str, str] = field(default_factory=dict, init=False)
     #: MAC -> registered waking date (absolute seconds), None = none.
-    waking_dates: dict[str, float | None] = field(default_factory=dict)
+    waking_dates: dict[str, float | None] = field(default_factory=dict, init=False)
     #: Reverse index of ``vm_to_mac`` (MAC -> its registered VM IPs, an
     #: ordered set as dict keys), kept in sync by every map update so a
     #: resume drops the host's stale entries in O(its VMs) instead of
-    #: scanning the whole map.  Derived state: rebuilt from ``vm_to_mac``
-    #: whenever a state arrives without it (hand-built fixtures).
-    ips_of_mac: dict[str, dict[str, None]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.vm_to_mac and not self.ips_of_mac:
-            self.rebuild_index()
-
-    def rebuild_index(self) -> None:
-        """Recompute the reverse index from the authoritative map."""
-        index: dict[str, dict[str, None]] = {}
-        for ip, mac in self.vm_to_mac.items():
-            index.setdefault(mac, {})[ip] = None
-        self.ips_of_mac = index
+    #: scanning the whole map.
+    ips_of_mac: dict[str, dict[str, None]] = field(default_factory=dict, init=False)
 
     def map_vm(self, ip: str, mac: str) -> None:
         """Point ``ip`` at ``mac``, unhooking any previous mapping."""
@@ -89,9 +81,11 @@ class WakingModuleState:
                 del self.ips_of_mac[mac]
 
     def copy(self) -> "WakingModuleState":
-        return WakingModuleState(
-            dict(self.vm_to_mac), dict(self.waking_dates),
-            {mac: dict(ips) for mac, ips in self.ips_of_mac.items()})
+        clone = WakingModuleState()
+        clone.vm_to_mac = dict(self.vm_to_mac)
+        clone.waking_dates = dict(self.waking_dates)
+        clone.ips_of_mac = {mac: dict(ips) for mac, ips in self.ips_of_mac.items()}
+        return clone
 
 
 class WakingModule:
@@ -115,12 +109,8 @@ class WakingModule:
     # ------------------------------------------------------------------
     def register_suspension(self, host: Host, waking_date_s: float | None) -> None:
         """A host is going drowsy: refresh maps, arm the scheduled wake."""
-        if not self.alive:
-            raise RuntimeError(f"waking module {self.name} is down")
+        self.journal_suspension(host, waking_date_s)
         mac = host.mac_address
-        for vm in host.vms:
-            self.state.map_vm(vm.ip_address, mac)
-        self.state.waking_dates[mac] = waking_date_s
         self._cancel_scheduled(mac)
         if waking_date_s is not None:
             # Send the WoL ahead of time by the resume latency (plus a
@@ -138,10 +128,8 @@ class WakingModule:
         O(VMs of the host) via the reverse index — this runs on every
         resume, where the old full-map scan was O(all drowsy VMs).
         """
-        mac = host.mac_address
-        self._cancel_scheduled(mac)
-        self.state.waking_dates.pop(mac, None)
-        self.state.drop_mac(mac)
+        self.journal_awake(host)
+        self._cancel_scheduled(host.mac_address)
 
     def _cancel_scheduled(self, mac: str) -> None:
         ev = self._scheduled.pop(mac, None)
@@ -190,8 +178,9 @@ class WakingModule:
     # mirroring hooks (fault tolerance, section V)
     # ------------------------------------------------------------------
     def journal_suspension(self, host: Host, waking_date_s: float | None) -> None:
-        """Standby-side state update off the replication channel.
+        """The map update of :meth:`register_suspension`, alone.
 
+        It is also the standby-side update off the replication channel.
         While the active module is dead but undetected (the heartbeat
         window), suspending-module updates still reach the standby; it
         records them *state-only* — no timers armed, no WoL emitted —
@@ -206,7 +195,8 @@ class WakingModule:
         self.state.waking_dates[mac] = waking_date_s
 
     def journal_awake(self, host: Host) -> None:
-        """Standby-side counterpart of :meth:`on_host_awake`."""
+        """The map update of :meth:`on_host_awake`, alone (also the
+        standby-side update off the replication channel)."""
         if not self.alive:
             raise RuntimeError(f"waking module {self.name} is down")
         mac = host.mac_address

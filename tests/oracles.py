@@ -32,6 +32,10 @@ as test-only subclasses the parity suites compare against:
 * :class:`PerHostEventBackend` — a façade backend adapter building the
   event oracle, for runs that need the façade's wiring (faults,
   observers): ``Simulation(dc, "drowsy", PerHostEventBackend())``.
+* :func:`build_host_registry` — a host's hrtimer tree as the kernel
+  holds it at a suspend (paper §V-B), one :class:`TimerEntry` per daemon
+  tick and VM service timer; its ``earliest_valid`` is the reference for
+  :func:`~repro.suspend.timers.compute_waking_date`'s direct minimum.
 * :class:`EventParityCell` / :func:`run_event_parity_cell` — one
   acceptance run (oracle or production), picklable for
   :class:`~repro.sim.sweep.SweepRunner` workers.
@@ -65,6 +69,8 @@ from repro.core.result import RunResult
 from repro.core.weights import descend_weights
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.sim.hourly import HourlySimulator
+from repro.suspend.process import DEFAULT_BLACKLIST
+from repro.suspend.timers import DAEMON_PERIOD_S, TimerEntry, TimerRegistry
 
 BINDINGS = ("fleet", "scalar", "no-accounting")
 
@@ -92,6 +98,29 @@ def assert_matches_oracle(fast, oracle):
     shrinks."""
     assert_results_equal(fast, oracle, skip=("events_processed",))
     assert fast.events_processed < oracle.events_processed
+
+
+def build_host_registry(host, now, daemon_period_s=DAEMON_PERIOD_S):
+    """Snapshot the hrtimer tree of a host at time ``now``.
+
+    Each VM contributes the next expiry of each of its service timers,
+    keyed ``f"{vm}:{timer}"``; host daemons contribute their own
+    periodic timers (which the blacklist must filter out — they are the
+    "false positives" of section V-B).
+    """
+    registry = TimerRegistry()
+    for daemon in sorted(DEFAULT_BLACKLIST):
+        registry.register(TimerEntry(
+            fire_time_s=now + daemon_period_s,
+            process_name=daemon, timer_name=f"{daemon}-tick"))
+    for vm in host.vms:
+        for timer in vm.timers:
+            registry.register(TimerEntry(
+                fire_time_s=timer.next_fire(now),
+                process_name=timer.process_name,
+                timer_name=f"{vm.name}:{timer.name}",
+                vm_name=vm.name))
+    return registry
 
 
 class PerHostEventSimulation(EventDrivenSimulation):

@@ -314,3 +314,36 @@ class TestServiceTimer:
         assert t.next_fire(50.0) == 150.0
         assert t.next_fire(149.0) == 150.0
         assert t.next_fire(151.0) == 250.0
+
+    @pytest.mark.parametrize("period_s", [0.0, float("nan"), -3600.0, float("inf")])
+    def test_rejects_bad_period(self, period_s):
+        """Each of these failed only later, in the event sweep: 0 by
+        ZeroDivisionError, NaN by ValueError, and -3600 by a next fire
+        in the past."""
+        from repro.cluster.vm import ServiceTimer
+
+        with pytest.raises(ValueError, match="period_s"):
+            ServiceTimer("t", period_s=period_s, first_fire_s=0.0)
+
+    def test_rejects_non_finite_first_fire(self):
+        from repro.cluster.vm import ServiceTimer
+
+        with pytest.raises(ValueError, match="first_fire_s"):
+            ServiceTimer("t", period_s=60.0, first_fire_s=float("nan"))
+
+    def test_vm_rejects_duplicate_timer(self):
+        """Two timers with one (process_name, name) would be one hrtimer."""
+        from repro.cluster.vm import ServiceTimer
+
+        a = ServiceTimer("t", period_s=60.0)
+        b = ServiceTimer("t", period_s=90.0)
+        with pytest.raises(ValueError, match="process_name, name"):
+            VM("v", always_idle_trace(24), TESTBED_VM, timers=(a, b))
+
+    def test_vm_accepts_same_name_other_process(self):
+        from repro.cluster.vm import ServiceTimer
+
+        a = ServiceTimer("t", period_s=60.0)
+        b = ServiceTimer("t", period_s=90.0, process_name="cron")
+        vm = VM("v", always_idle_trace(24), TESTBED_VM, timers=(a, b))
+        assert vm.timers == (a, b)

@@ -1,114 +1,93 @@
-"""Tests for the red-black tree (kernel hrtimer structure)."""
+"""Tests for the ordered timer queue (the kernel's hrtimer red-black tree).
+
+The kernel keeps pending hrtimers in a red-black tree ordered by expiry.
+:class:`TimerRegistry` plays that role here on a sorted list; these
+tests hold it to the tree's contract: entries come out in expiry order
+and a timer can be removed by its handle, here its
+``(process_name, timer_name)`` key.
+"""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.suspend.rbtree import RedBlackTree
+from repro.suspend import TimerEntry, TimerRegistry
+
+NO_BLACKLIST = frozenset()
+
+
+def fire_times(reg):
+    return [e.fire_time_s for e in reg.entries()]
 
 
 class TestBasics:
     def test_empty(self):
-        t = RedBlackTree()
-        assert len(t) == 0
-        assert not t
-        with pytest.raises(KeyError):
-            t.min_item()
-        with pytest.raises(KeyError):
-            t.pop_min()
+        reg = TimerRegistry()
+        assert len(reg) == 0
+        assert not reg
+        assert reg.entries() == []
+        assert reg.earliest_valid(NO_BLACKLIST) is None
+        assert not reg.cancel("svc", "t")
 
     def test_insert_and_min(self):
-        t = RedBlackTree()
-        t.insert(5.0, "five")
-        t.insert(3.0, "three")
-        t.insert(7.0, "seven")
-        assert len(t) == 3
-        assert t.min_item() == (3.0, "three")
-
-    def test_duplicate_keys_allowed(self):
-        t = RedBlackTree()
-        t.insert(1.0, "a")
-        t.insert(1.0, "b")
-        assert len(t) == 2
-        keys = [k for k, _ in t.items()]
-        assert keys == [1.0, 1.0]
-
-    def test_pop_min_drains_sorted(self):
-        t = RedBlackTree()
-        for k in (9, 1, 5, 3, 7):
-            t.insert(float(k), k)
-        drained = [t.pop_min()[0] for _ in range(5)]
-        assert drained == [1.0, 3.0, 5.0, 7.0, 9.0]
-        assert len(t) == 0
+        reg = TimerRegistry()
+        reg.register(TimerEntry(5.0, "svc", "five"))
+        reg.register(TimerEntry(3.0, "svc", "three"))
+        reg.register(TimerEntry(7.0, "svc", "seven"))
+        assert len(reg) == 3
+        assert reg.earliest_valid(NO_BLACKLIST) == TimerEntry(3.0, "svc", "three")
 
     def test_remove_by_handle(self):
-        t = RedBlackTree()
-        h = t.insert(2.0, "x")
-        t.insert(1.0, "y")
-        t.remove_node(h)
-        assert [v for _, v in t.items()] == ["y"]
+        reg = TimerRegistry()
+        reg.register(TimerEntry(2.0, "svc", "x"))
+        reg.register(TimerEntry(1.0, "svc", "y"))
+        assert reg.cancel("svc", "x")
+        assert [e.timer_name for e in reg.entries()] == ["y"]
 
     def test_items_in_order(self):
-        t = RedBlackTree()
+        reg = TimerRegistry()
         for k in (4, 2, 8, 6, 0):
-            t.insert(float(k), None)
-        assert [k for k, _ in t.items()] == [0.0, 2.0, 4.0, 6.0, 8.0]
+            reg.register(TimerEntry(float(k), "svc", f"t{k}"))
+        assert fire_times(reg) == [0.0, 2.0, 4.0, 6.0, 8.0]
 
 
 class TestInvariants:
-    def test_validate_after_ascending_inserts(self):
-        t = RedBlackTree()
-        for k in range(200):
-            t.insert(float(k), k)
-        t.validate()
-
-    def test_validate_after_descending_inserts(self):
-        t = RedBlackTree()
-        for k in reversed(range(200)):
-            t.insert(float(k), k)
-        t.validate()
-
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=0, max_value=1e9), max_size=150))
     def test_sorted_iteration_matches_sorted_list(self, keys):
-        t = RedBlackTree()
-        for k in keys:
-            t.insert(k, None)
-        assert [k for k, _ in t.items()] == sorted(keys)
-        t.validate()
+        reg = TimerRegistry()
+        for i, k in enumerate(keys):
+            reg.register(TimerEntry(k, "svc", f"t{i}"))
+        assert fire_times(reg) == sorted(keys)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.floats(min_value=0, max_value=1e6),
                               st.booleans()), max_size=120))
     def test_mixed_inserts_and_deletes(self, spec):
-        """Reference-model test: tree behaves like a sorted multiset."""
-        t = RedBlackTree()
+        """Reference-model test: the registry behaves like a sorted multiset."""
+        reg = TimerRegistry()
         handles = []
         reference = []
-        for key, delete_one in spec:
-            handles.append((key, t.insert(key, key)))
+        for i, (key, delete_one) in enumerate(spec):
+            reg.register(TimerEntry(key, "svc", f"t{i}"))
+            handles.append((key, f"t{i}"))
             reference.append(key)
             if delete_one and handles:
-                k, h = handles.pop(len(handles) // 2)
-                t.remove_node(h)
+                k, name = handles.pop(len(handles) // 2)
+                assert reg.cancel("svc", name)
                 reference.remove(k)
-        assert [k for k, _ in t.items()] == sorted(reference)
-        t.validate()
+        assert fire_times(reg) == sorted(reference)
 
     def test_heavy_randomized_churn(self):
         rng = np.random.default_rng(7)
-        t = RedBlackTree()
+        reg = TimerRegistry()
         live = []
         for step in range(2000):
             if live and rng.random() < 0.4:
-                idx = int(rng.integers(len(live)))
-                _, h = live.pop(idx)
-                t.remove_node(h)
+                _, name = live.pop(int(rng.integers(len(live))))
+                assert reg.cancel("svc", name)
             else:
                 k = float(rng.uniform(0, 1e6))
-                live.append((k, t.insert(k, None)))
-            if step % 500 == 0:
-                t.validate()
-        t.validate()
-        assert len(t) == len(live)
-        assert [k for k, _ in t.items()] == sorted(k for k, _ in live)
+                reg.register(TimerEntry(k, "svc", f"t{step}"))
+                live.append((k, f"t{step}"))
+        assert len(reg) == len(live)
+        assert fire_times(reg) == sorted(k for k, _ in live)

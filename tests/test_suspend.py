@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.cluster import Host, ServiceTimer, TESTBED_VM, VM
+from repro.cluster import Host, ResourceSpec, ServiceTimer, TESTBED_VM, VM
 from repro.core.params import DEFAULT_PARAMS, SIGMA
 from repro.suspend import (
     DEFAULT_BLACKLIST,
@@ -16,7 +16,6 @@ from repro.suspend import (
     SuspendingModule,
     TimerEntry,
     TimerRegistry,
-    build_host_registry,
     compute_waking_date,
     grace_from_raw_ip,
     grace_time_s,
@@ -25,6 +24,7 @@ from repro.suspend import (
     vm_process_name,
 )
 from repro.traces.synthetic import always_idle_trace
+from tests.oracles import build_host_registry
 
 
 def make_host(n_vms=1, timers=()):
@@ -121,6 +121,49 @@ class TestTimerRegistry:
             reg.register(TimerEntry(t, f"p{t}", "x"))
         assert [e.fire_time_s for e in reg.entries()] == [10.0, 20.0, 30.0]
 
+    def test_tied_fire_times_keep_registration_order(self):
+        reg = TimerRegistry()
+        reg.register(TimerEntry(1.0, "svc", "a"))
+        reg.register(TimerEntry(1.0, "svc", "b"))
+        reg.register(TimerEntry(1.0, "svc", "a"))  # re-arm: behind its ties
+        assert [e.timer_name for e in reg.entries()] == ["b", "a"]
+
+
+#: Small pools so that draws re-arm, tie and hit the blacklist often.
+_PROCESSES = ("service", "cron", "watchdogd", "kworker")
+_TIMER_NAMES = ("a", "b", "c")
+_FIRE_TIMES = st.sampled_from((0.0, 1.0, 2.5, 60.0, 1e9))
+_OPS = st.lists(st.tuples(
+    st.sampled_from(("register", "register", "cancel")),
+    st.sampled_from(_PROCESSES), st.sampled_from(_TIMER_NAMES), _FIRE_TIMES),
+    max_size=60)
+
+
+class TestTimerRegistryProperties:
+    """The registry against a stable-sorted plain list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, blacklist=st.frozensets(st.sampled_from(_PROCESSES)))
+    def test_matches_stable_sorted_list(self, ops, blacklist):
+        reg = TimerRegistry()
+        armed = []  # entries in registration order
+        for op, proc, name, fire in ops:
+            old = [e for e in armed
+                   if (e.process_name, e.timer_name) == (proc, name)]
+            if op == "cancel":
+                assert reg.cancel(proc, name) == bool(old)
+            else:
+                entry = TimerEntry(fire, proc, name)
+                reg.register(entry)
+                armed.append(entry)
+            for e in old:
+                armed.remove(e)
+        expected = sorted(armed, key=lambda e: e.fire_time_s)
+        assert reg.entries() == expected
+        assert len(reg) == len(expected)
+        valid = [e for e in expected if e.process_name not in blacklist]
+        assert reg.earliest_valid(blacklist) == (valid[0] if valid else None)
+
 
 class TestWakingDate:
     def test_earliest_service_timer_wins(self):
@@ -139,6 +182,63 @@ class TestWakingDate:
         host, _ = make_host(n_vms=2, timers=(timer,))
         reg = build_host_registry(host, now=0.0)
         assert len(reg) == len(DEFAULT_BLACKLIST) + 2
+
+    def test_unblacklisted_daemon_tick_wins(self):
+        timer = ServiceTimer("backup", period_s=86400.0, first_fire_s=7200.0)
+        host, _ = make_host(timers=(timer,))
+        blacklist = DEFAULT_BLACKLIST - {"watchdogd"}
+        assert compute_waking_date(host, 100.0, blacklist) == 160.0
+
+    def test_aliasing_vm_names_both_count(self):
+        """VM "a:b" with timer "c" and VM "a" with timer "b:c" share the
+        reference registry's key "a:b:c", so it keeps only the later
+        one; the host really has both timers and both count."""
+        host = Host("h")
+        for vm_name, timer in (
+                ("a:b", ServiceTimer("c", period_s=3600.0, first_fire_s=100.0)),
+                ("a", ServiceTimer("b:c", period_s=3600.0, first_fire_s=200.0))):
+            host.add_vm(VM(vm_name, always_idle_trace(48), TESTBED_VM,
+                           timers=(timer,)))
+        assert build_host_registry(host, 0.0).earliest_valid().fire_time_s == 200.0
+        assert compute_waking_date(host, 0.0) == 100.0
+
+
+#: Few periods and phases, and ``now`` drawn from their fire times, so
+#: that draws tie with each other and with the daemons' tick (``now +
+#: 60``) and land ``now`` exactly on a fire time.
+_PERIODS = st.sampled_from((60.0, 3600.0, 86400.0))
+_PHASES = st.sampled_from((0.0, 60.0, 3600.0, 7200.0))
+_NOWS = st.sampled_from((0.0, 60.0, 3600.0, 7200.0, 10000.0))
+_TIMERS = st.lists(
+    st.tuples(st.sampled_from(_PROCESSES), st.sampled_from(("t0", "t1")),
+              _PERIODS, _PHASES),
+    max_size=4, unique_by=lambda t: t[:2]).map(
+        lambda specs: tuple(ServiceTimer(name, period, first, proc)
+                            for proc, name, period, first in specs))
+#: No ":" in names: the reference keys a VM timer as f"{vm}:{timer}",
+#: so names with ":" can alias two VMs' timers into one registry entry
+#: (pinned by test_aliasing_vm_names_both_count).
+_VM_NAMES = st.lists(st.text("abz-", min_size=1, max_size=3),
+                     max_size=3, unique=True)
+_SMALL_VM = ResourceSpec(cpus=1, memory_mb=1024)
+_BLACKLISTS = st.one_of(
+    st.just(DEFAULT_BLACKLIST),
+    st.frozensets(st.sampled_from(sorted(DEFAULT_BLACKLIST) + ["service", "cron"])))
+
+
+class TestWakingDateProperties:
+    """The direct minimum against the hrtimer-tree reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=_VM_NAMES, data=st.data(), now=_NOWS, blacklist=_BLACKLISTS)
+    def test_matches_registry_reference(self, names, data, now, blacklist):
+        host = Host("h")
+        for name in names:
+            host.add_vm(VM(name, always_idle_trace(48), _SMALL_VM,
+                           timers=data.draw(_TIMERS)))
+        entry = build_host_registry(host, now).earliest_valid(blacklist)
+        expected = entry.fire_time_s if entry is not None else None
+        assert compute_waking_date(host, now, blacklist) == expected
 
 
 class TestGrace:

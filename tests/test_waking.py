@@ -286,12 +286,15 @@ class TestReverseIndex:
 
         assert module.state == WakingModuleState()
 
-    def test_hand_built_state_rebuilds_index(self):
-        from repro.waking import WakingModuleState
-
-        state = WakingModuleState(vm_to_mac={"10.0.0.1": "aa:bb"},
-                                  waking_dates={})
-        assert state.ips_of_mac == {"aa:bb": {"10.0.0.1": None}}
+    def test_copy_copies_all_three_maps(self, setup):
+        sim, spy, module, host, vm = setup
+        module.register_suspension(host, 500.0)
+        clone = module.snapshot()
+        assert clone == module.state
+        module.on_host_awake(host)
+        assert clone.vm_to_mac == {vm.ip_address: host.mac_address}
+        assert clone.waking_dates == {host.mac_address: 500.0}
+        assert clone.ips_of_mac == {host.mac_address: {vm.ip_address: None}}
 
     def test_snapshot_restore_preserves_index(self, setup):
         sim, spy, module, host, vm = setup
