@@ -78,11 +78,12 @@ class SuspendingEvalData:
         return "\n".join(lines)
 
 
-def _mini_host(params: DrowsyParams, trace: ActivityTrace) -> tuple[Host, VM]:
+def _mini_host(params: DrowsyParams, trace: ActivityTrace,
+               timers: tuple[ServiceTimer, ...] = ()) -> tuple[Host, VM]:
     host = Host("eval-host", HostCapacity(cpus=8, memory_mb=16384), params)
     vm = VM("eval-vm", trace, ResourceSpec(cpus=2, memory_mb=4096), params=params,
             timers=(ServiceTimer("backup", period_s=24 * 3600.0,
-                                 first_fire_s=2 * 3600.0),))
+                                 first_fire_s=2 * 3600.0),) + timers)
     DataCenter([host], params).place(vm, host)
     return host, vm
 
@@ -143,19 +144,21 @@ def oscillation_cycles(params: DrowsyParams, flap_period_s: float = 10.0,
 
 
 def waking_date_correctness(params: DrowsyParams = DEFAULT_PARAMS) -> tuple[bool, bool]:
-    """The computed waking date is the earliest *valid* timer."""
+    """The computed waking date is the earliest *valid* timer, and a
+    blacklisted process's earlier timer does not move it."""
     host, vm = _mini_host(params, daily_backup_trace(days=2))
     vm.current_activity = 0.0
     now = 10 * 3600.0  # 10 am, next backup tomorrow 2 am
     date = compute_waking_date(host, now)
     expected = (24 + 2) * 3600.0
     ok = date is not None and abs(date - expected) < 1e-6
-    # Daemon timers (blacklisted) fire much earlier but must be ignored.
-    registry_earliest = TimerRegistry()
-    registry_earliest.register(TimerEntry(now + 60.0, "watchdogd", "tick"))
-    registry_earliest.register(TimerEntry(now + 7200.0, "service", "real"))
-    entry = registry_earliest.earliest_valid()
-    filtered = entry is not None and entry.process_name == "service"
+    # A watchdog's timer fires much earlier but must be ignored, unless
+    # nothing is blacklisted.
+    watchdog = ServiceTimer("tick", period_s=60.0, first_fire_s=now + 60.0,
+                            process_name="watchdogd")
+    host, _ = _mini_host(params, daily_backup_trace(days=2), (watchdog,))
+    filtered = (compute_waking_date(host, now) == date
+                and compute_waking_date(host, now, frozenset()) == now + 60.0)
     return ok, filtered
 
 

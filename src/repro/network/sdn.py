@@ -13,7 +13,6 @@ import math
 
 from ..cluster.datacenter import DataCenter
 from ..cluster.events import EventSimulator
-from ..cluster.host import Host
 from ..cluster.power import PowerState
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from .requests import Request, RequestLog
@@ -138,8 +137,8 @@ class SDNSwitch:
     The switch needs a ``waking_service`` exposing ``analyze_packet``
     (either a bare :class:`~repro.waking.module.WakingModule` or the
     replicated pair) — wired by the simulation driver, which also owns
-    host power transitions and calls :meth:`on_host_available` after
-    each resume.
+    host power transitions and calls :meth:`redispatch_pending` each
+    time a host comes back up.
     """
 
     def __init__(self, sim: EventSimulator, dc: DataCenter,
@@ -216,10 +215,6 @@ class SDNSwitch:
         self.log.record(request)
 
     # ------------------------------------------------------------------
-    def on_host_available(self, host: Host) -> None:
-        """A host resumed: re-dispatch every pending request."""
-        self.redispatch_pending()
-
     def redispatch_pending(self) -> None:
         """Re-examine pending requests against current placement.
 

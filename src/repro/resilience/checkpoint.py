@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..obs.log import get_logger
@@ -42,8 +42,9 @@ log = get_logger("resilience.checkpoint")
 
 #: On-disk format version; bump on any incompatible layout change
 #: (2: host meters became rows of the data center's meter bank;
-#: 3: monthly/yearly idleness scales became touched-day slabs).
-CHECKPOINT_VERSION = 3
+#: 3: monthly/yearly idleness scales became touched-day slabs;
+#: 4: a replicated waking pair shares one state object).
+CHECKPOINT_VERSION = 4
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

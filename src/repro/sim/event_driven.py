@@ -514,9 +514,16 @@ class EventDrivenSimulation:
             grace = module.grace_for_resume(self.sim.now, self._current_hour)
         host.finish_resume(self.sim.now, grace)
         self.wol_channel.settle(host.mac_address)
+        self._host_up(host)
+
+    def _host_up(self, host: Host) -> None:
+        """``host`` is back in S0 (resumed or rebooted): its drowsy-era
+        registrations go, the requests queued on the switch are
+        re-examined, and its suspend checks restart."""
         self.waking.on_host_awake(host)
-        self.switch.on_host_available(host)
-        self._schedule_check(host, self.params.suspend_check_period_s)
+        self.switch.redispatch_pending()
+        if self.config.suspend_enabled:
+            self._schedule_check(host, self.params.suspend_check_period_s)
 
     # ------------------------------------------------------------------
     # fault primitives (driven by repro.faults.FaultInjector)
@@ -551,13 +558,9 @@ class EventDrivenSimulation:
             return
         host.recover(self.sim.now)
         self.host_recoveries += 1
-        # The reboot clears any drowsy-era registrations: the host is up.
-        self.waking.on_host_awake(host)
         queued_before = self.switch.queued_requests
-        self.switch.on_host_available(host)
+        self._host_up(host)
         self.recovered_requests += queued_before - self.switch.queued_requests
-        if self.config.suspend_enabled:
-            self._schedule_check(host, self.params.suspend_check_period_s)
 
     def _resume_failed(self, host: Host) -> None:
         """A resume that never came back: declare the host crashed and
@@ -613,9 +616,7 @@ class EventDrivenSimulation:
             host.begin_resume(self.sim.now)
             host.finish_resume(self.sim.now, 0.0)
             self.wol_channel.settle(host.mac_address)
-            self.waking.on_host_awake(host)
-            self.switch.on_host_available(host)
-            self._schedule_check(host, self.params.suspend_check_period_s)
+            self._host_up(host)
         elif host.state is PowerState.SUSPENDING:
             self._resume_pending.add(host.name)
 

@@ -5,20 +5,24 @@ monitors — via a heart beat mechanism — and mirrors another one.  In
 this way, when a waking module is defective, it is replaced with an
 identical version."
 
-:class:`ReplicatedWakingService` fronts a primary/mirror pair: every
-state-changing call is applied to the active module and synchronously
-replicated to the standby's state; a heartbeat monitor promotes the
-mirror when the primary misses ``heartbeat_miss_limit`` beats.
+:class:`ReplicatedWakingService` fronts a primary/mirror pair.  The
+replication channel is synchronous and lossless in this model, so the
+standby's copy of the maps would always equal the active's: the pair
+shares one :class:`~repro.waking.module.WakingModuleState`, and only
+the active module arms wake timers.  A heartbeat monitor promotes the
+mirror when the primary misses ``heartbeat_miss_limit`` beats; the
+mirror then arms every waking date left in the map (a wake that has
+already fired is gone from it, so it is not sent twice).
 
 The detection window is real.  Between the primary dying and the
 heartbeat noticing (worst case :attr:`detection_delay_s`), calls against
 the service behave like their distributed-system counterparts:
 
-* state-changing calls (register/awake) time out against the dead
-  active, but the same update also reaches the standby over the
-  replication channel, which *journals* it — state only, no timers —
-  so promotion re-arms every wake registered inside the window (the
-  in-flight-wake-loss fix; regression-tested in ``tests/test_waking.py``);
+* state-changing calls time out against the dead active, but the same
+  update also rides the replication channel: it is written to the
+  shared maps alone, no timers, so promotion arms every wake registered
+  inside the window (the in-flight-wake-loss fix; regression-tested in
+  ``tests/test_waking.py``);
 * packet analysis returns "no wake" (counted in
   :attr:`unanswered_packets`); the SDN switch's port-level WoL fallback
   keeps request-triggered wakes working meanwhile;
@@ -29,11 +33,10 @@ the service behave like their distributed-system counterparts:
 
 from __future__ import annotations
 
-
 from ..cluster.events import EventSimulator, first_grid_point
 from ..cluster.host import Host
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
-from .module import WakingModule, WolSender
+from .module import WakingModule, WakingModuleState, WolSender
 
 
 class _GuardedWolSender:
@@ -61,23 +64,24 @@ class ReplicatedWakingService:
                  name: str = "rack0") -> None:
         self.sim = sim
         self.params = params
-        self.primary = WakingModule(f"{name}-primary", sim, wol_sender, params)
+        self.state = WakingModuleState()  # shared by both modules
+        self.primary = WakingModule(f"{name}-primary", sim, wol_sender,
+                                    params, self.state)
         self.mirror = WakingModule(f"{name}-mirror", sim,
                                    _GuardedWolSender(self, wol_sender),
-                                   params)
-        # The mirror holds state but must not emit WoL until promoted.
+                                   params, self.state)
+        # The mirror must not emit WoL until promoted.
         self._mirror_active = False
         self._missed_beats = 0
         self.failovers = 0
-        #: Updates journaled on the standby while the active was dead
-        #: (the heartbeat detection window).
+        #: Updates written to the shared maps alone while the active was
+        #: dead (the heartbeat detection window).
         self.window_journaled = 0
         #: Packets no live module could analyze (window or total outage).
         self.unanswered_packets = 0
         #: State-changing calls dropped because both replicas were dead.
         self.lost_calls = 0
-        #: Heartbeat events processed; the sharded reducer subtracts
-        #: duplicate chains with it.
+        #: Heartbeat events processed.
         self.beats = 0
         #: The heartbeat grid is ``origin + k * period`` (k >= 1, by
         #: iterated addition).  While the primary is alive every beat
@@ -96,24 +100,25 @@ class ReplicatedWakingService:
         return self.primary if self._mirror_active else self.mirror
 
     def register_suspension(self, host: Host, waking_date_s: float | None) -> None:
-        if self.active.alive:
-            self.active.register_suspension(host, waking_date_s)
-            self._replicate()
-        elif self.standby.alive:
-            # Detection window: the RPC to the active times out, but the
-            # suspending module's update also rides the replication
-            # channel; the standby journals it and promotion re-arms it.
-            self.standby.journal_suspension(host, waking_date_s)
-            self.window_journaled += 1
-        else:
-            self.lost_calls += 1
+        self._update(self.active.register_suspension, self.state.suspend,
+                     host, waking_date_s)
 
     def on_host_awake(self, host: Host) -> None:
+        self._update(self.active.on_host_awake, self.state.awake, host)
+
+    def note_vm_moved(self, ip: str, mac: str | None) -> None:
+        """Map update for a VM relocated without a wake (bulk moves):
+        no timers, so the full call is the state update."""
+        self._update(self.state.move_vm, self.state.move_vm, ip, mac)
+
+    def _update(self, full, state_only, *args) -> None:
+        """Route one state-changing call: ``full`` while the active
+        module lives, ``state_only`` in the detection window, nothing
+        when both replicas are dead."""
         if self.active.alive:
-            self.active.on_host_awake(host)
-            self._replicate()
+            full(*args)
         elif self.standby.alive:
-            self.standby.journal_awake(host)
+            state_only(*args)
             self.window_journaled += 1
         else:
             self.lost_calls += 1
@@ -126,23 +131,6 @@ class ReplicatedWakingService:
             self.unanswered_packets += 1
             return False
         return active.analyze_packet(dst_ip)
-
-    def note_vm_moved(self, ip: str, mac: str | None) -> None:
-        """Map update for a VM relocated without a wake (bulk moves)."""
-        if self.active.alive:
-            self.active.note_vm_moved(ip, mac)
-            self._replicate()
-        elif self.standby.alive:
-            self.standby.note_vm_moved(ip, mac)
-            self.window_journaled += 1
-        else:
-            self.lost_calls += 1
-
-    def _replicate(self) -> None:
-        """Synchronous state mirroring after each update."""
-        standby = self.standby
-        if standby.alive:
-            standby.state = self.active.snapshot()
 
     # ------------------------------------------------------------------
     def _heartbeat(self) -> None:
@@ -163,10 +151,10 @@ class ReplicatedWakingService:
             self.params.heartbeat_period_s, self._heartbeat)
 
     def _promote_mirror(self) -> None:
-        """Mirror takes over with the replicated state, re-arming wakes."""
+        """Mirror takes over the shared maps, re-arming their wakes."""
         self._mirror_active = True
         self.failovers += 1
-        self.mirror.restore(self.mirror.state)
+        self.mirror.rearm()
 
     def fail_primary(self) -> None:
         """Fault injection: crash the primary module, and arm the

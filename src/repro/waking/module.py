@@ -15,7 +15,8 @@ when a host suspends.
 The module is deliberately free of host-object manipulation: it emits
 WoL packets through a callback supplied by the simulation driver, which
 owns the host power-state machine.  This keeps it mirrorable — its whole
-state is the two maps — which the fault-tolerance layer exploits.
+state is the two maps — which the fault-tolerance layer exploits: a
+primary/mirror pair holds one :class:`WakingModuleState` between them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ WolSender = Callable[[WoLPacket, float], None]
 
 @dataclass
 class WakingModuleState:
-    """The replicable state of a waking module (mirrored on each update).
+    """The mirrorable state of a waking module.
 
     A state starts empty and changes only through its update methods,
     which keep the reverse index in step with ``vm_to_mac``.
@@ -48,6 +49,29 @@ class WakingModuleState:
     #: resume drops the host's stale entries in O(its VMs) instead of
     #: scanning the whole map.
     ips_of_mac: dict[str, dict[str, None]] = field(default_factory=dict, init=False)
+
+    def suspend(self, host: Host, waking_date_s: float | None) -> None:
+        """``host`` is going drowsy: map its VMs at its MAC and record
+        its waking date."""
+        mac = host.mac_address
+        for vm in host.vms:
+            self.map_vm(vm.ip_address, mac)
+        self.waking_dates[mac] = waking_date_s
+
+    def awake(self, host: Host) -> None:
+        """``host`` resumed: forget its waking date and mappings."""
+        mac = host.mac_address
+        self.waking_dates.pop(mac, None)
+        self.drop_mac(mac)
+
+    def move_vm(self, ip: str, mac: str | None) -> None:
+        """A VM relocated without a wake: point ``ip`` at the drowsy
+        destination's ``mac``, or drop it when the destination is awake
+        (``None``)."""
+        if mac is None:
+            self.drop_vm(ip)
+        else:
+            self.map_vm(ip, mac)
 
     def map_vm(self, ip: str, mac: str) -> None:
         """Point ``ip`` at ``mac``, unhooking any previous mapping."""
@@ -80,24 +104,22 @@ class WakingModuleState:
                 # across different update histories).
                 del self.ips_of_mac[mac]
 
-    def copy(self) -> "WakingModuleState":
-        clone = WakingModuleState()
-        clone.vm_to_mac = dict(self.vm_to_mac)
-        clone.waking_dates = dict(self.waking_dates)
-        clone.ips_of_mac = {mac: dict(ips) for mac, ips in self.ips_of_mac.items()}
-        return clone
-
 
 class WakingModule:
-    """Rack-level wake coordinator."""
+    """Rack-level wake coordinator.
+
+    ``state`` defaults to a fresh, private map; a mirrored pair passes
+    both of its modules the same one.
+    """
 
     def __init__(self, name: str, sim: EventSimulator, wol_sender: WolSender,
-                 params: DrowsyParams = DEFAULT_PARAMS) -> None:
+                 params: DrowsyParams = DEFAULT_PARAMS,
+                 state: WakingModuleState | None = None) -> None:
         self.name = name
         self.sim = sim
         self.params = params
         self._wol_sender = wol_sender
-        self.state = WakingModuleState()
+        self.state = WakingModuleState() if state is None else state
         self._scheduled: dict[str, Event] = {}
         self.alive = True
         #: Statistics for the evaluation.
@@ -109,18 +131,12 @@ class WakingModule:
     # ------------------------------------------------------------------
     def register_suspension(self, host: Host, waking_date_s: float | None) -> None:
         """A host is going drowsy: refresh maps, arm the scheduled wake."""
-        self.journal_suspension(host, waking_date_s)
+        self._check_alive()
+        self.state.suspend(host, waking_date_s)
         mac = host.mac_address
         self._cancel_scheduled(mac)
         if waking_date_s is not None:
-            # Send the WoL ahead of time by the resume latency (plus a
-            # small margin) so the host is up when the timer fires.
-            lead = 0.0
-            if self.params.ahead_of_time_wake:
-                lead = self.params.resume_latency_s + self.params.wake_ahead_margin_s
-            at = max(waking_date_s - lead, self.sim.now)
-            self._scheduled[mac] = self.sim.schedule_at(
-                at, self._fire_scheduled_wake, mac)
+            self._arm(mac, waking_date_s)
 
     def on_host_awake(self, host: Host) -> None:
         """A host resumed: drop its mappings and scheduled wake.
@@ -128,13 +144,39 @@ class WakingModule:
         O(VMs of the host) via the reverse index — this runs on every
         resume, where the old full-map scan was O(all drowsy VMs).
         """
-        self.journal_awake(host)
+        self._check_alive()
+        self.state.awake(host)
         self._cancel_scheduled(host.mac_address)
+
+    def rearm(self) -> None:
+        """Arm a wake for every waking date in the map.
+
+        Promotion's step: the mirror shares the map the primary kept
+        (and the service wrote during the detection window), but none
+        of the primary's timers."""
+        for mac, date in self.state.waking_dates.items():
+            if date is not None:
+                self._cancel_scheduled(mac)
+                self._arm(mac, date)
+
+    def _arm(self, mac: str, waking_date_s: float) -> None:
+        # Send the WoL ahead of time by the resume latency (plus a
+        # small margin) so the host is up when the timer fires.
+        lead = 0.0
+        if self.params.ahead_of_time_wake:
+            lead = self.params.resume_latency_s + self.params.wake_ahead_margin_s
+        at = max(waking_date_s - lead, self.sim.now)
+        self._scheduled[mac] = self.sim.schedule_at(
+            at, self._fire_scheduled_wake, mac)
 
     def _cancel_scheduled(self, mac: str) -> None:
         ev = self._scheduled.pop(mac, None)
         if ev is not None:
             ev.cancel()
+
+    def _check_alive(self) -> None:
+        if not self.alive:
+            raise RuntimeError(f"waking module {self.name} is down")
 
     # ------------------------------------------------------------------
     # wake paths
@@ -149,8 +191,7 @@ class WakingModule:
     def analyze_packet(self, dst_ip: str) -> bool:
         """Section V-A packet analysis of an inbound request to
         ``dst_ip``.  Returns True if a WoL was sent."""
-        if not self.alive:
-            raise RuntimeError(f"waking module {self.name} is down")
+        self._check_alive()
         self.packets_analyzed += 1
         mac = self.state.vm_to_mac.get(dst_ip)
         if mac is None:
@@ -161,66 +202,6 @@ class WakingModule:
     def _send_wol(self, mac: str, reason: str) -> None:
         self.wol_sent += 1
         self._wol_sender(WoLPacket(mac_address=mac, reason=reason), self.sim.now)
-
-    def note_vm_moved(self, ip: str, mac: str | None) -> None:
-        """A VM relocated without a wake (bulk consolidation): repoint
-        its mapping at the drowsy destination's ``mac``, or drop it when
-        the destination is awake (``None``).  Pure map update — no
-        timers, no WoL — so it doubles as its own standby journal."""
-        if not self.alive:
-            raise RuntimeError(f"waking module {self.name} is down")
-        if mac is None:
-            self.state.drop_vm(ip)
-        else:
-            self.state.map_vm(ip, mac)
-
-    # ------------------------------------------------------------------
-    # mirroring hooks (fault tolerance, section V)
-    # ------------------------------------------------------------------
-    def journal_suspension(self, host: Host, waking_date_s: float | None) -> None:
-        """The map update of :meth:`register_suspension`, alone.
-
-        It is also the standby-side update off the replication channel.
-        While the active module is dead but undetected (the heartbeat
-        window), suspending-module updates still reach the standby; it
-        records them *state-only* — no timers armed, no WoL emitted —
-        and promotion's :meth:`restore` re-arms every journaled waking
-        date.  This is what makes a wake registered inside the detection
-        window survive the failover."""
-        if not self.alive:
-            raise RuntimeError(f"waking module {self.name} is down")
-        mac = host.mac_address
-        for vm in host.vms:
-            self.state.map_vm(vm.ip_address, mac)
-        self.state.waking_dates[mac] = waking_date_s
-
-    def journal_awake(self, host: Host) -> None:
-        """The map update of :meth:`on_host_awake`, alone (also the
-        standby-side update off the replication channel)."""
-        if not self.alive:
-            raise RuntimeError(f"waking module {self.name} is down")
-        mac = host.mac_address
-        self.state.waking_dates.pop(mac, None)
-        self.state.drop_mac(mac)
-
-    def snapshot(self) -> WakingModuleState:
-        """State to replicate to the mirror module."""
-        return self.state.copy()
-
-    def restore(self, state: WakingModuleState) -> None:
-        """Adopt a mirrored state and re-arm every scheduled wake."""
-        for ev in self._scheduled.values():
-            ev.cancel()
-        self._scheduled.clear()
-        self.state = state.copy()
-        lead = 0.0
-        if self.params.ahead_of_time_wake:
-            lead = self.params.resume_latency_s + self.params.wake_ahead_margin_s
-        for mac, date in self.state.waking_dates.items():
-            if date is not None:
-                at = max(date - lead, self.sim.now)
-                self._scheduled[mac] = self.sim.schedule_at(
-                    at, self._fire_scheduled_wake, mac)
 
     def fail(self) -> None:
         """Kill this module (fault injection)."""

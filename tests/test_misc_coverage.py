@@ -124,29 +124,30 @@ class TestHourlyStartOffsets:
 
 
 class TestWakingModuleEdges:
-    def test_restore_rearms_scheduled_wakes(self):
+    def test_rearm_arms_scheduled_wakes(self):
         sim = EventSimulator()
         sent = []
         module = WakingModule("wm", sim, lambda p, t: sent.append((p, t)))
         host = Host("h1")
         host.add_vm(VM("v", always_idle_trace(24), TESTBED_VM))
         module.register_suspension(host, waking_date_s=500.0)
-        snapshot = module.snapshot()
 
-        fresh = WakingModule("wm2", sim, lambda p, t: sent.append((p, t)))
-        fresh.restore(snapshot)
+        twin = WakingModule("wm2", sim, lambda p, t: sent.append((p, t)),
+                            state=module.state)
+        twin.rearm()
         module.fail()  # original dies; its events are cancelled
         sim.run_until(600.0)
-        assert len(sent) == 1  # only the restored module fired
+        assert len(sent) == 1  # only the re-armed twin fired
 
-    def test_restore_ignores_none_dates(self):
+    def test_rearm_ignores_none_dates(self):
         sim = EventSimulator()
         module = WakingModule("wm", sim, lambda p, t: None)
         host = Host("h1")
         host.add_vm(VM("v", always_idle_trace(24), TESTBED_VM))
         module.register_suspension(host, waking_date_s=None)
-        fresh = WakingModule("wm2", sim, lambda p, t: None)
-        fresh.restore(module.snapshot())
+        twin = WakingModule("wm2", sim, lambda p, t: None,
+                            state=module.state)
+        twin.rearm()
         assert sim.pending == 0
 
     def test_wake_in_the_past_fires_immediately(self):

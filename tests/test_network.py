@@ -125,7 +125,7 @@ class TestSDNSwitch:
         # Simulate resume completing at 10.8.
         host.begin_resume(10.2)
         host.finish_resume(10.8, 0.0)
-        sim.schedule_at(10.8, switch.on_host_available, host)
+        sim.schedule_at(10.8, switch.redispatch_pending)
         sim.run()
         [req] = switch.log.requests
         assert req.completed

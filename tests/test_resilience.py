@@ -231,15 +231,16 @@ class TestCheckpointFiles:
             Checkpoint.load(path)
 
     def test_previous_version_refused(self, tmp_path):
-        # Version-2 checkpoints pickled dense idleness tables; this build
-        # stores touched-day slabs and must not unpickle the old layout.
-        assert CHECKPOINT_VERSION == 3
+        # Version-3 checkpoints hold two separate waking-state objects
+        # per replicated pair; this build's pair shares one and never
+        # copies between them, so it must not unpickle the old layout.
+        assert CHECKPOINT_VERSION == 4
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = CHECKPOINT_VERSION - 1
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError,
-                           match=f"format 2; this build reads {CHECKPOINT_VERSION}"):
+                           match=f"format 3; this build reads {CHECKPOINT_VERSION}"):
             Checkpoint.load(path)
 
     def test_corrupt_payload_fails_digest(self, tmp_path):

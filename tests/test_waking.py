@@ -119,6 +119,7 @@ class TestFailover:
 
     def test_state_is_mirrored(self):
         sim, spy, service, host, vm = self.make_service()
+        assert service.primary.state is service.mirror.state
         service.register_suspension(host, waking_date_s=1000.0)
         assert service.mirror.state.vm_to_mac == service.primary.state.vm_to_mac
         assert service.mirror.state.waking_dates == service.primary.state.waking_dates
@@ -142,6 +143,18 @@ class TestFailover:
         packet, at = spy.sent[0]
         assert packet.mac_address == host.mac_address
         assert at <= 1000.0
+
+    def test_fired_wake_not_resent_after_promotion(self):
+        """Regression: a scheduled wake that fired before the primary
+        died is gone from the pair's map, so the promoted mirror does
+        not send a second WoL for it."""
+        sim, spy, service, host, vm = self.make_service()
+        service.register_suspension(host, waking_date_s=500.0)
+        sim.schedule_at(600.0, service.fail_primary)
+        sim.run_until(700.0)
+        assert service.failovers == 1
+        assert [(p.reason, t < 500.0) for p, t in spy.sent] == [
+            ("scheduled-date", True)]
 
     def test_packet_analysis_after_failover(self):
         sim, spy, service, host, vm = self.make_service()
@@ -286,21 +299,12 @@ class TestReverseIndex:
 
         assert module.state == WakingModuleState()
 
-    def test_copy_copies_all_three_maps(self, setup):
-        sim, spy, module, host, vm = setup
-        module.register_suspension(host, 500.0)
-        clone = module.snapshot()
-        assert clone == module.state
-        module.on_host_awake(host)
-        assert clone.vm_to_mac == {vm.ip_address: host.mac_address}
-        assert clone.waking_dates == {host.mac_address: 500.0}
-        assert clone.ips_of_mac == {host.mac_address: {vm.ip_address: None}}
-
-    def test_snapshot_restore_preserves_index(self, setup):
+    def test_rearm_preserves_index(self, setup):
         sim, spy, module, host, vm = setup
         module.register_suspension(host, None)
-        clone = WakingModule("wm2", sim, spy)
-        clone.restore(module.snapshot())
-        assert clone.state.ips_of_mac == module.state.ips_of_mac
-        clone.on_host_awake(host)
-        assert clone.state.vm_to_mac == {}
+        twin = WakingModule("wm2", sim, spy, state=module.state)
+        twin.rearm()
+        assert twin.state.ips_of_mac == {host.mac_address: {vm.ip_address: None}}
+        twin.on_host_awake(host)
+        assert module.state.vm_to_mac == {}
+        assert module.state.ips_of_mac == {}
