@@ -1,11 +1,12 @@
 """The backend registry: the two simulation engines behind one façade.
 
-A backend adapter owns everything engine-specific the
-:class:`~repro.api.Simulation` façade needs: the config dataclass, seed
-threading, engine construction, and the small administrative surface
-scenario churn uses (force-awake, check reinstatement, departed-VM
-notice).  New engines (async, distributed) plug in by registering an
-adapter — no consumer changes.
+A backend adapter is a config type and a builder: the config
+dataclass, seed threading and engine construction the
+:class:`~repro.api.Simulation` façade needs.  The administrative
+surface scenario churn uses (force-awake, check reinstatement,
+departed-VM notice, drains, placement, power) lives on the engines
+themselves, which the façade calls directly.  New engines plug in by
+registering an adapter — no consumer changes.
 
 Like the controller factories, the adapters import their engine module
 lazily (inside ``config_type``/``build``) so ``import repro`` stays
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..cluster.power import PowerState
 from ..core.params import DrowsyParams
 from .registry import Registry
 
@@ -25,24 +25,7 @@ from .registry import Registry
 backends: Registry = Registry("backend")
 
 
-class _DirectFleetAdmin:
-    """Fleet administration for single-engine backends: the effects run
-    straight on the engine's (only) data center."""
-
-    def evacuate_host(self, engine, host, now: float, targets=None):
-        return engine.dc.evacuate(host, now, targets)
-
-    def place_vm(self, engine, vm, dest) -> None:
-        engine.dc.place(vm, dest)
-
-    def power_off_host(self, engine, host, now: float) -> None:
-        host.power_off(host.meter_time(now))
-
-    def power_on_host(self, engine, host, now: float) -> None:
-        host.power_on(host.meter_time(now))
-
-
-class HourlyBackend(_DirectFleetAdmin):
+class HourlyBackend:
     """The analytic hour-resolution engine (DESIGN.md §3)."""
 
     name = "hourly"
@@ -66,23 +49,8 @@ class HourlyBackend(_DirectFleetAdmin):
         return HourlySimulator(dc, controller, params, config,
                                hour_hooks=hour_hooks)
 
-    # -- administrative surface (scenario churn) -----------------------
-    def force_awake(self, engine, host, now: float) -> None:
-        """Administrative wake at hour resolution: zero-latency resume,
-        no grace (matches the event engine's ``_force_awake``)."""
-        if host.state is PowerState.SUSPENDED:
-            now = host.meter_time(now)
-            host.begin_resume(now)
-            host.finish_resume(now, 0.0)
 
-    def reinstate_check(self, engine, host) -> None:
-        pass  # the hourly power step re-evaluates every host each hour
-
-    def note_vm_departed(self, engine, vm_name: str) -> None:
-        pass  # no scheduled per-VM events to swallow
-
-
-class EventBackend(_DirectFleetAdmin):
+class EventBackend:
     """The request-level event-driven engine (DESIGN.md §3, §10)."""
 
     name = "event"
@@ -108,16 +76,6 @@ class EventBackend(_DirectFleetAdmin):
         return EventDrivenSimulation(dc, controller, params, config,
                                      hour_hooks=hour_hooks)
 
-    # -- administrative surface (scenario churn) -----------------------
-    def force_awake(self, engine, host, now: float) -> None:
-        engine._force_awake(host)  # uses the event clock, not ``now``
-
-    def reinstate_check(self, engine, host) -> None:
-        engine._schedule_check(host, engine.params.suspend_check_period_s)
-
-    def note_vm_departed(self, engine, vm_name: str) -> None:
-        engine.note_vm_departed(vm_name)
-
 
 class ShardedBackend:
     """One hourly run partitioned across per-shard engines (DESIGN.md §15).
@@ -128,9 +86,6 @@ class ShardedBackend:
     global replica, replaying their side effects into the owning
     shards.  Results are bit-identical to the ``hourly`` backend for
     every shard/worker count — asserted by the sharded parity suite.
-    The administrative surface routes through the coordinator's op
-    capture: churn effects must reach both the replica and the shard
-    that owns the touched host.
     """
 
     name = "sharded"
@@ -152,28 +107,6 @@ class ShardedBackend:
 
         return ShardedCoordinator(dc, controller, params, config,
                                   hour_hooks=hour_hooks)
-
-    # -- administrative surface (scenario churn) -----------------------
-    def force_awake(self, engine, host, now: float) -> None:
-        engine.force_awake(host, now)
-
-    def reinstate_check(self, engine, host) -> None:
-        pass  # the shards' hourly power step re-evaluates every host
-
-    def note_vm_departed(self, engine, vm_name: str) -> None:
-        engine.note_vm_departed(vm_name)
-
-    def evacuate_host(self, engine, host, now: float, targets=None):
-        return engine.evacuate_host(host, now, targets)
-
-    def place_vm(self, engine, vm, dest) -> None:
-        engine.place_vm(vm, dest)
-
-    def power_off_host(self, engine, host, now: float) -> None:
-        engine.power_off_host(host, now)
-
-    def power_on_host(self, engine, host, now: float) -> None:
-        engine.power_on_host(host, now)
 
 
 backends.register("hourly", HourlyBackend())

@@ -593,14 +593,15 @@ class ShardedCoordinator:
                 self._ops[k].append(("bulk", shard_moves))
 
     # ------------------------------------------------------------------
-    # admin surface (what the façade's backend adapter delegates here;
-    # scenario churn drives these during the hook barrier)
+    # admin surface (the façade calls these; scenario churn drives them
+    # during the hook barrier).  Each effect runs on the replica and is
+    # captured as an op, so it also reaches the shard owning the host.
     # ------------------------------------------------------------------
     def rebind_fleet(self) -> None:
         self._bind_replica()
 
     def force_awake(self, host, now: float) -> None:
-        # The replica half of HourlyBackend.force_awake (state + meter,
+        # The replica half of HourlySimulator.force_awake (state + meter,
         # on the simulated clock); the owning shard replays it from a
         # "wake" op.
         if host.state is PowerState.SUSPENDED:
@@ -609,6 +610,9 @@ class ShardedCoordinator:
             host.finish_resume(at, 0.0)
         self._ops[self._shard_of_host[host.name]].append(
             ("wake", host.name))
+
+    def reinstate_check(self, host) -> None:
+        pass  # the shards' hourly power step re-evaluates every host
 
     def note_vm_departed(self, vm_name: str) -> None:
         k = self._vm_shard.pop(vm_name, None)

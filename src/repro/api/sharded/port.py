@@ -34,7 +34,6 @@ from __future__ import annotations
 import pickle
 
 from ...cluster.migration import MigrationRecord
-from ...cluster.power import PowerState
 from ...core.calendar import time_of_hour
 from .wire import pickle_vm, unpickle_vm
 
@@ -172,13 +171,7 @@ class ShardPort:
         kind = op[0]
         dc = self.engine.dc
         if kind == "wake":
-            host = dc.host(op[1])
-            if host.state is PowerState.SUSPENDED:
-                # The hourly backend's force-awake: an immediate
-                # zero-grace resume (matches HourlyBackend.force_awake).
-                at = host.meter_time(now)
-                host.begin_resume(at)
-                host.finish_resume(at, 0.0)
+            self.engine.force_awake(dc.host(op[1]), now)
         elif kind == "mig":
             vm, _ = dc.find_vm(op[1])
             dc.migrate(vm, dc.host(op[2]), now)

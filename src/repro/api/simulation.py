@@ -309,7 +309,9 @@ class Simulation:
         return sim
 
     # ------------------------------------------------------------------
-    # administrative surface (scenario churn, maintenance tooling)
+    # administrative surface (scenario churn, maintenance tooling):
+    # each engine owns it (repro.sim.engine.HourEngine; the sharded
+    # coordinator also captures every effect for its owning shard)
     # ------------------------------------------------------------------
     def rebind_fleet(self) -> None:
         """Re-bind the columnar fleet model after population changes."""
@@ -317,31 +319,31 @@ class Simulation:
 
     def force_awake(self, host, now: float) -> None:
         """Administratively wake a drowsy host (no grace window)."""
-        self.backend.force_awake(self.engine, host, now)
+        self.engine.force_awake(host, now)
 
     def reinstate_check(self, host) -> None:
         """Restore a host's suspend checks (after maintenance)."""
-        self.backend.reinstate_check(self.engine, host)
+        self.engine.reinstate_check(host)
 
     def note_vm_departed(self, vm_name: str) -> None:
         """A VM left the fleet mid-run: drop its scheduled work."""
-        self.backend.note_vm_departed(self.engine, vm_name)
+        self.engine.note_vm_departed(vm_name)
 
     def evacuate_host(self, host, now: float, targets=None):
         """Migrate every VM off ``host`` (maintenance drain)."""
-        return self.backend.evacuate_host(self.engine, host, now, targets)
+        return self.engine.evacuate_host(host, now, targets)
 
     def place_vm(self, vm, dest) -> None:
         """Place a new VM on ``dest`` (churn arrival)."""
-        self.backend.place_vm(self.engine, vm, dest)
+        self.engine.place_vm(vm, dest)
 
     def power_off_host(self, host, now: float) -> None:
         """Power a drained host fully off (maintenance)."""
-        self.backend.power_off_host(self.engine, host, now)
+        self.engine.power_off_host(host, now)
 
     def power_on_host(self, host, now: float) -> None:
         """Power a host back on (maintenance end)."""
-        self.backend.power_on_host(self.engine, host, now)
+        self.engine.power_on_host(host, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Simulation({len(self.dc.hosts)} hosts, "

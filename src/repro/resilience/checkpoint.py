@@ -43,8 +43,10 @@ log = get_logger("resilience.checkpoint")
 #: On-disk format version; bump on any incompatible layout change
 #: (2: host meters became rows of the data center's meter bank;
 #: 3: monthly/yearly idleness scales became touched-day slabs;
-#: 4: a replicated waking pair shares one state object).
-CHECKPOINT_VERSION = 4
+#: 4: a replicated waking pair shares one state object;
+#: 5: the churn injector holds the façade instead of eight callables,
+#: and both engines carry the shared hour state of one base class).
+CHECKPOINT_VERSION = 5
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

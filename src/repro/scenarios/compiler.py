@@ -42,11 +42,14 @@ class ChurnInjector(Observer):
     The injector owns one Philox stream keyed by ``(seed, scenario)``;
     it draws the hourly arrival/departure counts in a fixed order, so
     the churn sequence is identical under the hourly and event-driven
-    backends.  Backend-specific effects (forcing a drowsy host awake,
-    reinstating suspend checks after maintenance, swallowing a departed
-    VM's scheduled requests, rebinding the columnar fleet) go through
-    the :class:`~repro.api.Simulation` façade's administrative surface
-    (:meth:`bind`), which dispatches to the backend adapter.
+    backends.  Every effect on the fleet (forcing a drowsy host awake,
+    draining, placing, powering hosts, reinstating suspend checks after
+    maintenance, swallowing a departed VM's scheduled requests,
+    rebinding the columnar fleet) goes through the
+    :class:`~repro.api.Simulation` façade stored by :meth:`bind`, whose
+    administrative methods call the engine's own: each engine does what
+    the effect means at its resolution, and the sharded coordinator
+    also replays it into the shard that owns the host.
     """
 
     #: Churn feeds ``now`` into simulated state (placement/power
@@ -75,43 +78,12 @@ class ChurnInjector(Observer):
         self.vms_removed = 0
         self.vms_evacuated = 0
         self.arrivals_dropped = 0
-        # Backend adapters (wired by :meth:`bind`).  The fleet-mutating
-        # four default to direct data-center/host calls so an unbound
-        # injector (engine-level tests) keeps working; the sharded
-        # backend needs them routed through the façade, which captures
-        # each effect for replay into the owning shard.
-        self.force_awake = None       # (host, now) -> None
-        self.reinstate_check = None   # (host) -> None
-        self.on_vm_removed = None     # (vm_name) -> None
-        self.rebind = None            # () -> None
-        # Bound methods, not lambdas: the injector is part of the
-        # checkpointed observer graph and must pickle.
-        self.evacuate_host = self._evacuate_direct   # (host, now, targets)
-        self.place_vm = self.dc.place                # (vm, dest) -> None
-        self.power_off_host = self._power_off_direct  # (host, now) -> None
-        self.power_on_host = self._power_on_direct    # (host, now) -> None
+        #: The façade every effect goes through (set by :meth:`bind`).
+        self.simulation: Simulation | None = None
 
-    # -- unbound (engine-level) defaults for the façade adapters ------
-    def _evacuate_direct(self, host, now, targets):
-        return self.dc.evacuate(host, now, targets)
-
-    def _power_off_direct(self, host, now) -> None:
-        host.power_off(host.meter_time(now))
-
-    def _power_on_direct(self, host, now) -> None:
-        host.power_on(host.meter_time(now))
-
-    # ------------------------------------------------------------------
     def bind(self, simulation: Simulation) -> None:
-        """Route the backend-specific effects through the façade."""
-        self.force_awake = simulation.force_awake
-        self.reinstate_check = simulation.reinstate_check
-        self.on_vm_removed = simulation.note_vm_departed
-        self.rebind = simulation.rebind_fleet
-        self.evacuate_host = simulation.evacuate_host
-        self.place_vm = simulation.place_vm
-        self.power_off_host = simulation.power_off_host
-        self.power_on_host = simulation.power_on_host
+        """Route the injector's effects through ``simulation``."""
+        self.simulation = simulation
 
     # ------------------------------------------------------------------
     def hook(self, t: int, now: float) -> None:
@@ -138,8 +110,8 @@ class ChurnInjector(Observer):
         if self.churn.vm_arrivals_per_h > 0:
             changed |= self._arrive(int(self.rng.poisson(
                 self.churn.vm_arrivals_per_h)), t, now)
-        if changed and self.rebind is not None:
-            self.rebind()
+        if changed:
+            self.simulation.rebind_fleet()
 
     #: Observer-protocol spelling of :meth:`hook` (same bound method, so
     #: tests and tools that grab ``churn.hook`` see the same callable).
@@ -153,25 +125,25 @@ class ChurnInjector(Observer):
         to the first non-maintenance host with room, and power it off.
         A host caught mid-transition (or with stranded VMs) is drained
         as far as possible but left powered."""
+        sim = self.simulation
         self.in_maintenance.add(host.name)
-        if host.state is not PowerState.ON and self.force_awake is not None:
-            self.force_awake(host, now)
+        if host.state is not PowerState.ON:
+            sim.force_awake(host, now)
         candidates = [h for h in self.dc.hosts
                       if h.name not in self.in_maintenance]
         targets = ([h for h in candidates if h.is_available]
                    + [h for h in candidates if not h.is_available])
-        migrated, _ = self.evacuate_host(host, now, targets)
+        migrated, _ = sim.evacuate_host(host, now, targets)
         self.vms_evacuated += len(migrated)
-        if self.force_awake is not None:
-            # A drowsy fallback destination must wake to run its new
-            # VM: the event simulator has no hourly power step to
-            # notice an active VM landing on a suspended host.
-            for vm in migrated:
-                dest = self.dc.host_of(vm)
-                if dest.state is not PowerState.ON:
-                    self.force_awake(dest, now)
+        # A drowsy fallback destination must wake to run its new VM: the
+        # event simulator has no hourly power step to notice an active
+        # VM landing on a suspended host.
+        for vm in migrated:
+            dest = self.dc.host_of(vm)
+            if dest.state is not PowerState.ON:
+                sim.force_awake(dest, now)
         if not host.vms and host.state is PowerState.ON:
-            self.power_off_host(host, now)
+            sim.power_off_host(host, now)
             self._powered_off.add(host.name)
 
     def _end_maintenance(self, host: Host, now: float) -> None:
@@ -179,9 +151,8 @@ class ChurnInjector(Observer):
         if host.name in self._powered_off:
             self._powered_off.discard(host.name)
             if host.state is PowerState.OFF:
-                self.power_on_host(host, now)
-                if self.reinstate_check is not None:
-                    self.reinstate_check(host)
+                self.simulation.power_on_host(host, now)
+                self.simulation.reinstate_check(host)
 
     # ------------------------------------------------------------------
     # VM arrivals / departures
@@ -200,8 +171,7 @@ class ChurnInjector(Observer):
             vm = candidates[i]
             self.dc.remove(vm, now)
             self.ephemeral_names.discard(vm.name)
-            if self.on_vm_removed is not None:
-                self.on_vm_removed(vm.name)
+            self.simulation.note_vm_departed(vm.name)
             self.vms_removed += 1
         return True
 
@@ -227,19 +197,18 @@ class ChurnInjector(Observer):
             if dest is None:
                 self.arrivals_dropped += 1
                 continue
-            self.place_vm(vm, dest)
+            self.simulation.place_vm(vm, dest)
             # The newcomer runs from this hour on: give it the hour's
             # trace activity so the scalar view agrees with the columnar
             # one after the rebind.
             vm.current_activity = vm.activity_at(t)
             if (vm.current_activity > 0.0
-                    and dest.state is not PowerState.ON
-                    and self.force_awake is not None):
+                    and dest.state is not PowerState.ON):
                 # Like the evacuation path: an active newcomer on a
                 # drowsy host must wake it — the event simulator has no
                 # hourly power step to notice, and a non-interactive VM
                 # sends no request that would.
-                self.force_awake(dest, now)
+                self.simulation.force_awake(dest, now)
             self.ephemeral_names.add(name)
             self.vms_added += 1
             changed = True

@@ -10,8 +10,10 @@ Wires every runtime component the paper deploys on the testbed:
   scheduled dates;
 * the :class:`~repro.network.sdn.SDNSwitch` carrying open-loop client
   requests whose rate follows each VM's trace;
-* hourly trace/model/consolidation ticks identical to the hourly
-  simulator.
+* the hourly trace/model/consolidation steps of the hourly simulator,
+  run by the same code (:class:`~repro.sim.engine.HourEngine`), with
+  controller migrations executed through :meth:`EventDrivenSimulation.
+  _execute_migration` (which wakes drowsy endpoints first).
 
 This is the driver for Fig. 2, Table I, the energy totals, the SLA
 results and the suspending/waking module evaluations.
@@ -29,7 +31,6 @@ from ..cluster.events import EventSimulator, first_grid_point
 from ..cluster.host import Host
 from ..cluster.power import PowerState
 from ..cluster.vm import VM
-from ..core.binding import FleetBinding
 from ..core.calendar import time_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from ..core.result import RunResult
@@ -46,7 +47,7 @@ from ..suspend.module import SuspendDecision, SuspendingModule
 from ..suspend.timers import compute_waking_date
 from ..waking.failover import ReplicatedWakingService
 from ..waking.packets import WoLPacket
-from .hourly import validate_shared_config
+from .engine import HourEngine, validate_shared_config
 from .suspend_sweep import SuspendSweepScheduler
 
 
@@ -75,18 +76,16 @@ class EventConfig:
                 "expected 'shared' or 'per-vm'")
 
 
-class EventDrivenSimulation:
+class EventDrivenSimulation(HourEngine):
     """Full-stack Drowsy-DC simulation."""
+
+    backend_name = "event"
 
     def __init__(self, dc: DataCenter, controller,
                  params: DrowsyParams = DEFAULT_PARAMS,
                  config: EventConfig = EventConfig(),
                  hour_hooks: tuple = ()) -> None:
-        self.dc = dc
-        self.controller = controller
-        self.params = params
-        self.config = config
-        self.hour_hooks = tuple(hour_hooks)
+        super().__init__(dc, controller, params, config, hour_hooks)
         self.sim = EventSimulator()
         self.rng = np.random.default_rng(config.seed)
         self.switch = SDNSwitch(self.sim, dc, params)
@@ -127,10 +126,6 @@ class EventDrivenSimulation:
         #: Per-hour host classification cache of the columnar sweep pass
         #: ((hour, placement epoch, blocked version) -> codes, view).
         self._codes_cache: tuple | None = None
-        self._binding = self._bind()
-        self._run_start = 0
-        self._horizon: tuple[int, int] | None = None
-        self._migrations_before = 0
         #: VMs removed mid-run (scenario churn): their already-scheduled
         #: request events for the current hour must fall through instead
         #: of faulting on the unknown name.
@@ -138,68 +133,30 @@ class EventDrivenSimulation:
         #: Did the last hour tick take the columnar path?  Gates the
         #: sub-hour accounting reads (grace on resume).
         self._fleet_active = False
-        #: Telemetry endpoint (DESIGN.md §17), installed by a
-        #: metrics/trace-enabled run; stays ``None`` — zero hooks,
-        #: zero clock reads — otherwise.
-        self._obs = None
 
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def run(self, n_hours: int, start_hour: int = 0) -> RunResult:
-        if n_hours <= 0:
-            raise ValueError("n_hours must be positive")
-        if self._binding is None or not self._binding.covers(self.dc.vms):
-            # Rebind so the columnar path survives VM arrivals.
-            self._binding = self._bind()
-        if self._binding is not None:
-            self._binding.ensure_horizon(start_hour, n_hours)
-        self._run_start = start_hour
-        self._horizon = (start_hour, n_hours)
-        self._migrations_before = len(self.dc.migrations)
+    def _start(self, start_hour: int, n_hours: int) -> None:
         for t in range(start_hour, start_hour + n_hours):
             self.sim.schedule_at(time_of_hour(t), self._hour_tick, t)
         if self.config.suspend_enabled:
             for host in self.dc.hosts:
                 self._schedule_check(host, delay=self.params.suspend_check_period_s)
-        return self.continue_run()
 
-    def continue_run(self) -> RunResult:
-        """Run (or finish) the scheduled horizon.  The event kernel
+    def _advance(self, end_hour: int) -> None:
+        """Drain the clock to the end of the horizon.  The event kernel
         holds every piece of in-flight state — hour ticks, suspend
         checks, transitions in the heap, the hour's request arrivals in
-        its stream — so a run restored from a
-        checkpoint resumes by simply draining the clock to the end of
-        the horizon, exactly as the uninterrupted run would
-        (DESIGN.md §16)."""
-        if self._horizon is None:
-            raise RuntimeError("no run in progress to continue")
-        start_hour, n_hours = self._horizon
-        end = time_of_hour(start_hour + n_hours)
-        self.sim.run_until(end)
-        self.dc.sync_meters(end)
-        return self._result(n_hours, self._migrations_before)
-
-    # ------------------------------------------------------------------
-    def _bind(self) -> FleetBinding | None:
-        """Bind the fleet into the columnar model and host accounting
-        (DESIGN.md §6, §8); ``None`` when :meth:`FleetBinding.try_bind`
-        refuses the fleet (e.g. adaptive models), which keeps the scalar
-        per-VM and per-host fallbacks."""
-        return FleetBinding.try_bind(self.dc, self.params)
+        its stream — so a restored run resumes by simply draining it."""
+        self.sim.run_until(time_of_hour(end_hour))
 
     def rebind_fleet(self) -> None:
-        """Re-bind the columnar fleet model to the current VM population.
-
-        Scenario churn (DESIGN.md §12) places and removes VMs mid-run.
-        Like :meth:`repro.sim.hourly.HourlySimulator.rebind_fleet`, plus
-        the event-specific bits: the cached host classification is
-        dropped (it indexes the old accounting view) and the columnar
-        gate reflects whether the fresh binding covers the fleet.
-        """
-        self._binding = self._bind()
-        if self._binding is not None and self._horizon is not None:
-            self._binding.ensure_horizon(*self._horizon)
+        """Re-bind the columnar fleet model (:meth:`HourEngine.
+        rebind_fleet`), then drop the cached host classification (it
+        indexes the old accounting view) and let the columnar gate
+        reflect whether the fresh binding covers the fleet."""
+        super().rebind_fleet()
         self._codes_cache = None
         self._fleet_active = (self._binding is not None
                               and self._binding.covers(self.dc.vms))
@@ -208,56 +165,28 @@ class EventDrivenSimulation:
     def _hour_tick(self, t: int) -> None:
         now = self.sim.now
         self._current_hour = t
-        vms = self.dc.vms
-        binding = self._binding
-        activities = None
-        if binding is not None and binding.covers(vms):
-            # Columnar hot path: one matrix-column load (DESIGN.md §6),
-            # with the hourly meter charge fed the previous hour's
-            # columnar utilizations (DESIGN.md §8).
-            acc = columnar_host_view(self.dc)
-            if acc is not None and t > self._run_start:
-                self.dc.sync_meters(now, acc.cpu_utilization(t - 1))
-            else:
-                self.dc.sync_meters(now)
-            activities = binding.load_hour(t)
-        else:
-            self.dc.set_hour_activities(t, now)
+        activities, _ = self._hour_head(t, now)
         self._fleet_active = activities is not None
-        self.controller.observe_hour(t)
-
-        obs = self._obs
-        if t % self.config.consolidation_period_h == 0:
-            if obs is not None:
-                obs.phase_begin("consolidate")
-            if self.config.relocate_all_mode and hasattr(self.controller, "relocate_all"):
-                before = len(self.dc.migrations)
-                self.controller.relocate_all(t, now)
-                self._refresh_waking_after_bulk(self.dc.migrations[before:])
-            else:
-                self.controller.step(t, now, executor=self._execute_migration)
-            # Migrations may have moved a VM whose request is waiting.
-            self.switch.redispatch_pending()
-            if obs is not None:
-                obs.phase_end()
-
-        if self.config.update_models or getattr(self.controller, "uses_idleness", False):
-            if activities is not None:
-                binding.observe(t, activities)
-            else:
-                for vm in vms:
-                    vm.model.observe(t, vm.current_activity)
 
         # Client traffic for interactive VMs active this hour.
+        obs = self._obs
         if obs is not None:
             obs.phase_begin("requests")
         self._generate_hour_requests(now, self.config.request_profile)
         if obs is not None:
             obs.phase_end()
-            obs.hour_mark(t)
+        self._hour_tail(t, now)
 
-        for hook in self.hour_hooks:
-            hook(t, now)
+    def _relocate_all(self, t: int, now: float) -> None:
+        before = len(self.dc.migrations)
+        self.controller.relocate_all(t, now)
+        self._refresh_waking_after_bulk(self.dc.migrations[before:])
+        # Migrations may have moved a VM whose request is waiting.
+        self.switch.redispatch_pending()
+
+    def _step(self, t: int, now: float) -> None:
+        self.controller.step(t, now, executor=self._execute_migration)
+        self.switch.redispatch_pending()
 
     # ------------------------------------------------------------------
     def telemetry_sample(self) -> dict:
@@ -513,13 +442,15 @@ class EventDrivenSimulation:
             module = self.suspending[host.name]
             grace = module.grace_for_resume(self.sim.now, self._current_hour)
         host.finish_resume(self.sim.now, grace)
-        self.wol_channel.settle(host.mac_address)
         self._host_up(host)
 
     def _host_up(self, host: Host) -> None:
-        """``host`` is back in S0 (resumed or rebooted): its drowsy-era
+        """``host`` is back in S0 (resumed or rebooted): its in-flight
+        WoL retries and delayed packets are moot (one sent while it was
+        down must not resume it after it re-suspends), its drowsy-era
         registrations go, the requests queued on the switch are
         re-examined, and its suspend checks restart."""
+        self.wol_channel.settle(host.mac_address)
         self.waking.on_host_awake(host)
         self.switch.redispatch_pending()
         if self.config.suspend_enabled:
@@ -608,32 +539,32 @@ class EventDrivenSimulation:
             self.migrations_blocked += 1
             return
         for host in (src, dest):
-            self._force_awake(host)
+            self.force_awake(host, self.sim.now)
         self.dc.migrate(vm, dest, self.sim.now)
 
-    def _force_awake(self, host: Host) -> None:
+    # ------------------------------------------------------------------
+    # administrative surface (scenario churn via the façade)
+    # ------------------------------------------------------------------
+    def force_awake(self, host: Host, now: float) -> None:
+        """Zero-latency, zero-grace resume of a suspended host on the
+        event clock (``now`` is ignored: every caller runs at
+        ``sim.now``).  A host still suspending resumes as soon as its
+        suspend completes."""
         if host.state is PowerState.SUSPENDED:
             host.begin_resume(self.sim.now)
             host.finish_resume(self.sim.now, 0.0)
-            self.wol_channel.settle(host.mac_address)
             self._host_up(host)
         elif host.state is PowerState.SUSPENDING:
             self._resume_pending.add(host.name)
 
+    def reinstate_check(self, host: Host) -> None:
+        self._schedule_check(host, self.params.suspend_check_period_s)
+
     # ------------------------------------------------------------------
-    def _result(self, n_hours: int, migrations_before: int) -> RunResult:
-        return RunResult(
-            hours=n_hours,
-            controller_name=self.controller.name,
-            backend="event",
-            energy_kwh_by_host={h.name: h.meter.energy_kwh for h in self.dc.hosts},
-            suspended_fraction_by_host={
-                h.name: h.meter.suspended_fraction for h in self.dc.hosts},
-            suspend_cycles_by_host={h.name: h.suspend_count for h in self.dc.hosts},
-            resume_cycles_by_host={h.name: h.resume_count for h in self.dc.hosts},
-            migrations=len(self.dc.migrations) - migrations_before,
-            vm_migrations={vm.name: vm.migrations for vm in self.dc.vms},
+    def _result(self) -> RunResult:
+        return super()._result(
+            resume_cycles_by_host={h.name: h.resume_count
+                                   for h in self.dc.hosts},
             request_summary=self.switch.log.summary(),
             wol_sent=self.waking.active.wol_sent,
-            events_processed=self.sim.events_processed,
-        )
+            events_processed=self.sim.events_processed)

@@ -14,32 +14,24 @@ event simulator's job (:mod:`repro.sim.event_driven`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..cluster.accounting import HostAccounting, columnar_host_view
+from ..cluster.accounting import HostAccounting
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
-from ..cluster.power import CRASHED_CODE, OFF_CODE, ON_CODE, SUSPENDED_CODE
-from ..core.binding import FleetBinding
+from ..cluster.power import (
+    CRASHED_CODE,
+    OFF_CODE,
+    ON_CODE,
+    SUSPENDED_CODE,
+    PowerState,
+)
 from ..core.calendar import time_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from ..core.result import RunResult
 from ..suspend.grace import grace_from_raw_ip
-
-HourHook = Callable[[int, float], None]
-
-
-def validate_shared_config(config) -> None:
-    """The config contract both simulators share (DESIGN.md §13).
-
-    Called from ``HourlyConfig.__post_init__`` and
-    ``EventConfig.__post_init__`` so the shared checks and their error
-    wording cannot diverge.
-    """
-    if config.consolidation_period_h < 1:
-        raise ValueError("consolidation_period_h must be >= 1")
+from .engine import HourEngine, HourHook, validate_shared_config
 
 
 @dataclass(frozen=True)
@@ -73,145 +65,38 @@ class HourlyConfig:
         validate_shared_config(self)
 
 
-class HourlySimulator:
+class HourlySimulator(HourEngine):
     """Drive a data center and a consolidation controller hour by hour."""
+
+    backend_name = "hourly"
 
     def __init__(self, dc: DataCenter, controller,
                  params: DrowsyParams = DEFAULT_PARAMS,
                  config: HourlyConfig = HourlyConfig(),
                  hour_hooks: tuple[HourHook, ...] = ()) -> None:
-        self.dc = dc
-        self.controller = controller
-        self.params = params
-        self.config = config
-        self.hour_hooks = tuple(hour_hooks)
+        super().__init__(dc, controller, params, config, hour_hooks)
         self._overload_host_hours = 0
         self._active_host_hours = 0
-        self._binding = self._bind()
-        self._update_models = (config.update_models
-                               or getattr(controller, "uses_idleness", False))
         #: Controller-specific sleep veto (Oasis-style), hoisted: the
         #: controller never changes after construction.
         self._can_sleep = getattr(controller, "host_can_sleep", None)
-        self._run_start = 0
-        self._horizon: tuple[int, int] | None = None
         #: The next hour the main loop will process — advanced *before*
         #: the hour hooks fire, so a checkpoint taken by a hook resumes
         #: at exactly the right boundary (DESIGN.md §16).
         self._next_hour = 0
-        self._migrations_before = 0
-        #: Telemetry endpoint (DESIGN.md §17), installed by a
-        #: metrics/trace-enabled run; stays ``None`` — zero hooks,
-        #: zero clock reads — otherwise.
-        self._obs = None
 
     # ------------------------------------------------------------------
-    def run(self, n_hours: int, start_hour: int = 0) -> RunResult:
-        if n_hours <= 0:
-            raise ValueError("n_hours must be positive")
-        if self._binding is None or not self._binding.covers(self.dc.vms):
-            # The fleet may have grown since construction: rebind so the
-            # columnar path survives VM arrivals between runs.
-            self._binding = self._bind()
-        if self._binding is not None:
-            self._binding.ensure_horizon(start_hour, n_hours)
-        self._run_start = start_hour
-        self._horizon = (start_hour, n_hours)
+    def _start(self, start_hour: int, n_hours: int) -> None:
         self._next_hour = start_hour
-        self._migrations_before = len(self.dc.migrations)
-        return self._drive()
 
-    def continue_run(self) -> RunResult:
-        """Finish a run restored from a checkpoint: re-enter the hour
-        loop at the recorded boundary.  All loop state lives on the
-        engine, so the remaining hours execute exactly as the
-        uninterrupted run would have."""
-        if self._horizon is None:
-            raise RuntimeError("no run in progress to continue")
-        return self._drive()
-
-    def _drive(self) -> RunResult:
-        start_hour, n_hours = self._horizon
-        for t in range(self._next_hour, start_hour + n_hours):
+    def _advance(self, end_hour: int) -> None:
+        for t in range(self._next_hour, end_hour):
             self._hour(t)
-        end = time_of_hour(start_hour + n_hours)
-        self.dc.sync_meters(end)
-        return self._result(n_hours, self._migrations_before)
 
-    # ------------------------------------------------------------------
-    def _bind(self) -> FleetBinding | None:
-        """Bind the fleet into one columnar idleness model (DESIGN.md
-        §6), with host accounting per the config (§8); ``None`` when
-        :meth:`FleetBinding.try_bind` refuses the fleet (e.g. adaptive
-        models), which keeps the scalar per-VM fallback."""
-        return FleetBinding.try_bind(
-            self.dc, self.params,
-            accounting=self.config.use_host_accounting)
-
-    def rebind_fleet(self) -> None:
-        """Re-bind the columnar fleet model to the current VM population.
-
-        Scenario churn (DESIGN.md §12) places and removes VMs mid-run;
-        a newly placed VM carries a scalar model, so the binding no
-        longer covers the fleet and every hour would fall back to the
-        per-VM path.  Churn hooks call this after changing the
-        population: newcomers join fresh fleet rows (existing model
-        state imports bit-exactly) and the horizon matrix is rebuilt.
-        """
-        self._binding = self._bind()
-        if self._binding is not None and self._horizon is not None:
-            self._binding.ensure_horizon(*self._horizon)
-
-    # ------------------------------------------------------------------
     def _hour(self, t: int) -> None:
         now = time_of_hour(t)
-        cfg = self.config
-        # Per-hour invariants, hoisted: the VM population only changes
-        # between hours, never inside the steps below.
-        vms = self.dc.vms
         hosts = self.dc.hosts
-
-        # 1. Charge the previous hour, load this hour's activities.
-        #    With an active binding the load is one matrix-column read;
-        #    the binding opts out when unbound VMs joined the fleet.
-        binding = self._binding
-        activities = None
-        acc: HostAccounting | None = None
-        if binding is not None and binding.covers(vms):
-            acc = columnar_host_view(self.dc)
-            # The meter charges [previous sync, now] at the *previous*
-            # hour's utilization; the accounting column for t-1 over the
-            # current placement is exactly that value for every host.
-            if acc is not None and t > self._run_start:
-                self.dc.sync_meters(now, acc.cpu_utilization(t - 1))
-            else:
-                self.dc.sync_meters(now)
-            activities = binding.load_hour(t)
-        else:
-            self.dc.set_hour_activities(t, now)
-        self.controller.observe_hour(t)
-
-        # 2. Consolidation decisions use models trained through t-1
-        #    (they predict idleness of the *next* interval, section III).
-        obs = self._obs
-        if t % cfg.consolidation_period_h == 0:
-            if obs is not None:
-                obs.phase_begin("consolidate")
-            if cfg.relocate_all_mode and hasattr(self.controller, "relocate_all"):
-                self.controller.relocate_all(t, now)
-            else:
-                self.controller.step(t, now)
-            if obs is not None:
-                obs.phase_end()
-
-        # 3. Learn this hour's activity: one vectorized update for the
-        #    whole fleet, or the scalar per-VM loop when unbound.
-        if self._update_models:
-            if activities is not None:
-                binding.observe(t, activities)
-            else:
-                for vm in vms:
-                    vm.model.observe(t, vm.current_activity)
+        _, acc = self._hour_head(t, now)
 
         # 4. Power-state bookkeeping for the hour, one columnar pass:
         #    only the hosts whose state changes run Python (DESIGN.md
@@ -238,10 +123,7 @@ class HourlySimulator:
         self._overload_host_hours += int((on & (demand >= limit)).sum())
 
         self._next_hour = t + 1
-        if obs is not None:
-            obs.hour_mark(t)
-        for hook in self.hour_hooks:
-            hook(t, now)
+        self._hour_tail(t, now)
 
     # ------------------------------------------------------------------
     def telemetry_sample(self) -> dict:
@@ -336,17 +218,16 @@ class HourlySimulator:
         return grace_from_raw_ip(mean_ip, self.params)
 
     # ------------------------------------------------------------------
-    def _result(self, n_hours: int, migrations_before: int) -> RunResult:
-        return RunResult(
-            hours=n_hours,
-            controller_name=self.controller.name,
-            backend="hourly",
-            energy_kwh_by_host={h.name: h.meter.energy_kwh for h in self.dc.hosts},
-            suspended_fraction_by_host={
-                h.name: h.meter.suspended_fraction for h in self.dc.hosts},
-            suspend_cycles_by_host={h.name: h.suspend_count for h in self.dc.hosts},
-            migrations=len(self.dc.migrations) - migrations_before,
-            vm_migrations={vm.name: vm.migrations for vm in self.dc.vms},
+    def force_awake(self, host: Host, now: float) -> None:
+        """Administrative wake at hour resolution: a zero-latency,
+        zero-grace resume on the host's meter clock (the hourly power
+        step may have charged it a few seconds past the hour start)."""
+        if host.state is PowerState.SUSPENDED:
+            now = host.meter_time(now)
+            host.begin_resume(now)
+            host.finish_resume(now, 0.0)
+
+    def _result(self) -> RunResult:
+        return super()._result(
             overload_host_hours=self._overload_host_hours,
-            active_host_hours=self._active_host_hours,
-        )
+            active_host_hours=self._active_host_hours)

@@ -376,6 +376,32 @@ class TestCrashCancelSafety:
         assert host.state is PowerState.ON
         assert engine.host_recoveries == 1
 
+    def test_recovery_settles_crash_era_wol(self):
+        # A WoL sent while the host was down (the switch-port fallback
+        # for a request queued on it) is delayed past the recovery; the
+        # host re-suspends meanwhile, and the late packet must not
+        # resume it for nothing.
+        from repro.consolidation.drowsy import DrowsyController
+        from repro.sim.event_driven import EventConfig, EventDrivenSimulation
+
+        dc = build_fleet(n_hosts=3, n_vms=6, llmi_fraction=0.5,
+                         hours=24, seed=5)
+        engine = EventDrivenSimulation(
+            dc, DrowsyController(dc), config=EventConfig(suspend_enabled=False))
+        engine.wol_channel.transport = lambda packet: ("delay", 60.0)
+        host = dc.hosts[0]
+        vm = host.vms[0]
+        assert engine.crash_host(host, recover_after_s=10.0)
+        engine.sim.schedule_at(5.0, engine.switch.submit_request,
+                               vm.name, 5.0, 1.0)
+        engine.sim.schedule_at(20.0, engine._begin_suspend, host, None)
+        engine.sim.run_until(100.0)
+        assert engine.wol_channel.delayed == 1  # landed at 65 s
+        assert engine.host_recoveries == 1
+        assert engine.switch.queued_requests == 0
+        assert host.state is PowerState.SUSPENDED
+        assert host.resume_count == 0
+
     def test_crashed_host_blocks_migrations(self):
         engine, dc = self.make_engine()
         src = dc.hosts[0]

@@ -152,6 +152,23 @@ class TestCheckpointResume:
         for path in sorted(tmp_path.glob("*.ckpt")):
             assert Simulation.resume(path).run() == base
 
+    @pytest.mark.parametrize("backend", ["hourly", "event"])
+    def test_maintenance_churn_resume(self, tmp_path, backend):
+        # Checkpoints before, inside (hour 18) and after the first
+        # maintenance window (hours 12-20): the injector's drain, power
+        # and wake effects resume through the restored façade.
+        base = Simulation.from_scenario(
+            "maintenance-churn", seed=2, backend=backend, hours=24).run()
+        sim = Simulation.from_scenario(
+            "maintenance-churn", seed=2, backend=backend, hours=24,
+            checkpoint=CheckpointPolicy(dir=str(tmp_path), every_h=6))
+        assert sim.run() == base
+        assert sim.churn.vms_evacuated > 0
+        for path in sorted(tmp_path.glob("*.ckpt")):
+            resumed = Simulation.resume(path)
+            assert resumed.churn.simulation is resumed
+            assert resumed.run() == base
+
     def test_resume_directory_picks_most_advanced(self, tmp_path):
         sim = Simulation(small_fleet(), "drowsy", "hourly", seed=3,
                          checkpoint=CheckpointPolicy(dir=str(tmp_path),
@@ -231,16 +248,16 @@ class TestCheckpointFiles:
             Checkpoint.load(path)
 
     def test_previous_version_refused(self, tmp_path):
-        # Version-3 checkpoints hold two separate waking-state objects
-        # per replicated pair; this build's pair shares one and never
-        # copies between them, so it must not unpickle the old layout.
-        assert CHECKPOINT_VERSION == 4
+        # Version-4 checkpoints hold a churn injector with eight bound
+        # callables and no façade, and an event engine without the
+        # shared hour state; this build must not unpickle that layout.
+        assert CHECKPOINT_VERSION == 5
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = CHECKPOINT_VERSION - 1
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError,
-                           match=f"format 3; this build reads {CHECKPOINT_VERSION}"):
+                           match=f"format 4; this build reads {CHECKPOINT_VERSION}"):
             Checkpoint.load(path)
 
     def test_corrupt_payload_fails_digest(self, tmp_path):

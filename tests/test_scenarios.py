@@ -10,11 +10,12 @@ Philox stream — is the same under both simulators.
 import numpy as np
 import pytest
 
-from repro.api import Simulation, backends
+from repro.api import Simulation
 from repro.cluster import VM, DataCenter, Host
 from repro.cluster.power import PowerState
 from repro.cluster.resources import TESTBED_VM
 from repro.core.calendar import time_of_hour
+from repro.experiments.common import build_fleet
 from repro.network.requests import ArrivalShape, RequestProfile
 from repro.scenarios import (
     ChurnSpec,
@@ -33,8 +34,10 @@ from repro.scenarios import (
     scenario_grid,
     stable_seed,
 )
+from repro.sim import EventConfig, HourlyConfig
 from repro.traces.replay import trace_from_csv
 from repro.traces.synthetic import always_idle_trace
+from tests.oracles import assert_bits_equal
 
 SMALL = dict(scale=0.25, hours=12)
 
@@ -254,6 +257,38 @@ class TestDeterminism:
         assert (h.vms_added, h.vms_removed) == (e.vms_added, e.vms_removed)
         assert h.migrations == e.migrations
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("relocate_all", [False, True],
+                             ids=["step", "relocate-all"])
+    @pytest.mark.parametrize("controller", ["drowsy", "neat"])
+    def test_cross_engine_moves_without_sleep(self, controller,
+                                              relocate_all, seed):
+        """When no host sleeps, both engines run the same hour: the
+        same migrations, hour by hour, and bit-identical idleness
+        models."""
+        configs = {
+            "hourly": HourlyConfig(suspend_enabled=False,
+                                   power_off_empty=False,
+                                   relocate_all_mode=relocate_all),
+            "event": EventConfig(suspend_enabled=False,
+                                 relocate_all_mode=relocate_all),
+        }
+        fleets = {}
+        for backend, config in configs.items():
+            dc = build_fleet(16, 32, 0.5, 48, seed=seed)
+            Simulation(dc, controller, backend, config=config).run(48)
+            fleets[backend] = dc
+        h, e = fleets["hourly"], fleets["event"]
+        moves = {name: [(int(r.time // 3600), r.vm_name, r.source,
+                         r.destination) for r in dc.migrations]
+                 for name, dc in fleets.items()}
+        assert moves["hourly"] == moves["event"]
+        assert moves["hourly"]  # the comparison is not vacuous
+        for vm in h.vms:
+            twin, _ = e.find_vm(vm.name)
+            assert_bits_equal(vm.model.sid, twin.model.sid, vm.name)
+            assert_bits_equal(vm.model.siw, twin.model.siw, vm.name)
+
 
 # ----------------------------------------------------------------------
 # compiler + churn mechanics
@@ -451,15 +486,15 @@ class TestMeterClock:
         # An hourly-style power step suspends ``a`` past the hour start.
         a.begin_suspend(2.5)
         a.finish_suspend(5.5)
-        hourly = backends.get("hourly")
-        hourly.force_awake(None, a, 0.0)
+        hourly = Simulation(dc, "none", "hourly").engine
+        hourly.force_awake(a, 0.0)
         assert a.state is PowerState.ON
         assert a.transitions[-1].time == 5.5
         dc.migrate(vm, b, now=0.0)
         assert dc.host_of(vm) is b
         assert b.meter.last_time == 0.0
         assert dc.migrations[-1].time == 0.0
-        hourly.power_off_host(None, a, 0.0)
+        hourly.power_off_host(a, 0.0)
         assert a.state is PowerState.OFF
         assert a.meter.last_time == 5.5
         dc.remove(vm, now=0.0)
