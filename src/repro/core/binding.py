@@ -263,15 +263,43 @@ class FleetBinding:
     # precomputed trace matrix
     # ------------------------------------------------------------------
     def ensure_horizon(self, start_hour: int, n_hours: int) -> None:
-        """Precompute the ``(n, T)`` activity matrix for a run horizon."""
+        """Make the ``(n, T)`` activity matrix cover a run horizon.
+
+        When the bound VMs' traces are the rows of one read-only matrix
+        in binding order (as :func:`~repro.experiments.common.build_fleet`
+        builds them) and the horizon lies within it, that matrix is read
+        in place; otherwise the traces' windows are stacked.
+        """
         if (self._matrix is not None and self._matrix_start <= start_hour
                 and start_hour + n_hours <= self._matrix_start + self._matrix.shape[1]):
+            return
+        shared = self._trace_rows()
+        if shared is not None and 0 <= start_hour <= shared.shape[1] - n_hours:
+            self._matrix, self._matrix_start = shared, 0
             return
         from ..traces.base import activity_matrix
 
         self._matrix = activity_matrix([vm.trace for vm in self.vms],
                                        n_hours, start_hour=start_hour)
         self._matrix_start = start_hour
+
+    def _trace_rows(self) -> np.ndarray | None:
+        """The read-only matrix whose row ``i`` is bound VM ``i``'s whole
+        trace, or ``None`` when the traces are not laid out so."""
+        base = self.vms[0].trace.activities.base
+        if (not isinstance(base, np.ndarray) or base.ndim != 2
+                or len(base) != len(self.vms) or base.flags.writeable):
+            return None
+        width, (row_stride, col_stride) = base.shape[1], base.strides
+        address = base.__array_interface__["data"][0]
+        for vm in self.vms:
+            row = vm.trace.activities
+            if (row.base is not base or row.shape[0] != width
+                    or row.strides[0] != col_stride
+                    or row.__array_interface__["data"][0] != address):
+                return None
+            address += row_stride
+        return base
 
     def activities(self, hour_index: int) -> np.ndarray:
         """(n,) trace activities of the bound VMs for an absolute hour."""

@@ -18,9 +18,9 @@ from ..cluster.host import Host
 from ..cluster.resources import TESTBED_HOST, TESTBED_VM, HostCapacity, ResourceSpec
 from ..cluster.vm import VM
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
-from ..traces.base import ActivityTrace
-from ..traces.google import google_llmu_fleet
-from ..traces.production import PRODUCTION_SPECS, production_trace, testbed_llmi_traces
+from ..traces.base import VMKind, trace_rows
+from ..traces.google import google_llmu_draws, google_llmu_matrix
+from ..traces.production import PRODUCTION_SPECS, production_matrix, testbed_llmi_traces
 from ..traces.synthetic import llmu_trace
 
 HOST_NAMES = ("P2", "P3", "P4", "P5")
@@ -89,30 +89,56 @@ def build_fleet(n_hosts: int, n_vms: int, llmi_fraction: float, hours: int,
     LLMI VMs draw production-like traces; the rest are Google-like LLMU.
     VMs are placed round-robin — deliberately idleness-oblivious, the
     state an ordinary cloud would be in before consolidation runs.
+
+    Every trace is a read-only row of one activity matrix in ``dc.vms``
+    order (host-major), each VM's draws its own seeded stream; the fleet
+    binding reads a run's horizon straight from that matrix (DESIGN.md
+    §6).  LLMI rows span whole days, so when ``hours`` is not a multiple
+    of 24 the LLMU traces are the shorter prefixes of their rows.
     """
     if not 0.0 <= llmi_fraction <= 1.0:
         raise ValueError("llmi_fraction must be in [0, 1]")
+    if n_hosts <= 0:
+        raise ValueError(f"n_hosts must be positive, got {n_hosts}")
     hosts = [Host(f"H{i:03d}", FLEET_HOST, params) for i in range(n_hosts)]
     dc = DataCenter(hosts, params)
     n_llmi = round(n_vms * llmi_fraction)
     days = (hours + 23) // 24
 
-    traces: list[ActivityTrace] = []
-    for i in range(n_llmi):
-        spec_idx = (i % len(PRODUCTION_SPECS)) + 1
-        traces.append(production_trace(spec_idx, days=days, seed=seed + i)
-                      .with_name(f"llmi-{i:03d}"))
-    for i, tr in enumerate(google_llmu_fleet(n_vms - n_llmi, hours, seed=seed + 10_000)):
-        traces.append(tr.with_name(f"llmu-{i:03d}"))
-
     # Shuffle before placement: an idleness-oblivious cloud does not
     # accidentally colocate matching patterns, which is precisely the
     # state Drowsy-DC improves on (and what the baselines must face).
-    rng = np.random.default_rng(seed + 1)
-    rng.shuffle(traces)
+    # VM p gets trace order[p] (LLMI traces first, then LLMU) and sits
+    # on host p % n_hosts: its row in host-major order is row_of_vm[p].
+    order = list(range(n_vms))
+    np.random.default_rng(seed + 1).shuffle(order)
+    vm_at_row = np.argsort(np.arange(n_vms) % n_hosts, kind="stable")
+    row_of_vm = np.empty(n_vms, dtype=np.intp)
+    row_of_vm[vm_at_row] = np.arange(n_vms)
+    row_of_trace = np.empty(n_vms, dtype=np.intp)
+    row_of_trace[order] = row_of_vm
 
-    for i, trace in enumerate(traces):
-        vm = VM(f"vm-{i:03d}", trace, FLEET_VM, params=params)
-        dc.place(vm, hosts[i % n_hosts])
+    # Zeros: the unused tail of a shorter LLMU row must still validate.
+    matrix = np.zeros((n_vms, days * 24))
+    llmi = np.arange(n_llmi)
+    production_matrix(llmi % len(PRODUCTION_SPECS) + 1, days, (seed + llmi).tolist(),
+                      out=matrix, rows=row_of_trace[:n_llmi])
+    google_llmu_matrix(hours, *google_llmu_draws(n_vms - n_llmi, seed + 10_000),
+                       out=matrix, rows=row_of_trace[n_llmi:])
+    names, kinds, lengths = [], [], []
+    for j in np.asarray(order)[vm_at_row].tolist():
+        if j < n_llmi:
+            names.append(f"llmi-{j:03d}")
+            kinds.append(VMKind.LLMI)
+            lengths.append(days * 24)
+        else:
+            names.append(f"llmu-{j - n_llmi:03d}")
+            kinds.append(VMKind.LLMU)
+            lengths.append(hours)
+    traces = trace_rows(matrix, names, kinds, lengths)
+
+    for p, row in enumerate(row_of_vm.tolist()):
+        vm = VM(f"vm-{p:03d}", traces[row], FLEET_VM, params=params)
+        dc.place(vm, hosts[p % n_hosts])
     dc.check_invariants()
     return dc

@@ -23,6 +23,11 @@ import numpy as np
 from ..core.calendar import HOURS_PER_DAY
 
 
+#: Rows the batched trace generators draw and combine at a time: their
+#: temporaries stay a few hundred kB whatever the fleet size.
+ROW_BLOCK = 256
+
+
 class VMKind(enum.Enum):
     """Paper section I VM activity classes."""
 
@@ -47,10 +52,7 @@ class ActivityTrace:
         arr = np.asarray(self.activities, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("activities must be a 1-D array")
-        if arr.size == 0:
-            raise ValueError("trace must contain at least one hour")
-        if np.any((arr < 0.0) | (arr > 1.0)):
-            raise ValueError("activity levels must be in [0, 1]")
+        check_levels(arr)
         object.__setattr__(self, "activities", arr)
 
     # ------------------------------------------------------------------
@@ -106,6 +108,41 @@ class ActivityTrace:
 
     def __len__(self) -> int:
         return self.hours
+
+
+def check_levels(levels: np.ndarray) -> None:
+    """Reject an empty trace, or a level that is not a finite number in
+    ``[0, 1]`` (NaN and infinities included).  ``levels`` holds one
+    trace, or one trace per row."""
+    if levels.shape[-1] == 0:
+        raise ValueError("trace must contain at least one hour")
+    if not ((levels >= 0.0) & (levels <= 1.0)).all():
+        raise ValueError("activity levels must be finite and in [0, 1]")
+
+
+def trace_rows(matrix: np.ndarray, names, kinds,
+               lengths=None) -> list[ActivityTrace]:
+    """One trace per row of an ``(n, T)`` activity matrix, validated once.
+
+    Each trace's ``activities`` is a read-only view of its row, whose
+    first ``lengths[i]`` hours it spans (all ``T`` by default).  The
+    matrix is frozen read-only too, so a fleet built this way shares
+    one buffer: :class:`~repro.core.binding.FleetBinding` reads a run's
+    horizon straight from it (DESIGN.md §6).
+    """
+    check_levels(matrix)
+    matrix.flags.writeable = False
+    if lengths is None:
+        lengths = [matrix.shape[1]] * len(matrix)
+    out = []
+    for row, name, kind, n in zip(matrix, names, kinds, lengths):
+        # The levels were checked above: skip the per-trace validation.
+        trace = object.__new__(ActivityTrace)
+        object.__setattr__(trace, "name", name)
+        object.__setattr__(trace, "activities", row[:n])
+        object.__setattr__(trace, "kind", kind)
+        out.append(trace)
+    return out
 
 
 def activity_matrix(traces: list[ActivityTrace], n_hours: int,

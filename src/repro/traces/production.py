@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.calendar import slots_of_hours
-from .base import ActivityTrace, VMKind
+from .base import ROW_BLOCK, ActivityTrace, VMKind, trace_rows
 
 
 @dataclass(frozen=True)
@@ -68,30 +68,78 @@ PRODUCTION_SPECS: tuple[ProductionTraceSpec, ...] = (
 )
 
 
+#: ``(level, level_jitter, p_extra, p_miss)`` of each spec, one row per
+#: trace index - 1.
+_SPEC_LEVELS = np.array([(s.level, s.level_jitter, s.p_extra, s.p_miss)
+                         for s in PRODUCTION_SPECS])
+
+
+def _lookup(attr: str, width: int) -> np.ndarray:
+    """Row ``index`` flags the spec's ``attr`` values (row 0 unused)."""
+    table = np.zeros((len(PRODUCTION_SPECS) + 1, width), dtype=bool)
+    for i, spec in enumerate(PRODUCTION_SPECS, start=1):
+        table[i, list(getattr(spec, attr))] = True
+    return table
+
+
+_ACTIVE_WEEKDAYS = _lookup("weekdays", 7)
+_ACTIVE_HOURS = _lookup("hours", 24)
+_END_OF_MONTH = [i for i, s in enumerate(PRODUCTION_SPECS, start=1)
+                 if s.end_of_month]
+
+
+def production_matrix(indices, days: int, seeds, out: np.ndarray | None = None,
+                      rows=None) -> np.ndarray:
+    """Production-like LLMI traces as the rows of one activity matrix.
+
+    Row ``k`` is trace ``indices[k]`` (in [1, 5]) drawn from its own
+    ``default_rng(seeds[k])`` stream, exactly as a one-trace call draws
+    it.  The calendar slots and each spec's weekday/hour/end-of-month
+    mask are computed once for all rows.  The rows are written to
+    ``out[rows, :days * 24]`` (a fresh ``(n, days * 24)`` matrix by
+    default), one block of rows at a time.
+    """
+    indices = np.asarray(indices)
+    if ((indices < 1) | (indices > len(PRODUCTION_SPECS))).any():
+        raise ValueError(f"trace index must be in [1, {len(PRODUCTION_SPECS)}]")
+    hours = days * 24
+    if out is None:
+        out = np.empty((len(indices), hours))
+        rows = np.arange(len(indices))
+    h, dw, dm, _, _ = slots_of_hours(np.arange(hours))
+    calendar = _ACTIVE_WEEKDAYS[:, dw] & _ACTIVE_HOURS[:, h]
+    calendar[_END_OF_MONTH] |= (dm >= 27) & (h >= 9) & (h <= 17)
+    level, jitter, p_extra, p_miss = _SPEC_LEVELS[indices - 1].T[:, :, None]
+
+    for lo in range(0, len(indices), ROW_BLOCK):
+        block = slice(lo, lo + ROW_BLOCK)
+        n = len(indices[block])
+        extra, miss, levels = (np.empty((n, hours)) for _ in range(3))
+        for k, seed in enumerate(seeds[block]):
+            rng = np.random.default_rng(seed)
+            rng.random(out=extra[k])
+            rng.random(out=miss[k])
+            levels[k] = rng.lognormal(0.0, jitter[lo + k, 0], size=hours)
+        mask = calendar[indices[block]] | (extra < p_extra[block])
+        mask &= ~(miss < p_miss[block])
+        levels = level[block] * levels
+        out[rows[block], :hours] = np.where(mask, np.clip(levels, 0.02, 1.0), 0.0)
+    return out
+
+
 def production_trace(index: int, days: int = 7, seed: int | None = None) -> ActivityTrace:
     """Production-like LLMI trace ``index`` in [1, 5] over ``days`` days.
 
     The default seven days matches the monitored window of section
     VI-A.2; pass ``days=3*365`` for the Fig. 4 evaluation.  ``seed``
     defaults to the trace index so V3 and V4 can share byte-identical
-    workloads by using the same index and seed.
+    workloads by using the same index and seed.  The one-row call of
+    :func:`production_matrix`.
     """
-    if not 1 <= index <= len(PRODUCTION_SPECS):
-        raise ValueError(f"trace index must be in [1, {len(PRODUCTION_SPECS)}]")
+    matrix = production_matrix([index], days,
+                               [seed if seed is not None else 1000 + index])
     spec = PRODUCTION_SPECS[index - 1]
-    rng = np.random.default_rng(seed if seed is not None else 1000 + index)
-    hours = days * 24
-    h, dw, dm, m, doy = slots_of_hours(np.arange(hours))
-
-    mask = np.isin(dw, spec.weekdays) & np.isin(h, spec.hours)
-    if spec.end_of_month:
-        mask = mask | ((dm >= 27) & (h >= 9) & (h <= 17))
-    mask = mask | (rng.random(hours) < spec.p_extra)
-    mask = mask & ~(rng.random(hours) < spec.p_miss)
-
-    levels = spec.level * rng.lognormal(0.0, spec.level_jitter, size=hours)
-    activities = np.where(mask, np.clip(levels, 0.02, 1.0), 0.0)
-    return ActivityTrace(spec.name, activities, VMKind.LLMI)
+    return trace_rows(matrix, [spec.name], [VMKind.LLMI])[0]
 
 
 def fig1_traces(days: int = 6, seed: int = 42) -> dict[str, ActivityTrace]:

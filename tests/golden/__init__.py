@@ -1,7 +1,8 @@
 """Golden ``RunResult`` digests: the behaviour freeze for refactors.
 
 One cell per (built-in scenario × controller × backend × seed) at
-scale 0.25 over 24 h.  Each cell stores one blake2b digest per
+scale 0.25 over 24 h, plus the fleet-scale cells of ``FLEET_CELLS``
+(``build_fleet`` shapes far above the grid's 16 VMs a cell).  Each cell stores one blake2b digest per
 ``RunResult`` field except ``telemetry``, hashed with the same ``repr``
 rule as ``perfbench/workloads.py::digest`` (floats to their last bit,
 dicts in fleet order), so a digest match means a field-by-field equal
@@ -28,14 +29,25 @@ SCALE = 0.25
 HOURS = 24
 SKIP = ("telemetry",)
 
+#: Fleet-scale cells, ``fleet-<hosts>x<vms>/controller/backend/seed``:
+#: ``build_fleet(hosts, vms, 0.5, FLEET_TRACE_HOURS, seed=seed)`` run
+#: for ``FLEET_RUN_HOURS`` with the simulation seeded alike.  At 512
+#: VMs the waking plane's addresses collide, which no 16-VM grid cell
+#: shows.
+FLEET_CELLS = ("fleet-128x512/drowsy/event/7",)
+FLEET_TRACE_HOURS = 24
+FLEET_RUN_HOURS = 4
+
 
 def cell_ids() -> list[str]:
-    """Every grid cell as ``scenario/controller/backend/seed``."""
+    """Every grid cell as ``scenario/controller/backend/seed``, then the
+    fleet-scale cells."""
     from repro.scenarios import list_scenarios
 
     return [f"{spec.name}/{c}/{b}/{s}"
             for spec in list_scenarios()
-            for c in CONTROLLERS for b in BACKENDS for s in SEEDS]
+            for c in CONTROLLERS for b in BACKENDS for s in SEEDS
+            ] + list(FLEET_CELLS)
 
 
 def field_digests(result) -> dict[str, str]:
@@ -55,6 +67,14 @@ def run_cell(cell_id: str) -> dict[str, str]:
     from repro.api import Simulation
 
     scenario, controller, backend, seed = cell_id.split("/")
+    if cell_id in FLEET_CELLS:
+        from repro.experiments.common import build_fleet
+
+        n_hosts, n_vms = map(int, scenario.removeprefix("fleet-").split("x"))
+        dc = build_fleet(n_hosts, n_vms, 0.5, FLEET_TRACE_HOURS,
+                         seed=int(seed))
+        sim = Simulation(dc, controller, backend, seed=int(seed))
+        return field_digests(sim.run(FLEET_RUN_HOURS))
     sim = Simulation.from_scenario(scenario, seed=int(seed),
                                    controller=controller, backend=backend,
                                    hours=HOURS, scale=SCALE)

@@ -36,6 +36,13 @@ as test-only subclasses the parity suites compare against:
   holds it at a suspend (paper §V-B), one :class:`TimerEntry` per daemon
   tick and VM service timer; its ``earliest_valid`` is the reference for
   :func:`~repro.suspend.timers.compute_waking_date`'s direct minimum.
+* :func:`reference_production_trace`, :func:`reference_google_llmu_trace`,
+  :func:`reference_google_llmu_fleet` and :func:`reference_build_fleet`
+  — the per-VM trace generators and the per-trace fleet build that
+  :mod:`repro.traces` and :func:`~repro.experiments.common.build_fleet`
+  batch into one activity matrix: one calendar/mask pass and one AR(1)
+  recursion per VM, each trace its own array, the shuffled trace list
+  placed round-robin.
 * :class:`EventParityCell` / :func:`run_event_parity_cell` — one
   acceptance run (oracle or production), picklable for
   :class:`~repro.sim.sweep.SweepRunner` workers.
@@ -54,23 +61,29 @@ import numpy as np
 
 from repro.api.backends import EventBackend
 from repro.cluster.accounting import columnar_host_view
+from repro.cluster.datacenter import DataCenter
+from repro.cluster.host import Host
 from repro.cluster.power import PowerModel, PowerState
 from repro.consolidation.drowsy import DrowsyController
 from repro.consolidation.neat import MANAGED_STATES
 from repro.consolidation.placement import _accounting_for, decreasing_demand
 from repro.consolidation.selection import select_until_not_overloaded
+from repro.cluster.vm import VM
 from repro.core.binding import FleetBinding
-from repro.core.calendar import slot_of_hour
+from repro.core.calendar import slot_of_hour, slots_of_hours
 from repro.core.fleet import FleetIdlenessModel
 from repro.core.model import (SCALE_DAY, SCALE_MONTH, SCALE_WEEK, SCALE_YEAR,
                               IdlenessModel, IdlenessObservation)
 from repro.core.params import DEFAULT_PARAMS, DrowsyParams
 from repro.core.result import RunResult
 from repro.core.weights import descend_weights
+from repro.experiments.common import FLEET_HOST, FLEET_VM
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.sim.hourly import HourlySimulator
 from repro.suspend.process import DEFAULT_BLACKLIST
 from repro.suspend.timers import DAEMON_PERIOD_S, TimerEntry, TimerRegistry
+from repro.traces.base import ActivityTrace, VMKind
+from repro.traces.production import PRODUCTION_SPECS
 
 BINDINGS = ("fleet", "scalar", "no-accounting")
 
@@ -632,3 +645,101 @@ class PerHostDrowsyController(DrowsyController):
                 executor(vm, dest)
                 moved += 1
         return moved
+
+
+# ----------------------------------------------------------------------
+# Per-VM trace generators and the per-trace fleet build
+# ----------------------------------------------------------------------
+
+def reference_production_trace(index: int, days: int = 7,
+                               seed: int | None = None) -> ActivityTrace:
+    """Production-like LLMI trace ``index``: its own calendar slots and
+    masks, its own draws."""
+    if not 1 <= index <= len(PRODUCTION_SPECS):
+        raise ValueError(f"trace index must be in [1, {len(PRODUCTION_SPECS)}]")
+    spec = PRODUCTION_SPECS[index - 1]
+    rng = np.random.default_rng(seed if seed is not None else 1000 + index)
+    hours = days * 24
+    h, dw, dm, m, doy = slots_of_hours(np.arange(hours))
+
+    mask = np.isin(dw, spec.weekdays) & np.isin(h, spec.hours)
+    if spec.end_of_month:
+        mask = mask | ((dm >= 27) & (h >= 9) & (h <= 17))
+    mask = mask | (rng.random(hours) < spec.p_extra)
+    mask = mask & ~(rng.random(hours) < spec.p_miss)
+
+    levels = spec.level * rng.lognormal(0.0, spec.level_jitter, size=hours)
+    activities = np.where(mask, np.clip(levels, 0.02, 1.0), 0.0)
+    return ActivityTrace(spec.name, activities, VMKind.LLMI)
+
+
+def reference_google_llmu_trace(hours: int, seed: int = 0,
+                                base_level: float = 0.5,
+                                diurnal_amplitude: float = 0.2,
+                                ar_coeff: float = 0.85,
+                                noise_std: float = 0.08,
+                                spike_prob: float = 0.01,
+                                floor: float = 0.03) -> ActivityTrace:
+    """Google-like LLMU trace with the AR(1) recursion as a scalar loop."""
+    if not 0.0 <= ar_coeff < 1.0:
+        raise ValueError("ar_coeff must be in [0, 1)")
+    rng = np.random.default_rng(seed)
+    t = np.arange(hours)
+    diurnal = base_level + diurnal_amplitude * np.sin(
+        2 * np.pi * ((t % 24) - 6) / 24.0)
+
+    ar = np.empty(hours)
+    x = 0.0
+    innov = rng.normal(0.0, noise_std, size=hours)
+    for i in range(hours):
+        x = ar_coeff * x + innov[i]
+        ar[i] = x
+
+    spikes = (rng.random(hours) < spike_prob) * rng.uniform(0.2, 0.5, size=hours)
+    levels = np.clip(diurnal + ar + spikes, floor, 1.0)
+    return ActivityTrace(f"google-llmu-{seed}", levels, VMKind.LLMU)
+
+
+def reference_google_llmu_fleet(n: int, hours: int,
+                                seed: int = 0) -> list[ActivityTrace]:
+    """``n`` LLMU traces, one generator call each."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        out.append(reference_google_llmu_trace(
+            hours,
+            seed=int(rng.integers(0, 2**31)),
+            base_level=float(rng.uniform(0.35, 0.65)),
+            diurnal_amplitude=float(rng.uniform(0.1, 0.3)),
+        ))
+    return out
+
+
+def reference_build_fleet(n_hosts: int, n_vms: int, llmi_fraction: float,
+                          hours: int, params: DrowsyParams = DEFAULT_PARAMS,
+                          seed: int = 7) -> DataCenter:
+    """The fleet of :func:`~repro.experiments.common.build_fleet`, one
+    trace array per VM: the shuffled trace list placed round-robin."""
+    hosts = [Host(f"H{i:03d}", FLEET_HOST, params) for i in range(n_hosts)]
+    dc = DataCenter(hosts, params)
+    n_llmi = round(n_vms * llmi_fraction)
+    days = (hours + 23) // 24
+
+    traces: list[ActivityTrace] = []
+    for i in range(n_llmi):
+        spec_idx = (i % len(PRODUCTION_SPECS)) + 1
+        traces.append(reference_production_trace(spec_idx, days=days,
+                                                 seed=seed + i)
+                      .with_name(f"llmi-{i:03d}"))
+    for i, tr in enumerate(reference_google_llmu_fleet(
+            n_vms - n_llmi, hours, seed=seed + 10_000)):
+        traces.append(tr.with_name(f"llmu-{i:03d}"))
+
+    rng = np.random.default_rng(seed + 1)
+    rng.shuffle(traces)
+
+    for i, trace in enumerate(traces):
+        vm = VM(f"vm-{i:03d}", trace, FLEET_VM, params=params)
+        dc.place(vm, hosts[i % n_hosts])
+    dc.check_invariants()
+    return dc

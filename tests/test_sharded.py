@@ -19,7 +19,7 @@ from repro.api import RunResult, ShardedConfig, Simulation, backends, controller
 from repro.api.observers import Observer
 from repro.cluster.power import PowerState
 from repro.cluster.vm import VM
-from repro.experiments.common import FLEET_VM, build_fleet, production_trace
+from repro.experiments.common import FLEET_VM, build_fleet
 from repro.faults.spec import (
     FaultPlan,
     HostCrashFaults,
@@ -31,6 +31,7 @@ from repro.scenarios.registry import get_scenario, list_scenarios
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.event_driven import EventConfig
 from repro.sim.hourly import HourlyConfig
+from repro.traces.production import production_trace
 
 
 def fleet(n_hosts=8, n_vms=24, hours=30, seed=3):

@@ -25,6 +25,7 @@ from repro.traces import (
     trace_matrix,
     weekly_pattern_trace,
 )
+from repro.traces.base import trace_rows
 # Aliased so pytest does not collect the imported helper as a test.
 from repro.traces import testbed_llmi_traces as make_testbed_llmi_traces
 
@@ -41,6 +42,30 @@ class TestActivityTrace:
     def test_validation_rejects_2d(self):
         with pytest.raises(ValueError):
             ActivityTrace("bad", np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("level", (np.nan, np.inf, -np.inf))
+    def test_validation_rejects_non_finite(self, level):
+        with pytest.raises(ValueError, match="finite"):
+            ActivityTrace("bad", [0.1, level, 0.0])
+
+    @pytest.mark.parametrize("level", (np.nan, np.inf, -np.inf))
+    def test_matrix_validation_rejects_non_finite(self, level):
+        matrix = np.full((3, 4), 0.5)
+        matrix[2, 1] = level
+        with pytest.raises(ValueError, match="finite"):
+            trace_rows(matrix, "abc", [VMKind.LLMI] * 3)
+
+    def test_trace_rows_are_read_only_views(self):
+        matrix = np.array([[0.0, 0.5, 1.0], [0.25, 0.0, 0.0]])
+        a, b = trace_rows(matrix, ["a", "b"], [VMKind.LLMI, VMKind.LLMU],
+                          lengths=[3, 2])
+        assert (a.name, a.kind, a.hours) == ("a", VMKind.LLMI, 3)
+        assert (b.name, b.kind, b.hours) == ("b", VMKind.LLMU, 2)
+        assert a.activities.base is matrix and b.activities.base is matrix
+        assert not matrix.flags.writeable
+        assert b.activities.tolist() == [0.25, 0.0]
+        with pytest.raises(ValueError):
+            a.activities[0] = 0.5
 
     def test_idle_fraction(self):
         tr = ActivityTrace("t", np.array([0.0, 0.0, 0.5, 0.5]))
