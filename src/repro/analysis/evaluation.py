@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..core.fleet import FleetIdlenessModel
 from ..core.metrics import MetricCurves, cumulative_curves
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
-from ..traces.base import ActivityTrace, trace_matrix
+from ..traces.base import ActivityTrace, activity_matrix
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def evaluate_traces(traces: list[ActivityTrace],
     if not traces:
         raise ValueError("need at least one trace")
     T = hours if hours is not None else max(t.hours for t in traces)
-    activities = trace_matrix(traces, T)
+    activities = activity_matrix(traces, T)
     fleet = FleetIdlenessModel(len(traces), params)
     predictions, actuals = fleet.run_trace_matrix(activities, start_hour=start_hour)
     out = []

@@ -195,6 +195,9 @@ class ShardedCoordinator:
         façade after :meth:`Simulation.resume` unpickles the graph."""
         if self._horizon is None or self._shard_states is None:
             raise RuntimeError("no run in progress to continue")
+        if self._binding is not None:
+            # A pickled binding leaves its horizon matrix behind.
+            self._binding.ensure_horizon(*self._horizon)
         self._workers_mode = self.config.workers
         self._restarts = 0
         self._journal = (
@@ -234,11 +237,10 @@ class ShardedCoordinator:
 
     def _build_setups(self, shard_lists: list[list], n_hours: int,
                       start_hour: int) -> list[dict]:
-        # The hourly engine hoists its columnar accounting view per
-        # hour, *before* consolidation — a mid-tick cross-shard insert
-        # would be invisible to it.  The scalar path reads live state
-        # and is bit-identical (asserted by the parity suite), so shards
-        # run without host accounting.
+        # Cross-shard inserts land mid-tick and leave a shard's
+        # accounting stale until it rebinds, so shards run without
+        # host accounting: every host view is the scalar one, which
+        # reads live state and is bit-identical (the parity suite).
         shard_cfg = replace(self._inner_config, use_host_accounting=False)
         setups = []
         for k, hosts in enumerate(shard_lists):

@@ -1,6 +1,6 @@
 """Data-center substrate: hosts, VMs, power, events, migrations."""
 
-from .accounting import HostAccounting, columnar_host_view
+from .accounting import HostAccounting, ScalarHostView, host_view
 from .datacenter import DataCenter, PlacementError
 from .events import Event, EventSimulator
 from .host import Host, HostStateError, Transition
@@ -13,7 +13,8 @@ __all__ = [
     "DataCenter",
     "EnergyMeter",
     "HostAccounting",
-    "columnar_host_view",
+    "ScalarHostView",
+    "host_view",
     "Event",
     "EventSimulator",
     "Host",

@@ -1,19 +1,22 @@
-"""Columnar host accounting: per-hour host views in one pass (DESIGN.md §8).
+"""Per-host views: the host quantities consolidation reads (DESIGN.md §8).
 
-PR 1 made the per-VM idleness updates columnar, but every simulated hour
-still walked ``hosts × vms`` in Python for the host-level quantities:
-``Host.cpu_utilization`` / ``used_resources`` (controller queries and
-SLATAH), ``all_vms_idle`` (suspend checks) and ``mean_raw_ip`` (grace
-windows, IP-aware placement).  :class:`HostAccounting` derives all of
-them for every host at once from the fleet binding's columnar state plus
-a placement incidence structure built once from host membership and
-then kept in sync by the :class:`~repro.cluster.datacenter.DataCenter`
-— migrations, placements and removals update it incrementally through
-the data center's attach/detach pair, its only writer.
+Neat's consolidation (paper §III-D) and both engines read a few numbers
+per host every hour: used CPUs and memory, CPU demand and utilization,
+whether every hosted VM is idle, and the host IP (the mean of its VMs'
+raw IPs).  :func:`host_view` always answers, with one of two
+implementations of the same columns:
 
-Bit-for-bit equivalence with the scalar :class:`~repro.cluster.host.Host`
-properties is a hard requirement (the scalar per-host property loop is
-kept as the parity oracle; see ``tests/test_host_accounting.py``).  Two
+* :class:`HostAccounting` derives them for every host at once from the
+  fleet binding's columnar state plus a placement incidence structure
+  the :class:`~repro.cluster.datacenter.DataCenter` keeps in sync
+  through its attach/detach pair, its only writer;
+* :class:`ScalarHostView` computes them live from the
+  :class:`~repro.cluster.host.Host` properties whenever the accounting
+  cannot answer: a fleet the binding refused, a data center run
+  without accounting, or a VM placed since the last bind.
+
+The ``Host`` properties are the parity reference; the accounting
+matches them bit for bit (``tests/test_host_accounting.py``).  Two
 details make the columnar numbers *identical* rather than merely close:
 
 * per-host float sums are accumulated **in host-local VM order** with a
@@ -29,26 +32,134 @@ details make the columnar numbers *identical* rather than merely close:
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from ..core.calendar import slot_of_hour
 
 
-class HostAccounting:
+class HostColumns:
+    """The placement-independent columns of one host list, in list
+    order: name -> position, name rank and capacities.  A data center
+    builds its own once (``dc.host_columns``)."""
+
+    def __init__(self, hosts: list) -> None:
+        self.hosts = hosts
+        self.n_hosts = n = len(hosts)
+        self.positions = {h.name: k for k, h in enumerate(hosts)}
+        #: Each host's position in name order (the tie-break rank of the
+        #: consolidation scans).
+        self.name_rank = np.empty(n, dtype=np.intp)
+        self.name_rank[sorted(range(n), key=lambda k: hosts[k].name)] = (
+            np.arange(n))
+        caps = [h.capacity for h in hosts]
+        self.capacity_cpus = np.array([c.cpus for c in caps],
+                                      dtype=np.float64)
+        self.capacity_memory_mb = np.array([c.memory_mb for c in caps],
+                                           dtype=np.int64)
+        self.schedulable_cpus = np.array([c.schedulable_cpus for c in caps],
+                                         dtype=np.float64)
+        #: SLATAH saturation thresholds, the scalar check's
+        #: ``host.capacity.cpus * 0.999`` per host.
+        self.overload_cpus = self.capacity_cpus * 0.999
+
+
+class HostView:
+    """What both views share: their host list's static columns (as
+    attributes) and the columns derived from other columns.  Every
+    array is an ``(n_hosts,)`` vector in host-list order."""
+
+    def __init__(self, columns: HostColumns) -> None:
+        self.__dict__.update(vars(columns))  # shared, not copied
+
+    def pos(self, host) -> int:
+        """Index of ``host`` in the view's vectors."""
+        return self.positions[host.name]
+
+    def position(self, host_name: str) -> int | None:
+        """Like :meth:`pos` by name; ``None`` for unknown hosts."""
+        return self.positions.get(host_name)
+
+    def sleepable(self, hour_index: int) -> np.ndarray:
+        """Bool: non-empty and every hosted VM idle — the hourly
+        simulator's default suspend predicate."""
+        return (self.vm_counts() > 0) & self.all_idle(hour_index)
+
+
+class ScalarHostView(HostView):
+    """The host columns, computed live from the ``Host`` properties.
+
+    Nothing is cached, so the view never goes stale; :func:`host_view`
+    builds one per call, so a cache keyed on view identity never hits
+    on it.  The per-hour columns read each VM's current activity (the
+    hour the engine loaded); the IP columns read ``hour_index``.
+    """
+
+    #: Cache-key fillers: a live view has no placement epoch or
+    #: blocked-I/O version.
+    epoch = 0
+    blocked_version = 0
+
+    def _column(self, values, dtype) -> np.ndarray:
+        return np.fromiter(values, dtype=dtype, count=self.n_hosts)
+
+    def vm_counts(self) -> np.ndarray:
+        return self._column((len(h.vms) for h in self.hosts), np.int64)
+
+    def used_cpus(self) -> np.ndarray:
+        return self._column((sum(vm.resources.cpus for vm in h.vms)
+                             for h in self.hosts), np.int64)
+
+    def used_memory_mb(self) -> np.ndarray:
+        return self._column((sum(vm.resources.memory_mb for vm in h.vms)
+                             for h in self.hosts), np.int64)
+
+    def cpu_demand(self, hour_index: int) -> np.ndarray:
+        return self._column(
+            (sum(vm.current_activity * vm.resources.cpus for vm in h.vms)
+             for h in self.hosts), np.float64)
+
+    def cpu_utilization(self, hour_index: int) -> np.ndarray:
+        # ``Host.cpu_utilization``'s expression, elementwise.
+        return np.minimum(self.cpu_demand(hour_index) / self.capacity_cpus,
+                          1.0)
+
+    def all_idle(self, hour_index: int) -> np.ndarray:
+        return self._column((h.all_vms_idle for h in self.hosts), bool)
+
+    def any_blocked_io(self) -> np.ndarray:
+        return self._column((any(vm.blocked_io for vm in h.vms)
+                             for h in self.hosts), bool)
+
+    def mean_raw_ip(self, hour_index: int) -> np.ndarray:
+        return self._column((h.mean_raw_ip(hour_index) for h in self.hosts),
+                            np.float64)
+
+    def ip_range(self, hour_index: int) -> np.ndarray:
+        return self._column((h.ip_range(hour_index) for h in self.hosts),
+                            np.float64)
+
+    def host_mean_raw_ip(self, host, hour_index: int) -> float:
+        """One host's IP, from that host's VMs only."""
+        return host.mean_raw_ip(hour_index)
+
+    def verify(self) -> None:
+        """Nothing to check: the columns are the properties."""
+
+
+class HostAccounting(HostView):
     """Columnar per-host accounting over a bound fleet.
 
     One instance is attached per (binding, data center) pair by
-    :meth:`repro.core.binding.FleetBinding.try_bind`.  All public array
-    accessors return ``(n_hosts,)`` vectors ordered like ``dc.hosts``.
+    :meth:`repro.core.binding.FleetBinding.try_bind`; vectors are
+    ordered like ``dc.hosts``.
     """
 
     def __init__(self, binding, dc) -> None:
+        super().__init__(dc.host_columns)
         self.binding = binding
         self.dc = dc
-        self._host_list = dc.hosts
-        self.hosts = list(dc.hosts)
-        self.n_hosts = len(self.hosts)
-        self._pos = {h.name: k for k, h in enumerate(self.hosts)}
         vms = binding.vms
         self._vm_cpus = np.array([vm.resources.cpus for vm in vms],
                                  dtype=np.float64)
@@ -56,17 +167,6 @@ class HostAccounting:
                                    dtype=np.int64)
         self._vm_mem_i = np.array([vm.resources.memory_mb for vm in vms],
                                   dtype=np.int64)
-        #: (n_hosts,) capacity columns (placement fit and power scores).
-        self.capacity_cpus = np.array([h.capacity.cpus for h in self.hosts],
-                                      dtype=np.float64)
-        self.capacity_memory_mb = np.array(
-            [h.capacity.memory_mb for h in self.hosts], dtype=np.int64)
-        self.schedulable_cpus = np.array(
-            [h.capacity.schedulable_cpus for h in self.hosts],
-            dtype=np.float64)
-        # Same float expression as the scalar SLATAH check's
-        # ``host.capacity.cpus * 0.999`` per host.
-        self._overload_cpus = self.capacity_cpus * 0.999
         #: Host-local fleet-index rows, mirroring each ``host.vms`` list
         #: (same VMs, same order).  This is the placement incidence
         #: structure; :meth:`incidence_matrix` materializes it as the
@@ -95,24 +195,16 @@ class HostAccounting:
     # ------------------------------------------------------------------
     @property
     def valid(self) -> bool:
-        """Usable for columnar queries?  False after an unknown VM or a
-        host-set change appeared — consumers then fall back to the
-        scalar per-host path until the simulators rebind."""
-        return (not self._stale and self.dc.hosts is self._host_list
-                and len(self.dc.hosts) == self.n_hosts)
-
-    def pos(self, host) -> int:
-        """Index of ``host`` in the accounting vectors (dc.hosts order)."""
-        return self._pos[host.name]
+        """Does the accounting still describe the data center?  False
+        once a VM outside the binding was placed (:func:`host_view` then
+        answers with a :class:`ScalarHostView` until the engines
+        rebind)."""
+        return not self._stale and self.binding.covers(self.dc.vms)
 
     @property
-    def positions(self) -> dict[str, int]:
-        """Host name -> vector index (read-only use; hot-loop access)."""
-        return self._pos
-
-    def position(self, host_name: str) -> int | None:
-        """Like :meth:`pos` by name; ``None`` for unknown hosts."""
-        return self._pos.get(host_name)
+    def blocked_version(self) -> int:
+        """The fleet's blocked-I/O column version (a cache key)."""
+        return self.binding.fleet.blocked_version
 
     def _index_of(self, vm_name: str) -> int | None:
         idx = self.binding.index.get(vm_name)
@@ -123,7 +215,7 @@ class HostAccounting:
     def on_place(self, vm_name: str, host) -> None:
         """Incremental hook: ``vm_name`` was attached to ``host``."""
         idx = self._index_of(vm_name)
-        pos = self._pos.get(host.name)
+        pos = self.positions.get(host.name)
         if idx is None or pos is None:
             self._stale = True
             return
@@ -133,7 +225,7 @@ class HostAccounting:
     def on_remove(self, vm_name: str, host) -> None:
         """Incremental hook: ``vm_name`` was detached from ``host``."""
         idx = self._index_of(vm_name)
-        pos = self._pos.get(host.name)
+        pos = self.positions.get(host.name)
         if idx is None or pos is None:
             self._stale = True
             return
@@ -279,15 +371,6 @@ class HostAccounting:
         """(n_hosts,) bool ``Host.all_vms_idle`` (True for empty hosts)."""
         return self._hour(hour_index)[2]
 
-    def overload_cpus(self) -> np.ndarray:
-        """(n_hosts,) SLATAH saturation thresholds (cpus × 0.999)."""
-        return self._overload_cpus
-
-    def sleepable(self, hour_index: int) -> np.ndarray:
-        """(n_hosts,) bool: non-empty and every hosted VM idle — the
-        hourly simulator's default suspend predicate."""
-        return (self.vm_counts() > 0) & self.all_idle(hour_index)
-
     def any_blocked_io(self) -> np.ndarray:
         """(n_hosts,) bool: some hosted VM is blocked on I/O (``D``
         state) — the suspend sweep's per-host blocked-I/O mask, derived
@@ -337,6 +420,10 @@ class HostAccounting:
         """(n_hosts,) ``Host.ip_range`` (0.0 below two VMs)."""
         return self._ip(hour_index)[1]
 
+    def host_mean_raw_ip(self, host, hour_index: int) -> float:
+        """One host's IP (its entry of :meth:`mean_raw_ip`)."""
+        return float(self.mean_raw_ip(hour_index)[self.pos(host)])
+
     # ------------------------------------------------------------------
     def verify(self) -> None:
         """Assert the incidence rows mirror actual host membership
@@ -351,14 +438,35 @@ class HostAccounting:
                     f"{row} != {expected}")
 
 
-def columnar_host_view(dc) -> HostAccounting | None:
-    """The data center's active host accounting, or ``None``.
+def host_view(dc) -> HostView:
+    """The data center's per-host view: its :class:`HostAccounting`
+    while that is valid, else a fresh :class:`ScalarHostView`."""
+    accounting = dc._accounting
+    if accounting is not None and accounting.valid:
+        return accounting
+    return ScalarHostView(dc.host_columns)
 
-    Controllers and simulators call this each hour; a ``None`` return
-    (no fleet binding, stale accounting, non-standard models) means
-    "use the scalar per-host properties".
+
+def host_list_view(hosts: list) -> tuple[HostView, np.ndarray]:
+    """``(view, positions)``: a view answering for ``hosts`` and each
+    host's index in it.
+
+    Placement policies only see a host list; the hosts' data-center
+    back-reference lets them read that data center's view.  A bare host
+    list, or one the data center does not hold, gets a scalar view of
+    its own.
     """
-    acc = getattr(dc, "_accounting", None)
-    if acc is None or not acc.valid:
-        return None
-    return acc
+    dc = hosts[0]._dc if hosts else None
+    if dc is not None:
+        view = host_view(dc)
+        try:
+            return view, np.fromiter(
+                map(view.positions.__getitem__, map(_name, hosts)),
+                dtype=np.intp, count=len(hosts))
+        except KeyError:
+            pass
+    return (ScalarHostView(HostColumns(hosts)),
+            np.arange(len(hosts), dtype=np.intp))
+
+
+_name = attrgetter("name")

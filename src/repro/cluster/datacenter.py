@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
+from .accounting import HostColumns, host_view
 from .host import Host
 from .migration import MigrationModel, MigrationRecord
 from .power import MeterBank, PowerState
@@ -45,11 +44,10 @@ class DataCenter:
         #: The hosts' energy meters as one bank of per-host columns
         #: (host order); every ``host.meter`` is a row view into it.
         self.meters = MeterBank.gather([h.meter for h in self.hosts], names)
-        #: Each host's position in name order (the tie-break rank of
-        #: the columnar consolidation scans).
-        order = sorted(range(len(names)), key=names.__getitem__)
-        self.name_rank = np.empty(len(names), dtype=np.intp)
-        self.name_rank[order] = np.arange(len(names))
+        #: Positions, name ranks and capacities of the hosts, the
+        #: placement-independent half of every host view
+        #: (:mod:`repro.cluster.accounting`).
+        self.host_columns = HostColumns(self.hosts)
         #: Placement index (vm name -> host), maintained by every
         #: placement-changing operation so :meth:`host_of` is O(1) on the
         #: migration and request paths instead of an O(hosts x vms) scan.
@@ -306,9 +304,7 @@ class DataCenter:
             if (host.meter._bank is not self.meters or host.meter._row != k
                     or self.meters.state[k] != host.state.code):
                 raise PlacementError(f"{host.name}: meter row out of step")
-        acc = self._accounting
-        if acc is not None and acc.valid:
-            try:
-                acc.verify()
-            except AssertionError as exc:
-                raise PlacementError(str(exc)) from None
+        try:
+            host_view(self).verify()
+        except AssertionError as exc:
+            raise PlacementError(str(exc)) from None

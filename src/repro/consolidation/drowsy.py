@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..cluster.accounting import columnar_host_view
+from ..cluster.accounting import HostView, host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
 from ..cluster.vm import VM
@@ -72,20 +72,16 @@ class DrowsyController(NeatController):
         threshold or no destination fits.
         """
         threshold = self.params.ip_range_threshold
-        # The managed hosts' IP ranges as one column: the columnar
-        # accounting's (cached per placement epoch) or the per-host
-        # property.  The scan jumps from one host over the threshold to
-        # the next and re-reads the column after every migration: a
-        # destination later in host order may have crossed it.
-        acc = columnar_host_view(self.dc)
+        # The managed hosts' IP ranges as one column.  The scan jumps
+        # from one host over the threshold to the next and re-reads the
+        # column after every migration: a destination later in host
+        # order may have crossed it.
+        view = host_view(self.dc)
         managed = self.managed_positions()
         hosts = [self.dc.hosts[k] for k in managed.tolist()]
 
         def ip_ranges() -> np.ndarray:
-            if acc is not None:
-                return acc.ip_range(hour_index)[managed]
-            return np.array([h.ip_range(hour_index) for h in hosts],
-                            dtype=np.float64)
+            return view.ip_range(hour_index)[managed]
 
         ranges = ip_ranges()
         moved = 0
@@ -99,7 +95,7 @@ class DrowsyController(NeatController):
             guard = len(host.vms) + 1
             while ranges[j] > threshold and guard > 0:
                 guard -= 1
-                vm = self._most_extreme_vm(host, hour_index, acc)
+                vm = self._most_extreme_vm(host, hour_index, view)
                 if vm is None:
                     break
                 targets = [h for h in self.managed_hosts() if h is not host]
@@ -115,13 +111,10 @@ class DrowsyController(NeatController):
         return moved
 
     def _most_extreme_vm(self, host: Host, hour_index: int,
-                         acc=None) -> VM | None:
+                         view: HostView) -> VM | None:
         if len(host.vms) < 2:
             return None
-        if acc is not None:
-            mean_ip = float(acc.mean_raw_ip(hour_index)[acc.pos(host)])
-        else:
-            mean_ip = host.mean_raw_ip(hour_index)
+        mean_ip = view.host_mean_raw_ip(host, hour_index)
         return max(host.vms,
                    key=lambda vm: (abs(vm.raw_ip(hour_index) - mean_ip), vm.name))
 

@@ -18,7 +18,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from ..cluster.accounting import columnar_host_view
+from ..cluster.accounting import host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
 from ..cluster.power import PowerState
@@ -74,7 +74,7 @@ class LocalManager:
         """Record this hour's utilization.
 
         ``utilization`` optionally supplies the value (already gated on
-        power state) from the columnar host accounting; it must equal
+        power state) from the data center's host view; it must equal
         the scalar expression below bit-for-bit.
         """
         if utilization is not None:
@@ -192,16 +192,11 @@ class DistributedNeat:
         self.last_reports: list[LocalManagerReport] = []
 
     def observe_hour(self, hour_index: int) -> None:
-        acc = columnar_host_view(self.dc)
-        if acc is not None:
-            utils = acc.cpu_utilization(hour_index)
-            for k, host in enumerate(self.dc.hosts):
-                self.locals[host.name].observe(
-                    hour_index,
-                    float(utils[k]) if host.state is PowerState.ON else 0.0)
-            return
-        for lm in self.locals.values():
-            lm.observe(hour_index)
+        utils = host_view(self.dc).cpu_utilization(hour_index)
+        for k, host in enumerate(self.dc.hosts):
+            self.locals[host.name].observe(
+                hour_index,
+                float(utils[k]) if host.state is PowerState.ON else 0.0)
 
     def step(self, hour_index: int, now: float,
              executor: MigrationExecutor | None = None) -> int:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..cluster.accounting import columnar_host_view
+from ..cluster.accounting import host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
 from ..cluster.power import ON_CODE, SUSPENDED_CODE, PowerState
@@ -82,21 +82,10 @@ class NeatController:
     # ------------------------------------------------------------------
     def observe_hour(self, hour_index: int) -> None:
         """Record host utilizations (call after activities are set):
-        one column shift for every host.
-
-        With an active columnar accounting view the utilizations of all
-        hosts come from one vectorized pass (bit-identical to the
-        scalar ``Host.cpu_utilization`` property, the parity oracle).
+        one column shift for every host (0.0 for hosts not ON).
         """
         on = self.dc.meters.state == ON_CODE
-        acc = columnar_host_view(self.dc)
-        if acc is not None:
-            utils = acc.cpu_utilization(hour_index)
-        else:
-            utils = np.zeros(len(on))
-            hosts = self.dc.hosts
-            for k in np.flatnonzero(on).tolist():
-                utils[k] = hosts[k].cpu_utilization
+        utils = host_view(self.dc).cpu_utilization(hour_index)
         hist = self._history
         hist[:, :-1] = hist[:, 1:]
         hist[:, -1] = np.where(on, utils, 0.0)
@@ -163,17 +152,11 @@ class NeatController:
                             executor: MigrationExecutor) -> int:
         """Try to fully evacuate the least-utilized active hosts."""
         dc = self.dc
-        acc = columnar_host_view(dc)
-        active = np.flatnonzero(
-            (dc.meters.state == ON_CODE)
-            & (acc.vm_counts() > 0 if acc is not None else
-               np.array([bool(h.vms) for h in dc.hosts], dtype=bool)))
-        if acc is not None:
-            utils = acc.cpu_utilization(hour_index)[active]
-        else:
-            utils = np.array([dc.hosts[k].cpu_utilization
-                              for k in active.tolist()])
-        candidates = active[underload_order(utils, dc.name_rank[active])]
+        view = host_view(dc)
+        active = np.flatnonzero((dc.meters.state == ON_CODE)
+                                & (view.vm_counts() > 0))
+        utils = view.cpu_utilization(hour_index)[active]
+        candidates = active[underload_order(utils, view.name_rank[active])]
         moved = 0
         receivers: set[str] = set()
         for k in candidates.tolist():

@@ -11,12 +11,11 @@ VM's (paper section III-D-b, step 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Protocol
 
 import numpy as np
 
-from ..cluster.accounting import columnar_host_view
+from ..cluster.accounting import host_list_view
 from ..cluster.host import Host
 from ..cluster.power import PowerModel
 from ..cluster.vm import VM
@@ -33,65 +32,33 @@ class PlacementPolicy(Protocol):
 class _Candidates:
     """One planning round's per-candidate-host columns (``hosts``
     order): capacity, load, name rank and, on request, mean raw IP and
-    CPU demand.
-
-    The columnar host accounting supplies them when it covers every
-    candidate; otherwise they come from the per-host properties (the
-    same values — the accounting is bit-identical to them).  ``used_*``
-    are the round's own copies: planned VMs are added to them.
+    CPU demand, read from the hosts' view.  ``used_*`` are the round's
+    own copies: planned VMs are added to them.
     """
 
     def __init__(self, hosts: list[Host], hour_index: int,
                  mean_ip: bool = False, demand: bool = False) -> None:
         self.hosts = hosts
-        #: Data-center positions of the hosts (columnar path only).
-        self._pos: np.ndarray | None = None
-        self._acc = None
-        view = _accounting_for(hosts)
-        if view is not None:
-            acc, pos = view
-            self._acc, self._pos = acc, pos
-            self.cap_mem = acc.capacity_memory_mb[pos]
-            self.sched_cpus = acc.schedulable_cpus[pos]
-            self.cap_cpus = acc.capacity_cpus[pos]
-            self.used_mem = acc.used_memory_mb()[pos]
-            self.used_cpu = acc.used_cpus()[pos]
-            self.rank = acc.dc.name_rank[pos]
-            if mean_ip:
-                self.mean_ip = acc.mean_raw_ip(hour_index)[pos]
-            if demand:
-                self.demand = acc.cpu_demand(hour_index)[pos]
-            return
-        caps = [h.capacity for h in hosts]
-        used = [h.used_resources for h in hosts]
-        self.cap_mem = np.array([c.memory_mb for c in caps], dtype=np.int64)
-        self.sched_cpus = np.array([c.schedulable_cpus for c in caps],
-                                   dtype=np.float64)
-        self.cap_cpus = np.array([c.cpus for c in caps], dtype=np.float64)
-        self.used_mem = np.array([u.memory_mb for u in used], dtype=np.int64)
-        self.used_cpu = np.array([u.cpus for u in used], dtype=np.int64)
-        self.rank = np.empty(len(hosts), dtype=np.intp)
-        self.rank[sorted(range(len(hosts)), key=lambda k: hosts[k].name)] = (
-            np.arange(len(hosts)))
+        view, pos = host_list_view(hosts)
+        #: The hosts' positions in the view.
+        self._view, self._pos = view, pos
+        self.cap_mem = view.capacity_memory_mb[pos]
+        self.sched_cpus = view.schedulable_cpus[pos]
+        self.cap_cpus = view.capacity_cpus[pos]
+        self.used_mem = view.used_memory_mb()[pos]
+        self.used_cpu = view.used_cpus()[pos]
+        self.rank = view.name_rank[pos]
         if mean_ip:
-            self.mean_ip = np.array([h.mean_raw_ip(hour_index)
-                                     for h in hosts], dtype=np.float64)
+            self.mean_ip = view.mean_raw_ip(hour_index)[pos]
         if demand:
-            self.demand = np.array(
-                [sum(v.current_activity * v.resources.cpus for v in h.vms)
-                 for h in hosts], dtype=np.float64)
+            self.demand = view.cpu_demand(hour_index)[pos]
 
     def fitting(self, vm: VM, source: Host | None) -> np.ndarray:
         """Indices of the hosts ``vm`` fits on, ``source`` excluded."""
         fit = ((self.used_mem + vm.resources.memory_mb <= self.cap_mem)
                & (self.used_cpu + vm.resources.cpus <= self.sched_cpus))
         if source is not None:
-            if self._pos is not None:
-                fit &= self._pos != self._acc.positions.get(source.name, -1)
-            else:
-                for k, host in enumerate(self.hosts):
-                    if host is source:
-                        fit[k] = False
+            fit &= self._pos != self._view.positions.get(source.name, -1)
         return np.flatnonzero(fit)
 
     def add(self, k: int, vm: VM) -> None:
@@ -110,33 +77,6 @@ def _lexmin(*keys: np.ndarray) -> int:
         sub = key[sel]
         sel = sel[sub == sub.min()]
     return int(sel[0])
-
-
-def _accounting_for(hosts: list[Host]):
-    """``(accounting, positions)`` covering ``hosts``, or ``None``.
-
-    Placement policies only see a host list; the data-center
-    back-reference lets them read per-host loads and IP means from the
-    columnar view (bit-identical to the scalar properties) instead of
-    re-summing VM lists per candidate host.
-    """
-    if not hosts:
-        return None
-    dc = getattr(hosts[0], "_dc", None)
-    if dc is None:
-        return None
-    acc = columnar_host_view(dc)
-    if acc is None:
-        return None
-    try:
-        pos = np.fromiter(map(acc.positions.__getitem__, map(_name, hosts)),
-                          dtype=np.intp, count=len(hosts))
-    except KeyError:
-        return None
-    return acc, pos
-
-
-_name = attrgetter("name")
 
 
 def decreasing_demand(vms: list[VM]) -> list[VM]:

@@ -204,11 +204,10 @@ class FleetBinding:
             self.accounting = None
             dc._accounting = None
             return
-        acc = self.accounting
-        if acc is None or acc.dc is not dc or not acc.valid:
-            acc = HostAccounting(self, dc)
-            self.accounting = acc
-        dc._accounting = acc
+        current = self.accounting
+        if current is None or current.dc is not dc or not current.valid:
+            self.accounting = HostAccounting(self, dc)
+        dc._accounting = self.accounting
 
     def _import_row(self, i: int, model) -> None:
         """Copy scalar-API model state (IdlenessModel or FleetVMView)
@@ -258,6 +257,14 @@ class FleetBinding:
         if dc is not None and vms is dc.vms:
             self._covered = covered
         return covered
+
+    def __getstate__(self) -> dict:
+        # The horizon matrix is derived from the traces, which pickle
+        # with their VMs: a checkpoint must not hold the activities
+        # twice.  The engines' ``continue_run`` rebuilds it.
+        state = self.__dict__.copy()
+        state["_matrix"] = None
+        return state
 
     # ------------------------------------------------------------------
     # precomputed trace matrix

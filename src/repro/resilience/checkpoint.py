@@ -45,8 +45,10 @@ log = get_logger("resilience.checkpoint")
 #: 3: monthly/yearly idleness scales became touched-day slabs;
 #: 4: a replicated waking pair shares one state object;
 #: 5: the churn injector holds the façade instead of eight callables,
-#: and both engines carry the shared hour state of one base class).
-CHECKPOINT_VERSION = 5
+#: and both engines carry the shared hour state of one base class;
+#: 6: a data center holds its hosts' static columns, and a fleet
+#: binding leaves its horizon matrix out).
+CHECKPOINT_VERSION = 6
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

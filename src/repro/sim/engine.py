@@ -13,6 +13,9 @@ EventDrivenSimulation`).  :class:`HourEngine` writes that hour once:
    hook (:meth:`HourEngine._relocate_all`, :meth:`HourEngine._step`);
 3. learn the hour's activity (one fleet update, or the scalar loop).
 
+Per-host quantities come from :func:`~repro.cluster.accounting.
+host_view`, which always answers (DESIGN.md §8).
+
 Each engine then does its own part of the hour (the hourly power step
 and SLATAH accounting; the event engine's request traffic) and closes
 it with :meth:`HourEngine._hour_tail`: the telemetry hour mark and the
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..cluster.accounting import HostAccounting, columnar_host_view
+from ..cluster.accounting import host_view
 from ..cluster.datacenter import DataCenter
 from ..core.binding import FleetBinding
 from ..core.calendar import time_of_hour
@@ -89,8 +92,6 @@ class HourEngine:
             # The fleet may have grown since construction: rebind so the
             # columnar path survives VM arrivals between runs.
             self._binding = self._bind()
-        if self._binding is not None:
-            self._binding.ensure_horizon(start_hour, n_hours)
         self._run_start = start_hour
         self._horizon = (start_hour, n_hours)
         self._migrations_before = len(self.dc.migrations)
@@ -105,6 +106,9 @@ class HourEngine:
         if self._horizon is None:
             raise RuntimeError("no run in progress to continue")
         start_hour, n_hours = self._horizon
+        if self._binding is not None:
+            # A pickled binding leaves its horizon matrix behind.
+            self._binding.ensure_horizon(start_hour, n_hours)
         self._advance(start_hour + n_hours)
         self.dc.sync_meters(time_of_hour(start_hour + n_hours))
         return self._result()
@@ -114,8 +118,7 @@ class HourEngine:
         """Bind the fleet into one columnar idleness model (DESIGN.md
         §6), with host accounting (§8) unless the config turns it off;
         ``None`` when :meth:`FleetBinding.try_bind` refuses the fleet
-        (e.g. adaptive models), which keeps the scalar per-VM and
-        per-host fallbacks."""
+        (e.g. adaptive models), which keeps the scalar per-VM path."""
         return FleetBinding.try_bind(
             self.dc, self.params,
             accounting=getattr(self.config, "use_host_accounting", True))
@@ -137,10 +140,8 @@ class HourEngine:
     # ------------------------------------------------------------------
     # the shared hour
     # ------------------------------------------------------------------
-    def _hour_head(self, t: int, now: float):
-        """Steps 1-3 of hour ``t``; returns ``(activities, acc)``, the
-        hour's fleet activity column and the columnar host accounting,
-        each ``None`` off the columnar path."""
+    def _hour_head(self, t: int, now: float) -> None:
+        """Steps 1-3 of hour ``t``."""
         # Hoisted: the VM population only changes between hours (churn
         # runs in the hour hooks); migrations merely reorder it.
         vms = self.dc.vms
@@ -150,16 +151,12 @@ class HourEngine:
         #    the binding opts out when unbound VMs joined the fleet.
         binding = self._binding
         activities = None
-        acc: HostAccounting | None = None
         if binding is not None and binding.covers(vms):
-            acc = columnar_host_view(self.dc)
             # The meter charges [previous sync, now] at the *previous*
-            # hour's utilization; the accounting column for t-1 over the
-            # current placement is exactly that value for every host.
-            if acc is not None and t > self._run_start:
-                self.dc.sync_meters(now, acc.cpu_utilization(t - 1))
-            else:
-                self.dc.sync_meters(now)
+            # hour's utilization: the view's column for t-1 over the
+            # current placement, for every host.
+            self.dc.sync_meters(now, host_view(self.dc).cpu_utilization(t - 1)
+                                if t > self._run_start else None)
             activities = binding.load_hour(t)
         else:
             self.dc.set_hour_activities(t, now)
@@ -187,7 +184,6 @@ class HourEngine:
             else:
                 for vm in vms:
                     vm.model.observe(t, vm.current_activity)
-        return activities, acc
 
     def _relocate_all(self, t: int, now: float) -> None:
         """Relocate-all consolidation (paper §VI-A.1)."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.accounting import columnar_host_view
+from ..cluster.accounting import host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.events import EventSimulator, first_grid_point
 from ..cluster.host import Host
@@ -124,15 +124,12 @@ class EventDrivenSimulation(HourEngine):
                                  if config.request_streams == "per-vm"
                                  else None)
         #: Per-hour host classification cache of the columnar sweep pass
-        #: ((hour, placement epoch, blocked version) -> codes, view).
+        #: ((hour, placement epoch, blocked version), codes, view).
         self._codes_cache: tuple | None = None
         #: VMs removed mid-run (scenario churn): their already-scheduled
         #: request events for the current hour must fall through instead
         #: of faulting on the unknown name.
         self._departed_vms: set[str] = set()
-        #: Did the last hour tick take the columnar path?  Gates the
-        #: sub-hour accounting reads (grace on resume).
-        self._fleet_active = False
 
     # ------------------------------------------------------------------
     # main loop
@@ -151,22 +148,11 @@ class EventDrivenSimulation(HourEngine):
         its stream — so a restored run resumes by simply draining it."""
         self.sim.run_until(time_of_hour(end_hour))
 
-    def rebind_fleet(self) -> None:
-        """Re-bind the columnar fleet model (:meth:`HourEngine.
-        rebind_fleet`), then drop the cached host classification (it
-        indexes the old accounting view) and let the columnar gate
-        reflect whether the fresh binding covers the fleet."""
-        super().rebind_fleet()
-        self._codes_cache = None
-        self._fleet_active = (self._binding is not None
-                              and self._binding.covers(self.dc.vms))
-
     # ------------------------------------------------------------------
     def _hour_tick(self, t: int) -> None:
         now = self.sim.now
         self._current_hour = t
-        activities, _ = self._hour_head(t, now)
-        self._fleet_active = activities is not None
+        self._hour_head(t, now)
 
         # Client traffic for interactive VMs active this hour.
         obs = self._obs
@@ -287,21 +273,17 @@ class EventDrivenSimulation(HourEngine):
         self.sweeper.cancel(host)
 
     def _host_codes(self):
-        """Columnar host classifications for the current hour, or None
-        when the fleet binding / accounting is inactive (scalar sweep)."""
-        if not self._fleet_active:
-            return None
-        acc = columnar_host_view(self.dc)
-        if acc is None:
-            return None
-        key = (self._current_hour, acc.epoch,
-               self._binding.fleet.blocked_version)
+        """``(codes, view)``: the current hour's host classifications
+        and the host view they index.  The cache hits only on the same
+        view object, so a scalar view (built per call) never hits."""
+        view = host_view(self.dc)
+        key = (self._current_hour, view.epoch, view.blocked_version)
         cached = self._codes_cache
-        if cached is not None and cached[0] == key and cached[2] is acc:
-            return cached[1:]
-        codes = classify_hosts(acc, self._current_hour).tolist()
-        self._codes_cache = (key, codes, acc)
-        return codes, acc
+        if cached is not None and cached[0] == key and cached[2] is view:
+            return cached[1], view
+        codes = classify_hosts(view, self._current_hour).tolist()
+        self._codes_cache = (key, codes, view)
+        return codes, view
 
     def _sweep_due(self, now: float, due: list[Host]) -> None:
         """Evaluate every due host's suspend check in one pass.
@@ -311,7 +293,7 @@ class EventDrivenSimulation(HourEngine):
         order): non-ON hosts are skipped silently, columnar-eligible
         hosts get their verdict from the fleet-wide classification plus
         the grace clock, deviating modules (heuristics, custom
-        blacklists) fall back to the scalar evaluator, and each host's
+        blacklists) run the scalar evaluator, and each host's
         decision counter and follow-up actions are identical to the
         per-event reference in ``tests/oracles.py``.
 
@@ -330,11 +312,8 @@ class EventDrivenSimulation(HourEngine):
             return
         period = self.params.suspend_check_period_s
         deadline = now + period
-        ctx = self._host_codes()
-        codes, positions = (None, None)
-        if ctx is not None:
-            codes, acc = ctx
-            positions = acc.positions
+        codes, view = self._host_codes()
+        positions = view.positions
         # Hot loop (every ON host, every check period): locals for the
         # per-host lookups, eager rescheduling so the wheel's insertion
         # (and event sequence) order matches the per-host event path.
@@ -354,7 +333,7 @@ class EventDrivenSimulation(HourEngine):
             if host.state is not on_state:
                 continue  # resume path reinstates the check
             module = suspending[host.name]
-            if codes is not None and module_is_columnar(module):
+            if module_is_columnar(module):
                 code = codes[positions[host.name]]
                 if code == candidate:
                     decision = (in_grace if now < host.grace_until
@@ -432,16 +411,12 @@ class EventDrivenSimulation(HourEngine):
         if self.faults is not None and self.faults.resume_fails():
             self._resume_failed(host)
             return
-        acc = columnar_host_view(self.dc) if self._fleet_active else None
-        if acc is not None:
-            # Columnar grace: same mean raw IP the scalar
-            # module.grace_for_resume computes, one vector for all hosts.
-            mean_ip = float(acc.mean_raw_ip(self._current_hour)[acc.pos(host)])
-            grace = grace_from_raw_ip(mean_ip, self.params)
-        else:
-            module = self.suspending[host.name]
-            grace = module.grace_for_resume(self.sim.now, self._current_hour)
-        host.finish_resume(self.sim.now, grace)
+        # The grace window follows the host's IP (section IV), as
+        # SuspendingModule.grace_for_resume computes it.
+        mean_ip = host_view(self.dc).host_mean_raw_ip(host,
+                                                      self._current_hour)
+        host.finish_resume(self.sim.now,
+                           grace_from_raw_ip(mean_ip, self.params))
         self._host_up(host)
 
     def _host_up(self, host: Host) -> None:

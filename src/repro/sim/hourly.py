@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.accounting import HostAccounting
+from ..cluster.accounting import HostView, host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.host import Host
 from ..cluster.power import (
@@ -32,6 +32,10 @@ from ..core.params import DEFAULT_PARAMS, DrowsyParams
 from ..core.result import RunResult
 from ..suspend.grace import grace_from_raw_ip
 from .engine import HourEngine, HourHook, validate_shared_config
+
+#: Mean delay before the suspending module notices idleness: half its
+#: check period.
+DECISION_DELAY_S = 2.5
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,11 @@ class HourlyConfig:
     #: Maintain per-VM idleness models (required by Drowsy; optional for
     #: baselines, where it only costs time).
     update_models: bool = True
-    #: Mean delay before the suspending module notices idleness
-    #: (half the check period).
-    decision_delay_s: float = 2.5
-    #: Consume the columnar host-accounting view (used CPUs/memory, CPU
+    #: Attach the columnar host accounting (used CPUs/memory, CPU
     #: utilization, all-idle flags, mean raw IP for every host from one
-    #: vectorized pass per hour; DESIGN.md §8) for suspend checks,
-    #: SLATAH accounting and controller host queries.  Bit-identical to
-    #: the scalar per-host properties; the sharded backend's hourly
-    #: shards turn it off (their placement changes mid-tick).
+    #: vectorized pass per hour; DESIGN.md §8).  Off, every host view is
+    #: the scalar one, bit-identical and slower; the sharded backend's
+    #: hourly shards turn it off (their placement changes mid-tick).
     use_host_accounting: bool = True
 
     def __post_init__(self) -> None:
@@ -95,30 +95,19 @@ class HourlySimulator(HourEngine):
 
     def _hour(self, t: int) -> None:
         now = time_of_hour(t)
-        hosts = self.dc.hosts
-        _, acc = self._hour_head(t, now)
+        self._hour_head(t, now)
 
         # 4. Power-state bookkeeping for the hour, one columnar pass:
         #    only the hosts whose state changes run Python (DESIGN.md
-        #    §7).  Controller migrations in step 2 already bumped the
-        #    placement epoch, so the columns see the new placement.
-        counts = (acc.vm_counts() if acc is not None else
-                  np.fromiter((len(h.vms) for h in hosts), dtype=np.int64,
-                              count=len(hosts)))
-        self._power_step(t, now, acc, counts)
+        #    §7).  The view reflects step 2's migrations.
+        view = host_view(self.dc)
+        counts = view.vm_counts()
+        self._power_step(t, now, view, counts)
 
         # 5. QoS accounting (Beloglazov's SLATAH): an active host whose
         #    CPU demand saturates capacity is failing its VMs this hour.
         on = (self.dc.meters.state == ON_CODE) & (counts > 0)
-        if acc is not None:
-            demand, limit = acc.cpu_demand(t), acc.overload_cpus()
-        else:
-            demand, limit = np.zeros(len(hosts)), np.ones(len(hosts))
-            for k in np.flatnonzero(on).tolist():
-                host = hosts[k]
-                demand[k] = sum(vm.current_activity * vm.resources.cpus
-                                for vm in host.vms)
-                limit[k] = host.capacity.cpus * 0.999
+        demand, limit = view.cpu_demand(t), view.overload_cpus
         self._active_host_hours += int(on.sum())
         self._overload_host_hours += int((on & (demand >= limit)).sum())
 
@@ -139,26 +128,25 @@ class HourlySimulator(HourEngine):
         }
 
     # ------------------------------------------------------------------
-    def _sleepable(self, t: int, acc: HostAccounting | None,
+    def _sleepable(self, t: int, view: HostView,
                    candidates: np.ndarray) -> np.ndarray:
         """(n_hosts,) 'may this host sleep this hour?' for the
         ``candidates`` (non-empty, not crashed); False elsewhere.
 
-        The column's source: the columnar accounting, else the
-        controller's veto (Oasis-style policies) or every hosted VM
-        idle, asked of the candidate hosts only."""
+        The column's source: the view's, or the controller's veto
+        (Oasis-style policies) asked of the candidate hosts only."""
         if not self.config.suspend_enabled:
             return np.zeros(len(candidates), dtype=bool)
-        if acc is not None and self._can_sleep is None:
-            return acc.sleepable(t) & candidates
+        ask = self._can_sleep
+        if ask is None:
+            return view.sleepable(t) & candidates
         hosts = self.dc.hosts
-        ask = self._can_sleep or (lambda host: host.all_vms_idle)
         flags = np.zeros(len(candidates), dtype=bool)
         for k in np.flatnonzero(candidates).tolist():
             flags[k] = ask(hosts[k])
         return flags
 
-    def _power_step(self, t: int, now: float, acc: HostAccounting | None,
+    def _power_step(self, t: int, now: float, view: HostView,
                     counts: np.ndarray) -> None:
         """The hour's power decisions for every host, as masks over the
         state, VM-count, sleepable and grace columns.
@@ -184,12 +172,12 @@ class HourlySimulator(HourEngine):
         # relocate_all may use any managed host)
         for k in np.flatnonzero(~empty & (state == OFF_CODE)).tolist():
             hosts[k].power_on(now)
-        sleepable = self._sleepable(t, acc, ~empty & (state != CRASHED_CODE))
+        sleepable = self._sleepable(t, view, ~empty & (state != CRASHED_CODE))
         resume = np.flatnonzero((state == SUSPENDED_CODE) & ~empty
                                 & ~sleepable)
         suspend = (state == ON_CODE) & sleepable
         if suspend.any():
-            begin = np.full(len(hosts), now + cfg.decision_delay_s)
+            begin = np.full(len(hosts), now + DECISION_DELAY_S)
             if p.use_grace:
                 grace = meters.grace_until
                 begin = np.where(begin < grace, grace, begin)
@@ -201,21 +189,16 @@ class HourlySimulator(HourEngine):
             host = hosts[k]
             host.begin_resume(now)
             host.finish_resume(now + p.resume_latency_s,
-                               self._grace(host, t, acc))
+                               self._grace(host, t, view))
         for k in np.flatnonzero(suspend).tolist():
             at = float(begin[k])
             hosts[k].begin_suspend(at)
             hosts[k].finish_suspend(at + p.suspend_latency_s)
 
-    def _grace(self, host: Host, t: int,
-               acc: HostAccounting | None = None) -> float:
+    def _grace(self, host: Host, t: int, view: HostView) -> float:
         if not self.params.use_grace:
             return 0.0
-        if acc is not None:
-            mean_ip = float(acc.mean_raw_ip(t)[acc.pos(host)])
-        else:
-            mean_ip = host.mean_raw_ip(t)
-        return grace_from_raw_ip(mean_ip, self.params)
+        return grace_from_raw_ip(view.host_mean_raw_ip(host, t), self.params)
 
     # ------------------------------------------------------------------
     def force_awake(self, host: Host, now: float) -> None:

@@ -1,6 +1,6 @@
 """Workload trace generation: synthetic, production-like and Google-like."""
 
-from .base import ActivityTrace, VMKind, activity_matrix, trace_matrix
+from .base import ActivityTrace, VMKind, activity_matrix
 from .google import google_llmu_fleet, google_llmu_trace
 from .noise import (
     DEFAULT_MIN_QUANTUM_S,
@@ -54,6 +54,5 @@ __all__ = [
     "synthesize_quanta",
     "testbed_llmi_traces",
     "trace_from_csv",
-    "trace_matrix",
     "weekly_pattern_trace",
 ]

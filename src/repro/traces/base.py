@@ -159,8 +159,3 @@ def activity_matrix(traces: list[ActivityTrace], n_hours: int,
     if n_hours <= 0:
         raise ValueError("n_hours must be positive")
     return np.stack([t.window(start_hour, n_hours) for t in traces])
-
-
-def trace_matrix(traces: list[ActivityTrace], n_hours: int) -> np.ndarray:
-    """Stack traces into an ``(n, T)`` matrix (periodically extended)."""
-    return activity_matrix(traces, n_hours)

@@ -60,13 +60,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.api.backends import EventBackend
-from repro.cluster.accounting import columnar_host_view
+from repro.cluster.accounting import host_list_view, host_view
 from repro.cluster.datacenter import DataCenter
 from repro.cluster.host import Host
 from repro.cluster.power import PowerModel, PowerState
 from repro.consolidation.drowsy import DrowsyController
 from repro.consolidation.neat import MANAGED_STATES
-from repro.consolidation.placement import _accounting_for, decreasing_demand
+from repro.consolidation.placement import decreasing_demand
 from repro.consolidation.selection import select_until_not_overloaded
 from repro.cluster.vm import VM
 from repro.core.binding import FleetBinding
@@ -79,7 +79,7 @@ from repro.core.result import RunResult
 from repro.core.weights import descend_weights
 from repro.experiments.common import FLEET_HOST, FLEET_VM
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
-from repro.sim.hourly import HourlySimulator
+from repro.sim.hourly import DECISION_DELAY_S, HourlySimulator
 from repro.suspend.process import DEFAULT_BLACKLIST
 from repro.suspend.timers import DAEMON_PERIOD_S, TimerEntry, TimerRegistry
 from repro.traces.base import ActivityTrace, VMKind
@@ -219,23 +219,16 @@ class ScalarHourlySimulator(HourlySimulator):
     def _bind(self):
         return None
 
-    def _power_step(self, t, now, acc, counts) -> None:
-        sleep_flags = None
-        if (acc is not None and self._can_sleep is None
-                and self.config.suspend_enabled):
-            sleep_flags = acc.sleepable(t)
-        for k, host in enumerate(self.dc.hosts):
-            self._host_power_step(
-                host, t, now, acc,
-                None if sleep_flags is None else bool(sleep_flags[k]))
+    def _power_step(self, t, now, view, counts) -> None:
+        for host in self.dc.hosts:
+            self._host_power_step(host, t, now, view)
 
     def _host_sleepable(self, host) -> bool:
         if self._can_sleep is not None:  # Oasis-style policies
             return self._can_sleep(host)
         return bool(host.vms) and host.all_vms_idle
 
-    def _host_power_step(self, host, t, now, acc=None,
-                         sleepable_hint=None) -> None:
+    def _host_power_step(self, host, t, now, view) -> None:
         cfg, p = self.config, self.params
         if host.state is PowerState.CRASHED:
             return
@@ -245,18 +238,15 @@ class ScalarHourlySimulator(HourlySimulator):
             return
         if host.state is PowerState.OFF:
             host.power_on(now)
-        if sleepable_hint is not None:
-            sleepable = sleepable_hint
-        else:
-            sleepable = cfg.suspend_enabled and self._host_sleepable(host)
+        sleepable = cfg.suspend_enabled and self._host_sleepable(host)
         if host.state is PowerState.SUSPENDED:
             if not sleepable:
                 host.begin_resume(now)
-                grace = self._grace(host, t, acc)
+                grace = self._grace(host, t, view)
                 host.finish_resume(now + p.resume_latency_s, grace)
             return
         if host.state is PowerState.ON and sleepable:
-            begin = now + cfg.decision_delay_s
+            begin = now + DECISION_DELAY_S
             if p.use_grace and host.in_grace(begin):
                 begin = host.grace_until
             if begin + p.suspend_latency_s < now + 3600.0:
@@ -427,22 +417,13 @@ class LoopPowerAwareBestFitDecreasing:
 
     def place(self, vms, hosts, hour_index, current_host):
         placement = {}
-        acc = _accounting_for(hosts)
-        if acc is not None:
-            acc, pos = acc
-            mem_col, cpu_col = acc.used_memory_mb(), acc.used_cpus()
-            demand_col = acc.cpu_demand(hour_index)
-            used_mem = {h.name: int(mem_col[k]) for h, k in zip(hosts, pos)}
-            used_cpu = {h.name: int(cpu_col[k]) for h, k in zip(hosts, pos)}
-            base_demand = {h.name: float(demand_col[k])
-                           for h, k in zip(hosts, pos)}
-        else:
-            used_mem = {h.name: h.used_resources.memory_mb for h in hosts}
-            used_cpu = {h.name: h.used_resources.cpus for h in hosts}
-            base_demand = {
-                h.name: sum(v.current_activity * v.resources.cpus
-                            for v in h.vms)
-                for h in hosts}
+        view, pos = host_list_view(hosts)
+        mem_col, cpu_col = view.used_memory_mb(), view.used_cpus()
+        demand_col = view.cpu_demand(hour_index)
+        used_mem = {h.name: int(mem_col[k]) for h, k in zip(hosts, pos)}
+        used_cpu = {h.name: int(cpu_col[k]) for h, k in zip(hosts, pos)}
+        base_demand = {h.name: float(demand_col[k])
+                       for h, k in zip(hosts, pos)}
         planned_demand = {h.name: 0.0 for h in hosts}
         for vm in decreasing_demand(vms):
             best = None
@@ -485,24 +466,15 @@ class LoopIPAwarePlacement:
     def place(self, vms, hosts, hour_index, current_host):
         placement = {}
         tol = self.params.ip_distance_tolerance
-        acc = _accounting_for(hosts)
-        if acc is not None:
-            acc, pos = acc
-            ip_col = acc.mean_raw_ip(hour_index)
-            mem_col, cpu_col = acc.used_memory_mb(), acc.used_cpus()
-            mean_ip, free_mem, used_mem, used_cpu = {}, {}, {}, {}
-            for h, k in zip(hosts, pos):
-                mean_ip[h.name] = float(ip_col[k])
-                used_mem[h.name] = int(mem_col[k])
-                used_cpu[h.name] = int(cpu_col[k])
-                free_mem[h.name] = h.capacity.memory_mb - used_mem[h.name]
-        else:
-            mean_ip = {h.name: h.mean_raw_ip(hour_index) for h in hosts}
-            free_mem = {h.name: h.capacity.memory_mb
-                        - h.used_resources.memory_mb for h in hosts}
-            used_mem = {h.name: h.capacity.memory_mb - free_mem[h.name]
-                        for h in hosts}
-            used_cpu = {h.name: h.used_resources.cpus for h in hosts}
+        view, pos = host_list_view(hosts)
+        ip_col = view.mean_raw_ip(hour_index)
+        mem_col, cpu_col = view.used_memory_mb(), view.used_cpus()
+        mean_ip, free_mem, used_mem, used_cpu = {}, {}, {}, {}
+        for h, k in zip(hosts, pos):
+            mean_ip[h.name] = float(ip_col[k])
+            used_mem[h.name] = int(mem_col[k])
+            used_cpu[h.name] = int(cpu_col[k])
+            free_mem[h.name] = h.capacity.memory_mb - used_mem[h.name]
         ordered = sorted(vms, key=lambda vm: (-vm.resources.memory_mb,
                                               -vm.resources.cpus, vm.name))
         for vm in ordered:
@@ -547,14 +519,10 @@ class PerHostDrowsyController(DrowsyController):
                         for h in dc.hosts}
 
     def observe_hour(self, hour_index: int) -> None:
-        acc = columnar_host_view(self.dc)
+        utils = host_view(self.dc).cpu_utilization(hour_index)
         for k, host in enumerate(self.dc.hosts):
-            if host.state is not PowerState.ON:
-                util = 0.0
-            elif acc is not None:
-                util = float(acc.cpu_utilization(hour_index)[k])
-            else:
-                util = host.cpu_utilization
+            util = (float(utils[k]) if host.state is PowerState.ON
+                    else 0.0)
             self._deques[host.name].append(util)
 
     def managed_hosts(self):
@@ -593,12 +561,11 @@ class PerHostDrowsyController(DrowsyController):
         return moved
 
     def _handle_underloaded(self, hour_index, executor):
-        acc = columnar_host_view(self.dc)
+        util_col = host_view(self.dc).cpu_utilization(hour_index)
         utils = {}
         for k, h in enumerate(self.dc.hosts):
             if h.state is PowerState.ON and h.vms:
-                utils[h.name] = (float(acc.cpu_utilization(hour_index)[k])
-                                 if acc is not None else h.cpu_utilization)
+                utils[h.name] = float(util_col[k])
         candidates = [name for _, name in sorted(
             (u, name) for name, u in utils.items())]
         moved = 0
@@ -621,19 +588,17 @@ class PerHostDrowsyController(DrowsyController):
 
     def opportunistic_step(self, hour_index, executor):
         threshold = self.params.ip_range_threshold
-        acc = columnar_host_view(self.dc)
+        view = host_view(self.dc)
 
         def ip_range(host):
-            if acc is not None:
-                return float(acc.ip_range(hour_index)[acc.pos(host)])
-            return host.ip_range(hour_index)
+            return float(view.ip_range(hour_index)[view.pos(host)])
 
         moved = 0
         for host in list(self.managed_hosts()):
             guard = len(host.vms) + 1
             while ip_range(host) > threshold and guard > 0:
                 guard -= 1
-                vm = self._most_extreme_vm(host, hour_index, acc)
+                vm = self._most_extreme_vm(host, hour_index, view)
                 if vm is None:
                     break
                 targets = [h for h in self.managed_hosts() if h is not host]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.api import Simulation, build_controller
 from repro.cluster import DataCenter, Host, HostCapacity, PowerModel, ResourceSpec, VM
-from repro.cluster.accounting import columnar_host_view
+from repro.cluster.accounting import HostAccounting, ScalarHostView, host_view
 from repro.cluster.power import POWER_STATES, EnergyMeter, PowerState
 from repro.consolidation import (
     DrowsyController,
@@ -334,11 +334,12 @@ def test_power_step_masks_match_per_host_loop(seed, bound, use_grace,
         dc = _power_fleet(seed, params)
         sim = cls(dc, PassiveController(), params=params,
                   config=replace(config, use_host_accounting=bound))
-        acc = columnar_host_view(dc)
-        assert (acc is not None) == (bound and cls is HourlySimulator
-                                     and bool(dc.vms))
+        view = host_view(dc)
+        accounted = bound and cls is HourlySimulator and bool(dc.vms)
+        assert type(view) is (HostAccounting if accounted
+                              else ScalarHostView)
         counts = np.array([len(h.vms) for h in dc.hosts], dtype=np.int64)
-        sim._power_step(1, 3600.0, acc, counts)
+        sim._power_step(1, 3600.0, view, counts)
         outcomes.append([(h.state, h.transitions, h.suspend_count,
                           h.resume_count, h.grace_until, h.meter.energy_j,
                           h.meter.state_seconds, h.meter.last_time)

@@ -149,8 +149,9 @@ class TestSweepParity:
 
     def test_scalar_fleet_fallback_parity(self):
         """Fleets ``try_bind`` refuses keep the scalar per-VM models: the
-        sweep evaluates scalar modules but must still match the oracle,
-        and the scalar fallback must match the columnar fleet path."""
+        sweep classifies their hosts through the scalar host view but
+        must still match the oracle, and the scalar path must match the
+        columnar fleet path."""
         oracle, _ = _build(oracle=dict(binding="scalar"))
         scalar, _ = _build(oracle=dict(binding="scalar",
                                        per_host_checks=False,

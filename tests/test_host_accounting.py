@@ -1,11 +1,13 @@
-"""Columnar host accounting parity (DESIGN.md §8).
+"""Host view parity (DESIGN.md §8).
 
-The accounting layer must be *bit-identical* to the scalar per-host
-properties (`Host.cpu_utilization`, `used_resources`, `all_vms_idle`,
-`mean_raw_ip`, `ip_range`) — the scalar loop stays in the code as the
-parity oracle.  Covers direct property comparisons under arbitrary
-interleavings of migrations, VM arrivals and hour ticks (hypothesis),
-plus end-to-end simulator parity with the accounting disabled.
+Both host views — the columnar ``HostAccounting`` and the live
+``ScalarHostView`` — must be *bit-identical* to the per-host properties
+(`Host.cpu_utilization`, `used_resources`, `all_vms_idle`,
+`mean_raw_ip`, `ip_range`), and so to each other.  Covers direct
+property comparisons under arbitrary interleavings of migrations, VM
+arrivals and hour ticks (hypothesis), a bare host list, a VM placed
+since the last bind, plus end-to-end simulator parity with the
+accounting disabled.
 """
 
 import numpy as np
@@ -13,7 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Simulation
-from repro.cluster.accounting import HostAccounting, columnar_host_view
+from repro.cluster.accounting import (
+    HostAccounting,
+    ScalarHostView,
+    host_list_view,
+    host_view,
+)
 from repro.cluster.datacenter import DataCenter, PlacementError
 from repro.cluster.host import Host
 from repro.cluster.resources import HostCapacity, ResourceSpec
@@ -43,19 +50,20 @@ CONTROLLERS = {
 }
 
 
-def _assert_host_parity(dc, acc, hour):
-    """Columnar vectors equal the scalar per-host oracle, bit for bit."""
-    acc.verify()
-    util = acc.cpu_utilization(hour)
-    demand = acc.cpu_demand(hour)
-    used_cpus = acc.used_cpus()
-    used_mem = acc.used_memory_mb()
-    counts = acc.vm_counts()
-    all_idle = acc.all_idle(hour)
-    mean_ip = acc.mean_raw_ip(hour)
-    ip_range = acc.ip_range(hour)
-    for k, host in enumerate(dc.hosts):
-        assert acc.pos(host) == k
+def _assert_host_parity(hosts, view, hour):
+    """A view's vectors equal the per-host properties, bit for bit."""
+    view.verify()
+    util = view.cpu_utilization(hour)
+    demand = view.cpu_demand(hour)
+    used_cpus = view.used_cpus()
+    used_mem = view.used_memory_mb()
+    counts = view.vm_counts()
+    all_idle = view.all_idle(hour)
+    blocked = view.any_blocked_io()
+    mean_ip = view.mean_raw_ip(hour)
+    ip_range = view.ip_range(hour)
+    for k, host in enumerate(hosts):
+        assert view.pos(host) == k
         used = host.used_resources
         assert int(used_cpus[k]) == used.cpus
         assert int(used_mem[k]) == used.memory_mb
@@ -64,8 +72,41 @@ def _assert_host_parity(dc, acc, hour):
         assert float(demand[k]) == sum(
             vm.current_activity * vm.resources.cpus for vm in host.vms)
         assert bool(all_idle[k]) == host.all_vms_idle
+        assert bool(blocked[k]) == any(vm.blocked_io for vm in host.vms)
         assert float(mean_ip[k]) == host.mean_raw_ip(hour)
+        assert view.host_mean_raw_ip(host, hour) == host.mean_raw_ip(hour)
         assert float(ip_range[k]) == host.ip_range(hour)
+        assert float(view.capacity_cpus[k]) == host.capacity.cpus
+
+
+def _columns(view, hour):
+    """Every column a view serves, by name."""
+    return {
+        "vm_counts": view.vm_counts(),
+        "used_cpus": view.used_cpus(),
+        "used_memory_mb": view.used_memory_mb(),
+        "cpu_demand": view.cpu_demand(hour),
+        "cpu_utilization": view.cpu_utilization(hour),
+        "all_idle": view.all_idle(hour),
+        "sleepable": view.sleepable(hour),
+        "any_blocked_io": view.any_blocked_io(),
+        "mean_raw_ip": view.mean_raw_ip(hour),
+        "ip_range": view.ip_range(hour),
+        "overload_cpus": view.overload_cpus,
+        "capacity_cpus": view.capacity_cpus,
+        "capacity_memory_mb": view.capacity_memory_mb,
+        "schedulable_cpus": view.schedulable_cpus,
+        "name_rank": view.name_rank,
+    }
+
+
+def _assert_views_equal(acc, scalar, hour):
+    """The two views serve the same columns, bit for bit."""
+    assert scalar.positions == acc.positions
+    got, want = _columns(scalar, hour), _columns(acc, hour)
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype, name
+        assert got[name].tobytes() == col.tobytes(), name
 
 
 class TestColumnarParityProperties:
@@ -133,14 +174,20 @@ class TestColumnarParityProperties:
             # The single writer keeps every index and (valid) row set
             # in step after each op — nothing to reconcile.
             dc.check_invariants()
-            acc = columnar_host_view(dc)
-            if acc is None:
+            view = host_view(dc)
+            scalar = ScalarHostView(dc.host_columns)
+            at = max(hour - 1, 0)
+            if dc._accounting.valid:
+                assert view is dc._accounting
+                if loaded:
+                    _assert_host_parity(dc.hosts, view, at)
+                    _assert_views_equal(view, scalar, at)
+            else:
                 # An arrival outside the binding marks the accounting
                 # stale until the next tick rebinds the fleet, as the
-                # simulators' rebind_fleet does.
-                continue
-            if loaded and binding.covers(dc.vms):
-                _assert_host_parity(dc, acc, max(hour - 1, 0))
+                # simulators' rebind_fleet does: the view is scalar.
+                assert type(view) is ScalarHostView
+            _assert_host_parity(dc.hosts, scalar, at)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 12))
@@ -158,8 +205,86 @@ class TestColumnarParityProperties:
         for t in range(5):
             col = binding.load_hour(t)
             binding.observe(t, col)
-        acc = columnar_host_view(dc)
-        _assert_host_parity(dc, acc, 4)
+        acc = host_view(dc)
+        assert acc is dc._accounting
+        _assert_host_parity(dc.hosts, acc, 4)
+        scalar = ScalarHostView(dc.host_columns)
+        _assert_host_parity(dc.hosts, scalar, 4)
+        _assert_views_equal(acc, scalar, 4)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 4))
+    def test_views_agree_on_random_fleets(self, seed, n_hosts, per_host):
+        """Random fleets, placements, hours, blocked-I/O flags and
+        migrations: the scalar view serves the accounting's columns."""
+        rng = np.random.default_rng(seed)
+        dc = build_fleet(n_hosts, n_hosts * per_host, float(rng.random()), 48,
+                         seed=int(rng.integers(1000)))
+        binding = FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        hours = int(rng.integers(1, 30))
+        for t in range(hours):
+            binding.observe(t, binding.load_hour(t))
+        for vm in dc.vms:
+            if rng.random() < 0.2:
+                vm.blocked_io = True
+        for _ in range(int(rng.integers(0, 4))):
+            vm = dc.vms[int(rng.integers(len(dc.vms)))]
+            dest = dc.hosts[int(rng.integers(n_hosts))]
+            if dc.host_of(vm) is not dest and dest.can_host(vm):
+                dc.migrate(vm, dest, now=float(hours * 3600))
+        acc = host_view(dc)
+        assert acc is dc._accounting
+        scalar = ScalarHostView(dc.host_columns)
+        _assert_views_equal(acc, scalar, hours - 1)
+        _assert_host_parity(dc.hosts, scalar, hours - 1)
+
+    def test_bare_host_list_gets_a_scalar_view(self):
+        """Hosts outside any data center: a scalar view of the list
+        itself, in list order."""
+        params = DEFAULT_PARAMS
+        hosts = [Host(f"h{i}", BIG_HOST, params) for i in (2, 0, 1)]
+        for i in range(5):
+            vm = VM(f"v{i}", llmu_trace(hours=24, seed=i),
+                    SMALL_VM if i % 2 else TINY_VM, params=params)
+            vm.current_activity = vm.activity_at(3)
+            hosts[i % 2].add_vm(vm)
+        view, pos = host_list_view(hosts)
+        assert type(view) is ScalarHostView
+        assert pos.tolist() == [0, 1, 2]
+        assert view.name_rank.tolist() == [2, 0, 1]
+        _assert_host_parity(hosts, view, 3)
+
+    def test_host_list_of_a_data_center_reads_its_view(self):
+        dc = build_fleet(n_hosts=4, n_vms=12, llmi_fraction=0.5, hours=24)
+        FleetBinding.try_bind(dc, DEFAULT_PARAMS).load_hour(0)
+        subset = [dc.hosts[3], dc.hosts[1]]
+        view, pos = host_list_view(subset)
+        assert view is dc._accounting
+        assert pos.tolist() == [3, 1]
+
+    def test_vm_placed_since_bind_gets_the_scalar_view(self):
+        """A VM placed after the last bind: the accounting goes stale
+        and the view is scalar, equal to the properties, until a rebind
+        brings the accounting back with the same columns."""
+        dc = build_fleet(n_hosts=3, n_vms=9, llmi_fraction=0.5, hours=24)
+        binding = FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        binding.observe(0, binding.load_hour(0))
+        binding.load_hour(1)
+        host = next(h for h in dc.hosts if h.can_host(
+            VM("probe", llmu_trace(hours=24, seed=1), TINY_VM)))
+        newcomer = VM("newcomer", llmu_trace(hours=24, seed=9), TINY_VM)
+        newcomer.current_activity = newcomer.activity_at(1)
+        dc.place(newcomer, host)
+        view = host_view(dc)
+        assert type(view) is ScalarHostView
+        assert host_view(dc) is not view  # built per call, never cached
+        _assert_host_parity(dc.hosts, view, 1)
+        binding = FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        binding.ensure_horizon(0, 24)
+        binding.load_hour(1)
+        acc = host_view(dc)
+        assert acc is dc._accounting
+        _assert_views_equal(acc, view, 1)
 
 
 class TestSimulatorParityWithAccounting:
@@ -248,7 +373,7 @@ class TestHostAccountingUnit:
         newcomer = VM("newcomer", daily_backup_trace(days=2), TINY_VM)
         dc.place(newcomer, dc.hosts[0])
         assert not acc.valid
-        assert columnar_host_view(dc) is None
+        assert type(host_view(dc)) is ScalarHostView
 
     def test_empty_host_semantics(self):
         params = DEFAULT_PARAMS
@@ -269,9 +394,10 @@ class TestHostAccountingUnit:
 
     def test_accounting_disabled_detaches(self):
         dc, _ = self._bound()
-        assert columnar_host_view(dc) is not None
+        assert host_view(dc) is dc._accounting
         FleetBinding.try_bind(dc, DEFAULT_PARAMS, accounting=False)
-        assert columnar_host_view(dc) is None
+        assert dc._accounting is None
+        assert type(host_view(dc)) is ScalarHostView
 
     def test_position_and_pos(self):
         dc, _ = self._bound()
@@ -299,4 +425,4 @@ class TestHostAccountingUnit:
         dc = build_fleet(n_hosts=4, n_vms=12, llmi_fraction=0.5, hours=24)
         HourlySimulator(dc, DrowsyController(dc))
         assert isinstance(dc._accounting, HostAccounting)
-        assert columnar_host_view(dc) is dc._accounting
+        assert host_view(dc) is dc._accounting

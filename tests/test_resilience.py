@@ -26,12 +26,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.api import Simulation
 from repro.api.sharded import ShardedConfig
+from repro.core.binding import FleetBinding
 from repro.experiments.common import build_fleet
 from repro.faults import FaultPlan, HostCrashFaults, WolFaults
 from repro.resilience import (
@@ -153,6 +155,33 @@ class TestCheckpointResume:
             assert Simulation.resume(path).run() == base
 
     @pytest.mark.parametrize("backend", ["hourly", "event"])
+    def test_checkpoint_holds_the_activities_once(self, tmp_path, backend,
+                                                  monkeypatch):
+        """A ``build_fleet`` run's binding reads its horizon from the
+        traces' own matrix: a checkpoint leaves that matrix out (the
+        traces carry the activities) and a resume rebuilds it."""
+        def simulation(**kw):
+            return Simulation(build_fleet(16, 64, 0.5, 24, seed=3),
+                              "drowsy", backend, seed=3, **kw)
+
+        base = simulation().run(H)
+        sim = simulation(checkpoint=CheckpointPolicy(dir=str(tmp_path)))
+        assert sim.run(H) == base
+        binding = sim.engine._binding
+        matrix = binding._matrix
+        assert np.shares_memory(matrix, binding.vms[0].trace.activities)
+        lean = len(pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL))
+        monkeypatch.setattr(FleetBinding, "__getstate__",
+                            lambda binding: binding.__dict__)
+        full = len(pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL))
+        monkeypatch.undo()
+        assert full - lean >= matrix.nbytes
+        for path in sorted(tmp_path.glob("*.ckpt"))[:3]:
+            resumed = Simulation.resume(path)
+            assert resumed.engine._binding._matrix is None
+            assert resumed.run() == base
+
+    @pytest.mark.parametrize("backend", ["hourly", "event"])
     def test_maintenance_churn_resume(self, tmp_path, backend):
         # Checkpoints before, inside (hour 18) and after the first
         # maintenance window (hours 12-20): the injector's drain, power
@@ -248,16 +277,15 @@ class TestCheckpointFiles:
             Checkpoint.load(path)
 
     def test_previous_version_refused(self, tmp_path):
-        # Version-4 checkpoints hold a churn injector with eight bound
-        # callables and no façade, and an event engine without the
-        # shared hour state; this build must not unpickle that layout.
-        assert CHECKPOINT_VERSION == 5
+        # Version-5 checkpoints hold a data center without its static
+        # host columns; this build must not unpickle that layout.
+        assert CHECKPOINT_VERSION == 6
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = CHECKPOINT_VERSION - 1
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError,
-                           match=f"format 4; this build reads {CHECKPOINT_VERSION}"):
+                           match=f"format 5; this build reads {CHECKPOINT_VERSION}"):
             Checkpoint.load(path)
 
     def test_corrupt_payload_fails_digest(self, tmp_path):

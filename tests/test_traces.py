@@ -8,6 +8,7 @@ from repro.traces import (
     ActivityTrace,
     QuantaSample,
     VMKind,
+    activity_matrix,
     always_idle_trace,
     build_trace,
     comic_strips_trace,
@@ -22,7 +23,6 @@ from repro.traces import (
     seasonal_results_trace,
     slmu_trace,
     synthesize_quanta,
-    trace_matrix,
     weekly_pattern_trace,
 )
 from repro.traces.base import trace_rows
@@ -88,7 +88,7 @@ class TestActivityTrace:
 
     def test_trace_matrix_shape(self):
         traces = [daily_backup_trace(days=2), always_idle_trace(24)]
-        M = trace_matrix(traces, 72)
+        M = activity_matrix(traces, 72)
         assert M.shape == (2, 72)
 
 
