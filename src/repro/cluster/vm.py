@@ -84,7 +84,9 @@ class VM:
         #: Interactive services receive network requests; their activity
         #: is externally triggered so a suspended host adds wake latency.
         self.interactive = interactive
-        self.model = IdlenessModel(params)
+        #: The idleness model, built on first read of :attr:`model`: a
+        #: fleet binding gives a never-read VM a fresh row directly.
+        self._model = None
         #: A fleet binding's activity column and this VM's row in it
         #: (see :meth:`bind_activity`); ``None`` while unbound.
         self._activity_col = None
@@ -92,6 +94,18 @@ class VM:
         self._activity = 0.0
         self.migrations = 0
         self._blocked_io = False
+
+    @property
+    def model(self):
+        """This VM's idleness model (a fresh
+        :class:`~repro.core.model.IdlenessModel` until trained or bound)."""
+        if self._model is None:
+            self._model = IdlenessModel(self.params)
+        return self._model
+
+    @model.setter
+    def model(self, value) -> None:
+        self._model = value
 
     @property
     def current_activity(self) -> float:
@@ -136,7 +150,7 @@ class VM:
         self._blocked_io = bool(value)
         # Mirror into the fleet's columnar blocked-I/O flags when bound,
         # so the batched suspend sweep sees the change without a rescan.
-        model = self.model
+        model = self._model
         fleet = getattr(model, "fleet", None)
         if fleet is not None and hasattr(fleet, "set_blocked_io"):
             fleet.set_blocked_io(model.fleet_index, self._blocked_io)

@@ -117,7 +117,8 @@ class FleetBinding:
     """Bind every VM of a data center to one columnar fleet model.
 
     Construction imports each VM's current scalar model state into the
-    fleet rows (pre-trained models are preserved exactly) and swaps
+    fleet rows (pre-trained models are preserved exactly; a model never
+    read was never built, and its fresh row needs no import) and swaps
     ``vm.model`` for a :class:`FleetVMView`.  The binding also owns the
     precomputed ``(n, T)`` trace activity matrix so per-hour trace loads
     are one column read instead of ``n`` Python calls.
@@ -143,7 +144,10 @@ class FleetBinding:
         #: reads and writes this column (:meth:`load_hour` fills it).
         self.activity = np.zeros(n)
         for i, vm in enumerate(self.vms):
-            self._import_row(i, vm.model)
+            # A never-read model is a fresh one: the fleet's new row
+            # already holds exactly its state.
+            if vm._model is not None:
+                self._import_row(i, vm._model)
             vm.model = FleetVMView(self.fleet, i)
             vm.bind_activity(self.activity, i)
             # Import host-process state too: the columnar blocked-I/O
@@ -186,9 +190,13 @@ class FleetBinding:
         if not vms:
             return None
         for vm in vms:
-            if type(vm.model) not in (IdlenessModel, FleetVMView):
+            model = vm._model
+            if model is not None and type(model) not in (IdlenessModel,
+                                                         FleetVMView):
                 return None
-            if vm.model.params != params:
+            # Identity first: a built fleet shares one params object.
+            own = vm.params if model is None else model.params
+            if own is not params and own != params:
                 return None
         binding = cls(vms, params)
         binding._dc = dc
@@ -231,7 +239,7 @@ class FleetBinding:
 
     # ------------------------------------------------------------------
     def _owns(self, vm) -> bool:
-        m = vm.model
+        m = vm._model
         return (type(m) is FleetVMView and m._fleet is self.fleet
                 and self.index.get(vm.name) == m._i)
 

@@ -3,10 +3,13 @@
 The paper's model keeps one score per (day, hour) at the monthly (31
 days) and yearly (365 days) scales, but a run writes only the calendar
 days it simulates: a 168-h run touches 7 of the 365 year rows.  A
-:class:`DaySlab` stores those days only — one ``(*lead, k, 24)`` block
-whose rows are added the first time a day is written, plus a
-day → row index.  ``lead`` is ``()`` for one VM's model and ``(n,)`` for
-a fleet's.
+:class:`DaySlab` stores those days only — one day-major ``(k, *lead,
+24)`` block whose rows are added the first time a day is written, plus
+a day → row index.  ``lead`` is ``()`` for one VM's model and ``(n,)``
+for a fleet's.  Day-major keeps one day's scores contiguous: a fleet
+write at one slot stays within that day's ``(n, 24)`` block, and
+growing the block copies the written days only, so its spare capacity
+stays untouched (never resident).
 
 A day that was never written reads as ``0.0``, exactly what the
 zero-initialized dense table held, so every query and update is
@@ -25,10 +28,11 @@ from .calendar import HOURS_PER_DAY
 class DaySlab:
     """A ``(*lead, days, 24)`` score table holding only the written days.
 
-    ``index`` maps a day to its row of ``data`` in first-write order;
-    ``data`` is ``None`` until the first write, then grows by doubling
-    (capped at ``days`` rows).  ``rows`` arguments select within the
-    lead axes (``...`` for all of them, an int for one fleet row).
+    ``index`` maps a day to its row of ``data`` (a ``(capacity, *lead,
+    24)`` block) in first-write order; ``data`` is ``None`` until the
+    first write, then grows by doubling (capped at ``days`` rows).
+    ``rows`` arguments select within the lead axes (``...`` for all of
+    them, an int for one fleet row).
     """
 
     __slots__ = ("days", "lead", "index", "data")
@@ -52,7 +56,7 @@ class DaySlab:
             raise ValueError(f"malformed day slab: days {list(day_of_row)} "
                              f"for rows of shape {rows.shape}")
         if k:
-            slab.data = rows
+            slab.data = np.ascontiguousarray(np.moveaxis(rows, -2, 0))
         return slab
 
     @classmethod
@@ -83,14 +87,14 @@ class DaySlab:
         """The ``(*lead, k, 24)`` block of the ``k`` written days."""
         if self.data is None:
             return np.zeros(self.lead + (0, HOURS_PER_DAY))
-        return self.data[..., :len(self.index), :]
+        return np.moveaxis(self.data[:len(self.index)], 0, -2)
 
     def read(self, day: int, hour: int, rows=...):
         """The scores at ``(day, hour)``: a view, or ``0.0`` if unwritten."""
         r = self.index.get(day)
         if r is None:
             return 0.0
-        return self.data[rows, r, hour]
+        return self.data[r][rows, hour]
 
     def read_hours(self, days: np.ndarray, hours: np.ndarray,
                    rows: np.ndarray) -> np.ndarray:
@@ -99,7 +103,7 @@ class DaySlab:
         if self.data is None:
             return np.zeros((len(rows), len(days)))
         at = np.array([self.index.get(d, -1) for d in days.tolist()])
-        out = self.data[rows[:, None], at, hours]
+        out = self.data[at, rows[:, None], hours]
         out[:, at < 0] = 0.0
         return out
 
@@ -108,16 +112,16 @@ class DaySlab:
         r = self.index.get(day)
         if r is None:
             r = self._add(day)  # may reallocate self.data: resolve first
-        self.data[rows, r, hour] = value
+        self.data[r][rows, hour] = value
 
     def _add(self, day: int) -> int:
         r = len(self.index)
         data = self.data
-        if data is None or r == data.shape[-2]:
+        if data is None or r == len(data):
             cap = min(self.days, max(1, 2 * r))
-            grown = np.zeros(self.lead + (cap, HOURS_PER_DAY))
+            grown = np.zeros((cap,) + self.lead + (HOURS_PER_DAY,))
             if data is not None:
-                grown[..., :r, :] = data
+                grown[:r] = data
             self.data = grown
         self.index[day] = r
         return r
@@ -135,7 +139,7 @@ class DaySlab:
     def import_row(self, i: int, src: "DaySlab", j=...) -> None:
         """Copy ``src``'s written days (lead row ``j``) into row ``i``."""
         for day, r in src.index.items():
-            self.write(day, slice(None), src.data[j, r, :], i)
+            self.write(day, slice(None), src.data[r][j], i)
 
 
 def dense_property(name: str, doc: str) -> property:

@@ -47,8 +47,10 @@ log = get_logger("resilience.checkpoint")
 #: 5: the churn injector holds the façade instead of eight callables,
 #: and both engines carry the shared hour state of one base class;
 #: 6: a data center holds its hosts' static columns, and a fleet
-#: binding leaves its horizon matrix out).
-CHECKPOINT_VERSION = 6
+#: binding leaves its horizon matrix out;
+#: 7: a VM builds its idleness model on first read, and the monthly and
+#: yearly slabs are stored day-major).
+CHECKPOINT_VERSION = 7
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

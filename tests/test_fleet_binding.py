@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Simulation
 from repro.cluster.datacenter import DataCenter, PlacementError
 from repro.cluster.host import Host
 from repro.cluster.resources import TESTBED_VM
@@ -251,6 +252,93 @@ class TestFleetVMView:
             np.testing.assert_array_equal(vm.model.sid, ref[vm.name].sid)
             np.testing.assert_array_equal(vm.model.weights,
                                           ref[vm.name].weights)
+
+
+def _fleet_arrays(fleet) -> dict:
+    """Every array of a fleet model as ``(dtype, shape, bytes)``; the
+    slabs as their written days and rows."""
+    arrays = {name: getattr(fleet, name) for name in (
+        "sid", "siw", "weights", "scale_mask", "_activity_sum",
+        "_active_hours", "row_hours", "blocked_io")}
+    for name in ("_sim", "_siy"):
+        slab = getattr(fleet, name)
+        arrays[name + "_days"] = slab.day_of_row()
+        arrays[name + "_rows"] = slab.written_rows()
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in arrays.items()}
+
+
+class TestUnreadModels:
+    """A VM builds its scalar model on first read.  A fleet bound before
+    any read equals one bound after reading every model, and one bound
+    over scalar models pre-trained on the same hours."""
+
+    START = 24
+
+    def _bound(self, prepare):
+        dc = build_fleet(n_hosts=8, n_vms=24, llmi_fraction=0.5,
+                         hours=self.START + 48, seed=5)
+        prepare(dc)
+        binding = FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        assert binding is not None
+        return dc, binding
+
+    def test_bind_parity(self):
+        def as_built(dc):
+            assert all(vm._model is None for vm in dc.vms)
+
+        def read(dc):
+            assert all(type(vm.model) is IdlenessModel for vm in dc.vms)
+
+        def pretrained(dc):
+            for vm in dc.vms:
+                for t in range(self.START):
+                    vm.model.observe(t, vm.activity_at(t))
+
+        fresh, runs = [], []
+        for prepare in (as_built, read, pretrained):
+            dc, binding = self._bound(prepare)
+            if prepare is not pretrained:
+                fresh.append(_fleet_arrays(binding.fleet))
+                binding.ensure_horizon(0, self.START)
+                for t in range(self.START):  # the VMs' activities untouched
+                    binding.observe(t, binding.activities(t))
+            arrays = _fleet_arrays(binding.fleet)
+            result = Simulation(dc, "drowsy", "hourly").run(
+                48, start_hour=self.START)
+            assert dc._fleet_binding is binding
+            runs.append((arrays, result))
+        assert fresh[0] == fresh[1]
+        for arrays, result in runs[1:]:
+            assert arrays == runs[0][0]
+            assert result == runs[0][1]
+
+    def test_blocked_io_on_unbound_vm_builds_no_model(self):
+        vm = VM("v", daily_backup_trace(days=2), TESTBED_VM)
+        vm.blocked_io = True
+        assert vm._model is None and vm.blocked_io
+
+    def test_try_bind_refuses_unread_model_with_other_params(self):
+        dc = DataCenter([Host("h0")])
+        other = DEFAULT_PARAMS.replace(use_yearly_scale=False)
+        vm = VM("v", daily_backup_trace(days=2), TESTBED_VM, params=other)
+        dc.place(vm, dc.host("h0"))
+        assert FleetBinding.try_bind(dc, DEFAULT_PARAMS) is None
+        assert vm._model is None
+        assert FleetBinding.try_bind(dc, other) is not None
+
+    def test_try_bind_matches_shared_params_by_identity(self, monkeypatch):
+        dc = build_fleet(n_hosts=4, n_vms=16, llmi_fraction=0.5, hours=24)
+        calls = []
+        eq = type(DEFAULT_PARAMS).__eq__
+        monkeypatch.setattr(type(DEFAULT_PARAMS), "__eq__",
+                            lambda a, b: calls.append(1) or eq(a, b))
+        assert FleetBinding.try_bind(dc, DEFAULT_PARAMS) is not None
+        assert calls == []
+        # An equal copy is still accepted, through __eq__.
+        dc = build_fleet(n_hosts=4, n_vms=16, llmi_fraction=0.5, hours=24)
+        assert FleetBinding.try_bind(
+            dc, DEFAULT_PARAMS.replace()) is not None
+        assert len(calls) == 16
 
 
 class TestActivityMatrix:

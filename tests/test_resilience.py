@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import os
 import pickle
 import subprocess
@@ -34,6 +35,7 @@ import repro
 from repro.api import Simulation
 from repro.api.sharded import ShardedConfig
 from repro.core.binding import FleetBinding
+from repro.core.serialize import model_to_bytes, save_fleet
 from repro.experiments.common import build_fleet
 from repro.faults import FaultPlan, HostCrashFaults, WolFaults
 from repro.resilience import (
@@ -277,16 +279,41 @@ class TestCheckpointFiles:
             Checkpoint.load(path)
 
     def test_previous_version_refused(self, tmp_path):
-        # Version-5 checkpoints hold a data center without its static
-        # host columns; this build must not unpickle that layout.
-        assert CHECKPOINT_VERSION == 6
+        # Version-6 checkpoints hold VMs with an eagerly built model and
+        # fleet-major slabs; this build must not unpickle that layout.
+        assert CHECKPOINT_VERSION == 7
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = CHECKPOINT_VERSION - 1
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError,
-                           match=f"format 5; this build reads {CHECKPOINT_VERSION}"):
+                           match=f"format 6; this build reads {CHECKPOINT_VERSION}"):
             Checkpoint.load(path)
+
+    def test_round_trip_keeps_model_files(self, tmp_path):
+        """A checkpoint's fleet saves the same model files (every array's
+        dtype, shape and bytes) after a load as before the save."""
+        def archives(sim) -> list[dict]:
+            binding = sim.engine._binding
+            buf = io.BytesIO()
+            save_fleet(binding.fleet, buf)
+            blobs = [buf.getvalue()] + [model_to_bytes(vm.model)
+                                        for vm in binding.vms]
+            out = []
+            for blob in blobs:
+                with np.load(io.BytesIO(blob)) as data:
+                    out.append({k: (data[k].dtype, data[k].shape,
+                                    data[k].tobytes()) for k in data.files})
+            return out
+
+        sim = Simulation(small_fleet(), "drowsy", "hourly", seed=3,
+                         checkpoint=CheckpointPolicy(dir=str(tmp_path),
+                                                     every_h=H))
+        sim.run(H)
+        before = archives(sim)
+        assert before[0]["siy_rows"][1][:2] == (12, 1)  # (n, k) written days
+        (path,) = tmp_path.glob("*.ckpt")
+        assert archives(Simulation.resume(path)) == before
 
     def test_corrupt_payload_fails_digest(self, tmp_path):
         path = self._one_checkpoint(tmp_path)

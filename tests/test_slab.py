@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Simulation
 from repro.cluster import TESTBED_VM, VM
-from repro.core.binding import FleetBinding
+from repro.core.binding import FleetBinding, FleetVMView
 from repro.core.fleet import FleetIdlenessModel
 from repro.core.model import IdlenessModel
 from repro.core.params import DEFAULT_PARAMS
@@ -43,7 +43,24 @@ class TestDaySlab:
             slab.write(day, k, np.array([k + 0.5, -k - 0.5]))
             ref[:, day, k] = [k + 0.5, -k - 0.5]
         assert_bits_equal(slab.dense(), ref)
-        assert slab.data.shape == (2, 8, 24)  # 1 -> 2 -> 4 -> 8 rows
+        # Internal layout (day-major), not a result: 1 -> 2 -> 4 -> 8 rows.
+        assert slab.data.shape == (8, 2, 24)
+
+    def test_growth_copies_written_rows_and_leaves_spare_rows_zero(self):
+        slab = DaySlab(365, (3,))
+        days = [100, 5, 364, 0, 42]
+        for k, day in enumerate(days):
+            slab.write(day, 23 - k, np.array([k - 0.5, -0.0, k + 0.25]))
+            kept = slab.data[:k + 1]
+            for j in range(k + 1):  # every earlier row survives each growth
+                assert_bits_equal(kept[j, :, 23 - j],
+                                  np.array([j - 0.5, -0.0, j + 0.25]))
+                assert np.count_nonzero(kept[j]) == 2
+        assert slab.data.shape == (8, 3, 24)
+        spare = slab.data[len(days):]
+        assert_bits_equal(spare, np.zeros_like(spare))  # +0.0, never written
+        assert_bits_equal(slab.written_rows(),
+                          slab.dense()[:, days, :])
 
     def test_capacity_capped_at_days(self):
         slab = DaySlab(5)
@@ -166,7 +183,7 @@ class TestDenseParity:
         np.testing.assert_array_equal(p1, p2)
         assert_same_state(fleet, dense)
         assert len(fleet._siy.index) == 365
-        assert fleet._siy.data.shape == (2, 365, 24)
+        assert fleet._siy.data.shape == (365, 2, 24)  # internal layout
         assert len(fleet._sim.index) == 31
 
     def test_raw_ip_column_matches(self):
@@ -194,10 +211,22 @@ class TestMemory:
         with pytest.raises(ValueError, match="read-only"):
             vm.model.siy[0, 0] = 1.0  # a copy: the write would be lost
 
-    def test_built_fleet_allocates_no_calendar_tables(self):
+    def test_built_fleet_allocates_no_calendar_tables(self, monkeypatch):
+        """Building, binding and running a fleet never constructs a
+        scalar model: the binding's fresh rows stand for them."""
+        built = []
+        init = IdlenessModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IdlenessModel, "__init__", counting_init)
         dc = build_fleet(4, 16, 0.5, 168, seed=3)
-        assert sum(vm.model._sim.nbytes + vm.model._siy.nbytes
-                   for vm in dc.vms) == 0
+        sim = Simulation(dc, "drowsy", "hourly")
+        sim.run(1)
+        assert type(dc.vms[0].model) is FleetVMView
+        assert built == []
 
     def test_week_run_stores_at_most_eight_days_per_scale(self):
         dc = build_fleet(4, 16, 0.5, 168, seed=3)
