@@ -25,6 +25,18 @@ class PlacementError(RuntimeError):
     """Raised when a placement/migration violates capacity or identity."""
 
 
+#: Renumbered VMs take addresses of ``10.0.0.0/8`` from this offset up:
+#: ``10.0.1.0``, the first past the default pool ``10.0.0.1-250``.
+_FIRST_SPARE = 256
+#: Host offsets in ``10.0.0.0/8``: the network and broadcast addresses
+#: are never handed out.
+_ADDRESSES = (1 << 24) - 2
+
+
+def _address(offset: int) -> str:
+    return f"10.{offset >> 16}.{offset >> 8 & 255}.{offset & 255}"
+
+
 @dataclass
 class DataCenter:
     """Hosts, VMs and their current placement."""
@@ -58,6 +70,16 @@ class DataCenter:
         #: placement index.
         self._vm_by_name: dict[str, VM] = {
             vm.name: vm for host in self.hosts for vm in host.vms}
+        #: Address index (IP -> VM): a VM's address is unique among the
+        #: placed VMs, so the waking plane's IP -> MAC map never aliases
+        #: two VMs (DESIGN.md §10).
+        self._vm_by_ip: dict[str, VM] = {}
+        #: Where the search for a renumbered VM's address resumes.
+        self._spare_ip = _FIRST_SPARE
+        for host in self.hosts:
+            for vm in host.vms:
+                vm.ip_address = self._address_for(vm)
+                self._vm_by_ip[vm.ip_address] = vm
         #: Wake-path index (MAC -> host): WoL delivery is per-packet, so
         #: a linear scan over hosts would be O(hosts) per wake
         #: (DESIGN.md §10).  Host MACs are construction-time constants.
@@ -78,7 +100,10 @@ class DataCenter:
     # the single placement writer
     # ------------------------------------------------------------------
     def _attach(self, vm: VM, host: Host) -> None:
+        ip = self._address_for(vm)
         host.add_vm(vm)
+        vm.ip_address = ip
+        self._vm_by_ip[ip] = vm
         self._placement[vm.name] = host
         self._vm_by_name[vm.name] = vm
         self._vms = None
@@ -91,9 +116,35 @@ class DataCenter:
         host.remove_vm(vm)
         del self._placement[vm.name]
         del self._vm_by_name[vm.name]
+        # An address rewritten behind this class's back keeps its old
+        # entry; check_invariants reports the disagreement.
+        if self._vm_by_ip.get(vm.ip_address) is vm:
+            del self._vm_by_ip[vm.ip_address]
         self._vms = None
         if self._accounting is not None:
             self._accounting.on_remove(vm.name, host)
+
+    def _address_for(self, vm: VM) -> str:
+        """The address ``vm`` takes on attach: its own unless another
+        placed VM holds it, then the next free one (an explicit address
+        is refused instead).  A migrating VM's own address was freed
+        just before, so migrations never renumber a VM."""
+        ip = vm.ip_address
+        holder = self._vm_by_ip.get(ip)
+        if holder is None:
+            return ip
+        if vm.ip_explicit:
+            raise PlacementError(
+                f"{vm.name}: address {ip} is taken by {holder.name}")
+        if len(self._vm_by_ip) >= _ADDRESSES:
+            raise PlacementError("10.0.0.0/8 has no free address")
+        offset = self._spare_ip
+        while True:
+            ip = _address(offset)
+            offset = offset % _ADDRESSES + 1
+            if ip not in self._vm_by_ip:
+                self._spare_ip = offset
+                return ip
 
     # ------------------------------------------------------------------
     @property
@@ -267,7 +318,8 @@ class DataCenter:
         """Assert the placement is sound and every index mirrors it.
 
         Capacity holds on every host, each VM sits on exactly one host,
-        and the placement index, VM registry, MAC index and (when valid)
+        no two VMs share an address, and the placement index, VM
+        registry, address index, MAC index and (when valid)
         columnar accounting rows all agree with ``host.vms``.  Only this
         class changes placement, so a disagreement means some code wired
         ``host.vms`` behind its back: the check raises
@@ -295,6 +347,11 @@ class DataCenter:
         if self._placement != seen or self._vm_by_name != registry:
             raise PlacementError(
                 "placement index disagrees with host membership")
+        addresses = {vm.ip_address: vm for vm in registry.values()}
+        if len(addresses) != len(registry):
+            raise PlacementError("two placed VMs share an address")
+        if self._vm_by_ip != addresses:
+            raise PlacementError("address index disagrees with the VMs")
         if self.host_by_mac != {h.mac_address: h for h in self.hosts}:
             raise PlacementError("MAC index disagrees with the host list")
         if self._vms is not None and self._vms != [

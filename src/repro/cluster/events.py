@@ -9,8 +9,9 @@ Cancellation is O(1) by tombstoning: cancelled events stay in the heap
 and are skipped on pop (the standard lazy-deletion idiom, cheaper than
 re-heapifying).
 
-Bulk arrivals bypass the heap: :meth:`EventSimulator.run_until` reads a
-sorted block through a cursor, merged with the heap by ``(time, seq)``.
+Bulk arrivals bypass the heap: :meth:`EventSimulator.run_until` hands a
+sorted block to its consumer a slice at a time, each slice the run of
+entries that precede the heap's top by ``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import heapq
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable
 
 
@@ -77,9 +79,9 @@ class EventSimulator:
         self._live = 0
         #: The bound :meth:`run_until` is draining to; ``-inf`` outside it.
         self.draining_until = -math.inf
-        #: The arrival stream ``(times, callback, keys, values, seq)``:
-        #: ``callback(keys[i], values[i])`` at ``times[i]`` with sequence
-        #: number ``seq + i``; entries before ``_stream_pos`` have run.
+        #: The arrival stream ``(times, consumer, keys, values, seq)``:
+        #: entry ``i`` is due at ``times[i]`` with sequence number
+        #: ``seq + i``; entries before ``_stream_pos`` have run.
         self._stream: tuple = ([], None, [], [], 0)
         self._stream_pos = 0
 
@@ -107,14 +109,21 @@ class EventSimulator:
         return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_stream(self, times: list[float],
-                        callback: Callable[..., None], keys: list,
+                        consumer: Callable[..., int], keys: list,
                         values: list) -> None:
-        """Schedule ``callback(keys[i], values[i])`` at each ``times[i]``
-        of a sorted list, as one :meth:`schedule_at` per entry in order
-        would: entry ``i`` takes sequence number ``base + i``.  The
-        entries never enter the heap; :meth:`run_until` reads them with
-        a cursor (DESIGN.md §10).  The unconsumed rest of the previous
-        block moves to the heap with its own sequence numbers.
+        """Schedule a sorted block of entries, as one :meth:`schedule_at`
+        per entry in order would: entry ``i`` is due at ``times[i]`` and
+        takes sequence number ``base + i``.  The entries never enter the
+        heap; :meth:`run_until` hands them to ``consumer`` a slice at a
+        time (DESIGN.md §10).  The unconsumed rest of the previous block
+        moves to the heap, one slice of one entry per event.
+
+        ``consumer(times, keys, values, lo, hi)`` is called with the
+        clock at ``times[lo]`` when entries ``lo .. hi - 1`` all come
+        before every other event.  It handles entries from ``lo`` in
+        order and returns the position it reached, at least ``lo + 1``.
+        Only the first entry of a call may read the clock or schedule
+        anything; the consumer returns right after an entry that did.
         """
         if not times:
             return
@@ -127,13 +136,13 @@ class EventSimulator:
         if self._stream_pos < len(rest):
             for i in range(self._stream_pos, len(rest)):
                 ev = Event(rest[i], seq + i, cb,
-                           (rest_keys[i], rest_values[i]), self)
+                           (rest, rest_keys, rest_values, i, i + 1), self)
                 self._heap.append((ev.time, ev.seq, ev))
                 self._live += 1
             heapq.heapify(self._heap)
         base = next(self._seq)
         self._seq = itertools.count(base + len(times))
-        self._stream = (times, callback, keys, values, base)
+        self._stream = (times, consumer, keys, values, base)
         self._stream_pos = 0
 
     def count_coalesced(self, n: int) -> None:
@@ -168,14 +177,10 @@ class EventSimulator:
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
-        """Process the next live event.  Returns False when drained."""
+        """Process the next live event (a stream entry is a slice of
+        one).  Returns False when drained."""
         if self._stream_leads():
-            times, cb, keys, values, _ = self._stream
-            pos = self._stream_pos
-            self._stream_pos = pos + 1
-            self._now = times[pos]
-            self.events_processed += 1
-            cb(keys[pos], values[pos])
+            self._consume(self._stream_pos + 1)
             return True
         if not self._heap:
             return False
@@ -188,13 +193,31 @@ class EventSimulator:
         ev.callback(*ev.args)
         return True
 
+    def _consume(self, hi: int) -> None:
+        """Hand the stream's entries ``[pos, hi)`` to its consumer and
+        advance the cursor past the ones it took.  The first entry is
+        consumed before the call, so a consumer that feeds a new block
+        from it spills only the entries after it."""
+        stream = self._stream
+        times, consumer, keys, values, _ = stream
+        lo = self._stream_pos
+        self._now = times[lo]
+        self._stream_pos = lo + 1
+        reached = consumer(times, keys, values, lo, hi)
+        self.events_processed += reached - lo
+        if self._stream is stream:
+            self._stream_pos = reached
+            self._now = times[reached - 1]
+
     def run_until(self, end_time: float) -> None:
         """Process events up to and including ``end_time``, then advance
         the clock to ``end_time`` even if the queue drained earlier.
 
-        Stream entries run straight off the cursor while they precede
-        the heap's top, which is re-read after each one: its callback
-        may schedule an event before the next entry.
+        The stream's entries that precede both the heap's top (by
+        ``(time, seq)``) and ``end_time`` go to its consumer as one
+        slice, found by bisection; the heap's top is re-read after each
+        hand-off, because the consumer may have scheduled an event before
+        the next entry.
 
         While it runs, :attr:`draining_until` is ``end_time``: an event
         a callback would schedule at or before it is certain to fire in
@@ -205,26 +228,19 @@ class EventSimulator:
         self.draining_until = end_time
         try:
             while True:
-                stream, pos = self._stream, self._stream_pos
-                times, cb, keys, values, base = stream
-                first, n = pos, len(times)
-                while pos < n:
-                    at = times[pos]
-                    if at > end_time:
-                        break
-                    if heap:
-                        top = heap[0]
-                        if top[0] < at or (top[0] == at
-                                           and top[1] < base + pos):
-                            break
-                    self._now = at
-                    self._stream_pos = pos + 1
-                    cb(keys[pos], values[pos])
-                    pos += 1
-                    if self._stream is not stream:
-                        break  # the callback fed a new block
-                self.events_processed += pos - first
-                if self._stream is not stream:
+                times, _, _, _, base = self._stream
+                pos = self._stream_pos
+                hi = bisect_right(times, end_time, pos)
+                if heap and pos < hi:
+                    at, seq = heap[0][0], heap[0][1]
+                    if at <= times[hi - 1]:
+                        # Entries at the top's time go first only if
+                        # their sequence number is lower.
+                        hi = min(bisect_right(times, at, pos, hi),
+                                 max(bisect_left(times, at, pos, hi),
+                                     seq - base))
+                if pos < hi:
+                    self._consume(hi)
                     continue
                 if not heap or heap[0][0] > end_time:
                     break

@@ -21,6 +21,9 @@ from .resources import ResourceSpec, TESTBED_VM
 
 
 def _default_ip(name: str) -> str:
+    """The VM's default address: a stable digest of its name into
+    ``10.0.0.1-250``.  Distinct names may share one; the data center
+    renumbers the later VM on attach (DESIGN.md §10)."""
     digest = int.from_bytes(hashlib.blake2b(name.encode(), digest_size=4).digest(),
                             "big")
     return f"10.0.0.{digest % 250 + 1}"
@@ -76,6 +79,9 @@ class VM:
         # Stable digest, not the per-process-salted builtin hash():
         # sweep workers must derive identical addresses for the same VM.
         self.ip_address = ip_address or _default_ip(name)
+        #: A caller-chosen address is never renumbered: a data center
+        #: refuses it when another placed VM holds it.
+        self.ip_explicit = bool(ip_address)
         self.params = params
         if len({(t.process_name, t.name) for t in timers}) != len(timers):
             raise ValueError(f"VM {name!r}: two timers share a "

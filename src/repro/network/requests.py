@@ -262,6 +262,16 @@ class RequestLog:
         self.completions.append(completion_s)
         self.woke.append(woke_host)
 
+    def extend(self, arrivals: list[float], vm_names: list[str],
+               service_times: list[float], completions: list[float]) -> None:
+        """Append rows in bulk, one per entry of the equal-length lists,
+        none of which found its host drowsy."""
+        self.arrivals.fromlist(arrivals)
+        self.vm_names.extend(vm_names)
+        self.service_times.fromlist(service_times)
+        self.completions.fromlist(completions)
+        self.woke.frombytes(bytes(len(completions)))
+
     def record(self, request: Request) -> None:
         if not request.completed:
             raise ValueError("only completed requests can be recorded")

@@ -49,8 +49,10 @@ log = get_logger("resilience.checkpoint")
 #: 6: a data center holds its hosts' static columns, and a fleet
 #: binding leaves its horizon matrix out;
 #: 7: a VM builds its idleness model on first read, and the monthly and
-#: yearly slabs are stored day-major).
-CHECKPOINT_VERSION = 7
+#: yearly slabs are stored day-major;
+#: 8: a data center keeps an address index, and the arrival stream's
+#: consumer takes slices).
+CHECKPOINT_VERSION = 8
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

@@ -250,12 +250,60 @@ class EventDrivenSimulation(HourEngine):
             times.tolist(), self._submit_generated,
             np.array(names, dtype=object)[owners].tolist(), services.tolist())
 
-    def _submit_generated(self, vm_name: str, service_time_s: float) -> None:
-        """Submit a request whose service time was pre-sampled at
-        generation time."""
-        if vm_name in self._departed_vms:
-            return  # VM churned away after this hour's traffic was drawn
-        self.switch.submit_request(vm_name, self.sim.now, service_time_s)
+    def _submit_generated(self, times: list[float], names: list[str],
+                          services: list[float], lo: int, hi: int) -> int:
+        """Consume arrivals ``lo .. hi - 1`` of the hour's stream, which
+        come before every other event (DESIGN.md §10); returns the
+        position reached.
+
+        An arrival is *fast* when its VM has not departed, the active
+        waking module is alive and has no drowsy host for the VM's IP,
+        the VM's host is ON and the request completes inside the running
+        drain.  Such a request wakes nothing and schedules nothing, so
+        the leading run of fast arrivals is logged in bulk, exactly as
+        one ``submit_request`` each would log it.  The first arrival
+        that is not fast goes through ``submit_request`` alone, as the
+        first of its own slice: it may read the clock and schedule.
+        """
+        switch, waking = self.switch, self.waking
+        active = waking.active
+        completions: list[float] = []
+        if switch.waking_service is waking and active.alive:
+            bound = self.sim.draining_until
+            mapped = active.state.vm_to_mac
+            departed = self._departed_vms
+            find_vm = self.dc.find_vm
+            on = PowerState.ON
+            # A fast arrival changes no VM's verdict, so each VM's is
+            # taken once per slice.
+            fast: dict[str, bool] = {}
+            append = completions.append
+            for i in range(lo, hi):
+                name = names[i]
+                ok = fast.get(name)
+                if ok is None:
+                    ok = name not in departed
+                    if ok:
+                        vm, host = find_vm(name)
+                        ok = (host.state is on
+                              and vm.ip_address not in mapped)
+                    fast[name] = ok
+                at = times[i] + services[i]
+                if not ok or at > bound:
+                    break
+                append(at)
+        n = len(completions)
+        if n:
+            end = lo + n
+            switch.log.extend(times[lo:end], names[lo:end],
+                              services[lo:end], completions)
+            active.packets_analyzed += n
+            switch.packets_forwarded += n
+            self.sim.events_processed += n  # the inline completions
+            return end
+        if names[lo] not in self._departed_vms:
+            switch.submit_request(names[lo], times[lo], services[lo])
+        return lo + 1
 
     def note_vm_departed(self, vm_name: str) -> None:
         """A VM left the fleet mid-run (scenario churn): swallow its

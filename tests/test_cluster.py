@@ -284,6 +284,72 @@ class TestDataCenter:
         assert vm.current_activity == 0.0
 
 
+class TestAddresses:
+    """Addresses are unique per data center.  ``v1`` and ``v48`` share
+    the default address ``10.0.0.129``."""
+
+    def make_dc(self):
+        return DataCenter([Host(f"h{i}") for i in range(3)])
+
+    def test_colliding_default_is_renumbered_on_first_attach(self):
+        dc = self.make_dc()
+        a, b = make_vm("v1"), make_vm("v48")
+        assert a.ip_address == b.ip_address == "10.0.0.129"
+        dc.place(a, dc.host("h0"))
+        dc.place(b, dc.host("h1"))
+        assert a.ip_address == "10.0.0.129"
+        assert b.ip_address == "10.0.1.0"
+        dc.check_invariants()
+
+    def test_construction_renumbers_in_fleet_order(self):
+        h0, h1 = Host("h0"), Host("h1")
+        a, b = make_vm("v1"), make_vm("v48")
+        h0.add_vm(a)
+        h1.add_vm(b)
+        dc = DataCenter([h0, h1])
+        assert (a.ip_address, b.ip_address) == ("10.0.0.129", "10.0.1.0")
+        dc.check_invariants()
+
+    def test_migrations_never_renumber(self):
+        dc = self.make_dc()
+        a, b = make_vm("v1"), make_vm("v48")
+        dc.place(a, dc.host("h0"))
+        dc.place(b, dc.host("h1"))
+        before = (a.ip_address, b.ip_address)
+        dc.migrate(b, dc.host("h2"), now=1.0)
+        dc.apply_assignment({"v1": dc.host("h2"), "v48": dc.host("h0")},
+                            now=2.0)
+        assert (a.ip_address, b.ip_address) == before
+        dc.check_invariants()
+
+    def test_explicit_duplicate_is_refused(self):
+        dc = self.make_dc()
+        dc.place(make_vm("a", ip_address="10.9.0.1"), dc.host("h0"))
+        dup = make_vm("b", ip_address="10.9.0.1")
+        with pytest.raises(PlacementError, match="10.9.0.1"):
+            dc.place(dup, dc.host("h1"))
+        assert dup.ip_address == "10.9.0.1"
+        assert dc.host("h1").vms == []
+        dc.check_invariants()
+
+    def test_removal_frees_the_address(self):
+        dc = self.make_dc()
+        a = make_vm("a", ip_address="10.9.0.1")
+        dc.place(a, dc.host("h0"))
+        dc.remove(a, now=1.0)
+        dc.place(make_vm("b", ip_address="10.9.0.1"), dc.host("h1"))
+        dc.check_invariants()
+
+    def test_check_invariants_detects_a_shared_address(self):
+        dc = self.make_dc()
+        a, b = make_vm("a"), make_vm("b")
+        dc.place(a, dc.host("h0"))
+        dc.place(b, dc.host("h1"))
+        b.ip_address = a.ip_address  # bypass the data center
+        with pytest.raises(PlacementError, match="address"):
+            dc.check_invariants()
+
+
 class TestMigrationModel:
     def test_duration_scales_with_memory(self):
         m = MigrationModel(bandwidth_mb_s=1000.0)

@@ -25,7 +25,13 @@ from repro.consolidation.drowsy import DrowsyController
 from repro.core.binding import FleetBinding
 from repro.core.params import DEFAULT_PARAMS
 from repro.experiments.common import build_fleet
-from repro.faults import FaultPlan, HostCrashFaults, TransitionFaults
+from repro.faults import (
+    FaultPlan,
+    HostCrashFaults,
+    TransitionFaults,
+    WakingServiceFaults,
+    WolFaults,
+)
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.sim.suspend_sweep import SuspendSweepScheduler
 from repro.suspend.columnar import (
@@ -300,6 +306,82 @@ class TestArrivalStream:
         sim.run(4)
         assert [in_heap for in_heap, _ in seen] == [0] * 4
         assert all(in_stream > 0 for _, in_stream in seen)
+
+
+class TestArrivalSliceParity:
+    """The slice consumer against the per-push oracle with production
+    sweeps, under lossy WoL, a primary kill (its detection window sends
+    every arrival down the per-request path), host crashes and a VM
+    departing mid-hour: every ``RunResult`` field, ``events_processed``
+    included, and the request log are equal."""
+
+    PLAN = FaultPlan(name="slices",
+                     wol=WolFaults(loss_probability=0.3,
+                                   delay_probability=0.1),
+                     crashes=HostCrashFaults(rate_per_host_per_h=0.05,
+                                             recover_after_s=900.0),
+                     waking=WakingServiceFaults(kill_primary_at_h=3.0))
+
+    def _run(self, backend):
+        sim = Simulation(build_fleet(8, 32, 0.5, 24, seed=5), "drowsy",
+                         backend, seed=5, faults=self.PLAN)
+        engine = sim.engine
+
+        def depart():
+            vm = engine.dc.vms[3]
+            engine.dc.remove(vm, engine.sim.now)
+            sim.note_vm_departed(vm.name)
+            sim.rebind_fleet()
+        engine.sim.schedule_at(2.5 * 3600.0, depart)
+        return sim.run(8), engine
+
+    def test_arrival_completing_past_the_bound_is_in_flight(self):
+        host = Host("h0", params=DEFAULT_PARAMS)
+        dc = DataCenter([host], DEFAULT_PARAMS)
+        dc.place(VM("v0", ActivityTrace("busy", np.full(48, 0.5)),
+                    ResourceSpec(cpus=1, memory_mb=2048)), host)
+        engine = EventDrivenSimulation(
+            dc, DrowsyController(dc),
+            config=EventConfig(seed=3, suspend_enabled=False))
+        engine.run(1)
+        sim, log = engine.sim, engine.switch.log
+        before = (sim.events_processed, len(log))
+        sim.schedule_stream([3700.0, 3799.99], engine._submit_generated,
+                            ["v0", "v0"], [0.25, 0.05])
+        sim.run_until(3800.0)
+        assert sim.events_processed == before[0] + 3
+        assert list(log.arrivals[before[1]:]) == [3700.0]
+        assert list(log.completions[before[1]:]) == [3700.25]
+        [at] = [t for t, _, ev in sim._heap if not ev.cancelled
+                and ev.callback == engine.switch._finish]
+        assert at == 3799.99 + 0.05
+        sim.run_until(3900.0)
+        assert list(log.arrivals[before[1]:]) == [3700.0, 3799.99]
+        assert log.completions[-1] == 3799.99 + 0.05
+
+    def test_faults_and_churn(self, monkeypatch):
+        consume = EventDrivenSimulation._submit_generated
+        slices = []
+
+        def counted(engine, times, names, services, lo, hi):
+            slices.append(hi - lo)
+            return consume(engine, times, names, services, lo, hi)
+        monkeypatch.setattr(EventDrivenSimulation, "_submit_generated",
+                            counted)
+        result, engine = self._run("event")
+        oracle, oracle_engine = self._run(
+            PerHostEventBackend(per_host_checks=False))
+        assert_results_equal(oracle, result)
+        assert engine.switch.log.requests == oracle_engine.switch.log.requests
+        summary = result.fault_summary
+        assert summary.wol_dropped > 0 and summary.host_crashes > 0
+        assert summary.primary_kills == 1 and summary.failovers == 1
+        assert engine.waking.unanswered_packets > 0
+        assert result.request_summary["wake_requests"] > 0
+        assert engine._departed_vms
+        # Most arrivals went in bulk.
+        assert len(slices) < engine.switch.packets_forwarded / 10
+        assert max(slices) > 100
 
 
 # ----------------------------------------------------------------------

@@ -167,3 +167,30 @@ class TestEventResultConsistency:
         sim.sim.schedule_at(100.0, submit)
         sim.run(2)
         assert sim.switch.queued_requests == 0
+
+
+class TestAddressCollisions:
+    """``v1`` and ``v48`` share the default address ``10.0.0.129``."""
+
+    def test_request_to_an_on_host_wakes_no_other_host(self):
+        h_idle, h_busy = Host("h0", CAP), Host("h1", CAP)
+        dc = DataCenter([h_idle, h_busy])
+        busy = ActivityTrace("busy", np.full(72, 0.5))
+        # Two VMs fill each host, so consolidation moves nothing.
+        for name, host, trace in (("v1", h_idle, always_idle_trace(72)),
+                                  ("v2", h_idle, always_idle_trace(72)),
+                                  ("v48", h_busy, busy),
+                                  ("v49", h_busy, busy)):
+            dc.place(VM(name, trace, FLAVOR, interactive=False), host)
+        sim = EventDrivenSimulation(dc, NeatController(dc),
+                                    config=EventConfig(seed=3))
+        sim.sim.schedule_at(1800.0, sim.switch.submit_request, "v48",
+                            1800.0, 0.05)
+        sim.run(1)
+        assert [vm.name for vm in h_idle.vms] == ["v1", "v2"]
+        assert h_idle.state is PowerState.SUSPENDED
+        assert h_idle.resume_count == 0
+        assert sim.waking.active.wol_sent == 0
+        [req] = sim.switch.log.requests
+        assert req.vm_name == "v48" and not req.woke_host
+        dc.check_invariants()

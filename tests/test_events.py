@@ -105,9 +105,28 @@ class TestCancellation:
         assert sim.pending == 1
 
 
+def _each(fn):
+    """A stream consumer calling ``fn(key, value)`` for every entry of
+    its slice (``fn`` must schedule nothing)."""
+    def consume(times, keys, values, lo, hi):
+        for i in range(lo, hi):
+            fn(keys[i], values[i])
+        return hi
+    return consume
+
+
+def _first(fn):
+    """A stream consumer calling ``fn(key, value)`` for the first entry
+    of its slice only (``fn`` may schedule)."""
+    def consume(times, keys, values, lo, hi):
+        fn(keys[lo], values[lo])
+        return lo + 1
+    return consume
+
+
 def _stream(sim, times, sink):
     """Feed ``times`` as one block whose entry ``i`` appends ``(t, i)``."""
-    sim.schedule_stream(list(times), lambda t, i: sink.append((t, i)),
+    sim.schedule_stream(list(times), _each(lambda t, i: sink.append((t, i))),
                         list(times), list(range(len(times))))
 
 
@@ -140,7 +159,7 @@ class TestScheduleBatch:
         for drain in (EventSimulator.run, lambda s: s.run_until(2.0)):
             sim, order = EventSimulator(), []
             sim.schedule_at(2.0, order.append, "pre")
-            sim.schedule_stream([2.0, 2.0], lambda k, v: order.append(k),
+            sim.schedule_stream([2.0, 2.0], _each(lambda k, v: order.append(k)),
                                 ["b0", "b1"], [None, None])
             sim.schedule_at(2.0, order.append, "post")
             drain(sim)
@@ -200,7 +219,23 @@ class _Script:
         self.sim, self.plan, self.log = sim, plan, []
 
     def fire(self, key, value):
-        self.log.append((self.sim.now, key, value))
+        self._fire_at(self.sim.now, key, value)
+
+    def consume(self, times, keys, values, lo, hi):
+        """The stream consumer: fires entries in order; an entry whose
+        key schedules follow-ups must come first in its slice."""
+        for i in range(lo, hi):
+            key = keys[i]
+            if self.plan.get(key):
+                if i > lo:
+                    return i
+                self._fire_at(times[i], key, values[i])
+                return i + 1
+            self._fire_at(times[i], key, values[i])
+        return hi
+
+    def _fire_at(self, now, key, value):
+        self.log.append((now, key, value))
         for delay in self.plan.get(key, ()):
             self.sim.schedule_in(delay, self.fire, f"{key}>", delay)
 
@@ -239,7 +274,7 @@ class TestArrivalStream:
                 sim.schedule_at(t, script.fire, f"pre{i}", t)
             keys = [f"s{i}" for i in range(len(first))]
             if use_stream:
-                sim.schedule_stream(first, script.fire, keys, first)
+                sim.schedule_stream(first, script.consume, keys, first)
             else:
                 for t, k in zip(first, keys):
                     sim.schedule_at(t, script.fire, k, t)
@@ -251,7 +286,7 @@ class TestArrivalStream:
             times = sorted(sim.now + t for t in second)
             keys = [f"s{len(first) + i}" for i in range(len(times))]
             if use_stream:
-                sim.schedule_stream(times, script.fire, keys, times)
+                sim.schedule_stream(times, script.consume, keys, times)
             else:
                 for t, k in zip(times, keys):
                     sim.schedule_at(t, script.fire, k, t)
@@ -279,7 +314,8 @@ class TestArrivalStream:
         sim, order = EventSimulator(), []
         _stream(sim, [1.0, 4.0, 6.0], order)
         sim.run_until(2.0)
-        sim.schedule_stream([4.0, 5.0], lambda t, i: order.append(("b", t)),
+        sim.schedule_stream([4.0, 5.0],
+                            _each(lambda t, i: order.append(("b", t))),
                             [4.0, 5.0], [0, 1])
         assert len(sim._heap) == 2  # the first block's unconsumed rest
         assert sim.pending == 4
@@ -293,9 +329,9 @@ class TestArrivalStream:
         def arrive(t, i):
             order.append(t)
             if i == 0:
-                sim.schedule_stream([t, t + 1.0], arrive, [t, t + 1.0],
-                                    [1, 1])
-        sim.schedule_stream([1.0, 3.0], arrive, [1.0, 3.0], [0, 2])
+                sim.schedule_stream([t, t + 1.0], _first(arrive),
+                                    [t, t + 1.0], [1, 1])
+        sim.schedule_stream([1.0, 3.0], _first(arrive), [1.0, 3.0], [0, 2])
         sim.run_until(10.0)
         assert order == [1.0, 1.0, 2.0, 3.0]
         assert sim.events_processed == 4
@@ -303,13 +339,112 @@ class TestArrivalStream:
     def test_pickles_mid_block(self):
         sim = EventSimulator()
         script = _Script(sim, {})
-        sim.schedule_stream([1.0, 2.0, 3.0], script.fire, ["a", "b", "c"],
-                            [0, 1, 2])
+        sim.schedule_stream([1.0, 2.0, 3.0], script.consume,
+                            ["a", "b", "c"], [0, 1, 2])
         sim.run_until(1.5)
         sim, script = pickle.loads(pickle.dumps((sim, script)))
         assert sim.pending == 2
         sim.run()
         assert [k for _, k, _ in script.log] == ["a", "b", "c"]
+
+
+class _Slices:
+    """A stream consumer recording every slice it is offered (as keys)
+    and the order entries and events run in.  The entry of a key in
+    ``plan`` schedules an event at ``plan[key]``, so it must come first
+    in its slice: the consumer stops before it, then returns after it."""
+
+    def __init__(self, sim, plan=()):
+        self.sim, self.plan = sim, dict(plan)
+        self.offered, self.order = [], []
+
+    def __call__(self, times, keys, values, lo, hi):
+        self.offered.append(keys[lo:hi])
+        for i in range(lo, hi):
+            key = keys[i]
+            if key in self.plan:
+                if i > lo:
+                    return i
+                self.order.append(key)
+                self.sim.schedule_at(self.plan[key], self.order.append,
+                                     f"ev<{key}")
+                return i + 1
+            self.order.append(key)
+        return hi
+
+
+class TestArrivalSlices:
+    """What :meth:`EventSimulator.run_until` hands the stream's consumer:
+    each run of entries before the heap's top and the bound."""
+
+    def test_slice_bound_at_equal_times(self):
+        """A heap event at an entry's time goes first only if it was
+        scheduled before the block."""
+        sim = EventSimulator()
+        s = _Slices(sim)
+        sim.schedule_at(2.0, s.order.append, "pre")
+        sim.schedule_stream([1.0, 2.0, 2.0, 3.0], s, list("abcd"), [0] * 4)
+        sim.schedule_at(2.0, s.order.append, "post")
+        sim.schedule_at(3.0, s.order.append, "late")
+        sim.run_until(3.0)
+        assert s.order == ["a", "pre", "b", "c", "post", "d", "late"]
+        assert s.offered == [["a"], ["b", "c"], ["d"]]
+        assert sim.events_processed == 7 and sim.heap_pops == 3
+
+    def test_slice_stops_at_the_bound(self):
+        sim = EventSimulator()
+        s = _Slices(sim)
+        sim.schedule_stream([1.0, 2.0, 2.0, 3.0], s, list("abcd"), [0] * 4)
+        sim.run_until(2.0)
+        assert s.offered == [["a", "b", "c"]]
+        assert sim.now == 2.0 and sim.pending == 1
+        sim.run()
+        assert s.offered == [["a", "b", "c"], ["d"]]
+        assert sim.now == 3.0
+
+    def test_consumer_schedules_an_earlier_event_mid_slice(self):
+        """The entry that schedules is handed back as the first of the
+        next slice; after it the heap's top is re-read, so an event due
+        before the next entry runs before it."""
+        sim = EventSimulator()
+        s = _Slices(sim, {"b": 2.5})
+        sim.schedule_stream([1.0, 2.0, 3.0, 4.0], s, list("abcd"), [0] * 4)
+        sim.run_until(10.0)
+        assert s.order == ["a", "b", "ev<b", "c", "d"]
+        assert s.offered == [list("abcd"), list("bcd"), list("cd")]
+        assert sim.events_processed == 5 and sim.heap_pops == 1
+
+    def test_event_scheduled_at_the_next_entry_time_runs_after_it(self):
+        sim = EventSimulator()
+        s = _Slices(sim, {"b": 3.0})
+        sim.schedule_stream([1.0, 2.0, 3.0, 4.0], s, list("abcd"), [0] * 4)
+        sim.run_until(10.0)
+        assert s.order == ["a", "b", "c", "ev<b", "d"]
+        assert s.offered == [list("abcd"), list("bcd"), ["c"], ["d"]]
+
+    def test_step_takes_slices_of_one(self):
+        sim = EventSimulator()
+        s = _Slices(sim)
+        sim.schedule_at(2.0, s.order.append, "pre")
+        sim.schedule_stream([1.0, 2.0, 2.0], s, list("abc"), [0] * 3)
+        while sim.step():
+            pass
+        assert s.order == ["a", "pre", "b", "c"]
+        assert s.offered == [["a"], ["b"], ["c"]]
+        assert sim.events_processed == 4 and sim.heap_pops == 1
+
+    def test_spilled_block_runs_as_heap_slices_of_one(self):
+        sim = EventSimulator()
+        first, second = _Slices(sim), _Slices(sim)
+        sim.schedule_stream([1.0, 4.0, 6.0], first, list("abc"), [0] * 3)
+        sim.run_until(2.0)
+        sim.schedule_stream([4.0, 5.0], second, list("xy"), [0] * 2)
+        assert len(sim._heap) == 2
+        sim.run_until(10.0)
+        assert first.offered == [["a"], ["b"], ["c"]]
+        assert second.offered == [["x", "y"]]
+        assert first.order + second.order == list("abcxy")
+        assert sim.events_processed == 5 and sim.heap_pops == 2
 
 
 class TestRunUntil:

@@ -147,9 +147,10 @@ class TestDeterminism:
 class TestResilience:
     def test_lossy_wol_strands_no_request(self):
         # The chaos scenario's flash crowds hammer drowsy hosts, so the
-        # 20 %-loss wire actually drops magic packets here.
+        # 20 %-loss wire actually drops magic packets here: 5 over three
+        # days (a single day drops none).
         sim = Simulation.from_scenario("flash-crowd-lossy-wol", seed=7,
-                                       backend="event", hours=24, scale=0.5)
+                                       backend="event", hours=72, scale=0.5)
         result = sim.run()
         summary = result.fault_summary
         assert summary.wol_dropped > 0

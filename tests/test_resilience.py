@@ -279,15 +279,16 @@ class TestCheckpointFiles:
             Checkpoint.load(path)
 
     def test_previous_version_refused(self, tmp_path):
-        # Version-6 checkpoints hold VMs with an eagerly built model and
-        # fleet-major slabs; this build must not unpickle that layout.
-        assert CHECKPOINT_VERSION == 7
+        # Version-7 checkpoints hold data centers without an address
+        # index and per-entry arrival callbacks; this build must not
+        # unpickle that layout.
+        assert CHECKPOINT_VERSION == 8
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = CHECKPOINT_VERSION - 1
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError,
-                           match=f"format 6; this build reads {CHECKPOINT_VERSION}"):
+                           match=f"format 7; this build reads {CHECKPOINT_VERSION}"):
             Checkpoint.load(path)
 
     def test_round_trip_keeps_model_files(self, tmp_path):
