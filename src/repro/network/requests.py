@@ -128,8 +128,17 @@ class ArrivalShape:
             raise ValueError(
                 f"unknown arrival shape {self.kind!r}; "
                 f"expected one of {_SHAPE_KINDS}")
-        if self.scale < 0.0:
-            raise ValueError("scale must be >= 0")
+        # A non-finite factor would only fail at the first hour it
+        # touches, and a negative one would silence the VM: both are
+        # rejected here, whatever the kind.
+        for name in ("scale", "burst_factor", "weekend_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.phase_h):
+            raise ValueError("phase_h must be finite")
+        if not all(map(math.isfinite, self.factors)):
+            raise ValueError("replay factors must be finite")
         if not 0.0 <= self.amplitude <= 1.0:
             raise ValueError("amplitude must be in [0, 1]")
         if self.kind == "flash" and (self.burst_period_h < 1
@@ -196,29 +205,106 @@ class RequestProfile:
     #: ``None`` keeps the original trace-proportional rate bit-exactly.
     shape: ArrivalShape | None = None
 
+    def __post_init__(self) -> None:
+        # Each of these would corrupt a run silently or fail it midway:
+        # a negative rate leaves only the leading requests, a NaN one
+        # fails the first Poisson draw, a non-positive median logs
+        # completions before their arrivals.
+        if not (math.isfinite(self.peak_rate_per_s)
+                and self.peak_rate_per_s >= 0.0):
+            raise ValueError("peak_rate_per_s must be finite and >= 0")
+        if not (math.isfinite(self.service_median_s)
+                and self.service_median_s > 0.0):
+            raise ValueError("service_median_s must be finite and > 0")
+        if not (math.isfinite(self.service_sigma)
+                and self.service_sigma >= 0.0):
+            raise ValueError("service_sigma must be finite and >= 0")
+
+    def hour_block(self, rngs, hour_start_s: float, activities,
+                   hour_index: int | None = None, service_times: bool = True
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One hour of traffic for a block of VMs, merged chronologically
+        (DESIGN.md §10).
+
+        ``activities`` holds each VM's activity; a VM at 0 draws
+        nothing.  ``rngs`` is one generator the block shares, drawn in
+        block order, or a sequence of one generator per VM.  Each VM
+        with traffic makes two calls, ``n = poisson(rate * 3600)`` and
+        ``u = random(n + leading_request)``: its arrivals are ``start +
+        3600 * u[:n]`` and its leading request ``start + 2 * u[n]``.
+        ``uniform(0, d)`` is ``0 + d * random()`` on the same bit stream,
+        so these are the very floats the per-VM draw of
+        :func:`poisson_arrivals` then a scalar ``uniform(0, 2)`` gives.
+
+        Returns ``(times, owners, services)``: the arrival times sorted
+        stably (ties keep block order), the activity index of each, and,
+        with ``service_times``, each arrival's service time.  A shared
+        generator draws those after the whole block, in arrival order;
+        per-VM generators draw each VM's right after its arrivals, in
+        the VM's own arrival order.
+        """
+        shared = isinstance(rngs, np.random.Generator)
+        activities = np.asarray(activities, dtype=float)
+        rates = self.peak_rate_per_s * activities
+        shaped = self.shape is not None and hour_index is not None
+        if shaped:
+            rates = rates * self.shape.rate_factor(hour_index)
+        lead = int(self.leading_request)
+        chunks: list[np.ndarray] = []
+        owners: list[int] = []
+        services: list[np.ndarray] = []
+        for i, (activity, rate) in enumerate(zip(activities.tolist(),
+                                                 rates.tolist())):
+            # A shaped hour whose rate is zero generates nothing, leading
+            # request included: the shape silenced the VM's clients.
+            if activity <= 0.0 or (shaped and rate <= 0.0):
+                continue
+            rng = rngs if shared else rngs[i]
+            # An unshaped zero rate draws no count but keeps its lead.
+            size = (rng.poisson(rate * 3600.0) if rate > 0.0 else 0) + lead
+            if size:
+                chunks.append(rng.random(size))
+                owners.append(i)
+                if service_times and not shared:
+                    services.append(self.sample_service_times(rng, size))
+        if not chunks:
+            empty = np.empty(0)
+            return (empty, np.empty(0, dtype=np.intp),
+                    empty if service_times else None)
+        sizes = [c.size for c in chunks]
+        u = np.concatenate(chunks)
+        scale = np.full(u.size, 3600.0)
+        if lead:
+            scale[np.cumsum(sizes) - 1] = 2.0
+        times = hour_start_s + scale * u
+        owner = np.repeat(np.array(owners, dtype=np.intp), sizes)
+        svc = None
+        if services:
+            # Service draws follow each VM's sorted arrivals: sort by
+            # owner, then time, to line the two up.
+            by_owner = np.lexsort((times, owner))
+            times, owner = times[by_owner], owner[by_owner]
+            svc = np.concatenate(services)
+        order = np.argsort(times, kind="stable")
+        times, owner = times[order], owner[order]
+        if svc is not None:
+            svc = svc[order]
+        elif service_times:
+            svc = self.sample_service_times(rngs, times.size)
+        return times, owner, svc
+
     def hourly_arrivals(self, rng: np.random.Generator, hour_start_s: float,
                         activity: float,
                         hour_index: int | None = None) -> np.ndarray:
-        """Arrival times for one hour at the given activity level.
+        """Arrival times for one hour at the given activity level: the
+        one-VM :meth:`hour_block`.
 
         ``hour_index`` (the absolute hour) keys the arrival shape; when
         absent, or with no shape configured, the rate is the unshaped
         trace-proportional one.
         """
-        if activity <= 0.0:
-            return np.empty(0)
-        rate = self.peak_rate_per_s * activity
-        if self.shape is not None and hour_index is not None:
-            rate *= self.shape.rate_factor(hour_index)
-            if rate <= 0.0:
-                # A zeroed-out hour generates nothing, leading request
-                # included: the shape silenced this VM's clients.
-                return np.empty(0)
-        arrivals = poisson_arrivals(rng, hour_start_s, 3600.0, rate)
-        if self.leading_request:
-            lead = hour_start_s + float(rng.uniform(0.0, 2.0))
-            arrivals = np.sort(np.concatenate(([lead], arrivals)))
-        return arrivals
+        return self.hour_block(rng, hour_start_s, (activity,), hour_index,
+                               service_times=False)[0]
 
     def sample_service_time(self, rng: np.random.Generator) -> float:
         return float(self.service_median_s * rng.lognormal(0.0, self.service_sigma))

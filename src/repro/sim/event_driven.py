@@ -205,50 +205,32 @@ class EventDrivenSimulation(HourEngine):
                                 profile: RequestProfile) -> None:
         """One RNG pass for the hour's request traffic (DESIGN.md §10).
 
-        Arrivals are drawn per VM in fleet order, merged chronologically
-        with a stable sort (equal-time ties keep fleet order — the FIFO
-        order per-request events would get from their sequence
-        numbers), and service times are sampled from the shared stream
-        in dispatch order.  The block goes to the kernel as one arrival
-        stream, off the heap: bit-identical to scheduling each arrival
-        as its own event and drawing its service time at submit
-        (``tests/oracles.py`` keeps that per-push reference).
+        Every interactive VM active this hour, in fleet order, makes two
+        draws, a Poisson count and one ``random`` block holding its
+        arrivals and leading request (:meth:`RequestProfile.hour_block`),
+        from the shared stream or its own.  The hour's blocks are merged
+        once with a stable sort (equal-time ties keep fleet order — the
+        FIFO order per-request events would get from their sequence
+        numbers), and the shared stream then draws service times in
+        dispatch order.  The block goes to the kernel as one arrival
+        stream, off the heap: bit-identical to drawing each VM's sorted
+        arrivals on its own, scheduling each as its own event and
+        drawing its service time at submit (``tests/oracles.py`` keeps
+        that per-push reference).
         """
-        streams = self._request_streams
-        hour = self._current_hour
-        names: list[str] = []
-        arrays: list[np.ndarray] = []
-        svc_arrays: list[np.ndarray] = []
-        for host in self.dc.hosts:
-            for vm in host.vms:
-                if vm.interactive and vm.current_activity > 0.0:
-                    rng = self.rng if streams is None else streams.for_vm(vm.name)
-                    arr = profile.hourly_arrivals(rng, now, vm.current_activity,
-                                                  hour_index=hour)
-                    if arr.size:
-                        names.append(vm.name)
-                        arrays.append(arr)
-                        if streams is not None:
-                            # Per-VM streams record service times from
-                            # the VM's own substream — draws stay
-                            # invariant under fleet reordering.
-                            svc_arrays.append(
-                                profile.sample_service_times(rng, arr.size))
-        if not arrays:
+        vms = [vm for vm in self.dc.vms
+               if vm.interactive and vm.current_activity > 0.0]
+        if not vms:
             return
-        times = np.concatenate(arrays)
-        owners = np.repeat(np.arange(len(arrays)),
-                           [a.size for a in arrays])
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        owners = owners[order]
-        if streams is None:
-            services = profile.sample_service_times(self.rng, times.size)
-        else:
-            services = np.concatenate(svc_arrays)[order]
-        self.sim.schedule_stream(
-            times.tolist(), self._submit_generated,
-            np.array(names, dtype=object)[owners].tolist(), services.tolist())
+        streams = self._request_streams
+        rngs = (self.rng if streams is None
+                else [streams.for_vm(vm.name) for vm in vms])
+        times, owners, services = profile.hour_block(
+            rngs, now, [vm.current_activity for vm in vms],
+            hour_index=self._current_hour)
+        names = np.array([vm.name for vm in vms], dtype=object)
+        self.sim.schedule_stream(times.tolist(), self._submit_generated,
+                                 names[owners].tolist(), services.tolist())
 
     def _submit_generated(self, times: list[float], names: list[str],
                           services: list[float], lo: int, hi: int) -> int:

@@ -32,6 +32,11 @@ as test-only subclasses the parity suites compare against:
 * :class:`PerHostEventBackend` — a façade backend adapter building the
   event oracle, for runs that need the façade's wiring (faults,
   observers): ``Simulation(dc, "drowsy", PerHostEventBackend())``.
+* :func:`reference_hourly_arrivals` — one VM's hour of request
+  arrivals drawn with the per-VM generator's call sequence (Poisson
+  count, sized ``uniform``, sort, scalar lead ``uniform``, sort), the
+  reference for :meth:`~repro.network.RequestProfile.hour_block`; the
+  per-push path of :class:`PerHostEventSimulation` draws with it.
 * :func:`build_host_registry` — a host's hrtimer tree as the kernel
   holds it at a suspend (paper §V-B), one :class:`TimerEntry` per daemon
   tick and VM service timer; its ``earliest_valid`` is the reference for
@@ -78,6 +83,7 @@ from repro.core.params import DEFAULT_PARAMS, DrowsyParams
 from repro.core.result import RunResult
 from repro.core.weights import descend_weights
 from repro.experiments.common import FLEET_HOST, FLEET_VM
+from repro.network import RequestProfile, poisson_arrivals
 from repro.sim.event_driven import EventConfig, EventDrivenSimulation
 from repro.sim.hourly import DECISION_DELAY_S, HourlySimulator
 from repro.suspend.process import DEFAULT_BLACKLIST
@@ -134,6 +140,28 @@ def build_host_registry(host, now, daemon_period_s=DAEMON_PERIOD_S):
                 timer_name=f"{vm.name}:{timer.name}",
                 vm_name=vm.name))
     return registry
+
+
+def reference_hourly_arrivals(profile: RequestProfile, rng, hour_start_s,
+                              activity, hour_index=None) -> np.ndarray:
+    """One VM's arrivals for one hour, drawn the way the engine drew
+    them one VM at a time: :func:`~repro.network.poisson_arrivals` (a
+    Poisson count, a sized ``uniform``, a sort), then the leading
+    request's scalar ``uniform(0, 2)``, concatenated and sorted again —
+    the reference for :meth:`RequestProfile.hour_block`'s two-call
+    layout."""
+    if activity <= 0.0:
+        return np.empty(0)
+    rate = profile.peak_rate_per_s * activity
+    if profile.shape is not None and hour_index is not None:
+        rate *= profile.shape.rate_factor(hour_index)
+        if rate <= 0.0:
+            return np.empty(0)
+    arrivals = poisson_arrivals(rng, hour_start_s, 3600.0, rate)
+    if profile.leading_request:
+        lead = hour_start_s + float(rng.uniform(0.0, 2.0))
+        arrivals = np.sort(np.concatenate(([lead], arrivals)))
+    return arrivals
 
 
 class PerHostEventSimulation(EventDrivenSimulation):
@@ -195,8 +223,8 @@ class PerHostEventSimulation(EventDrivenSimulation):
         for host in self.dc.hosts:
             for vm in host.vms:
                 if vm.interactive and vm.current_activity > 0.0:
-                    for at in profile.hourly_arrivals(
-                            self.rng, now, vm.current_activity,
+                    for at in reference_hourly_arrivals(
+                            profile, self.rng, now, vm.current_activity,
                             hour_index=self._current_hour):
                         self.sim.schedule_at(float(at), self._submit_request,
                                              vm.name)
