@@ -68,7 +68,8 @@ class HostColumns:
 class HostView:
     """What both views share: their host list's static columns (as
     attributes) and the columns derived from other columns.  Every
-    array is an ``(n_hosts,)`` vector in host-list order."""
+    array is an ``(n_hosts,)`` vector in host-list order, except
+    :meth:`vm_activities`, one entry per placed VM."""
 
     def __init__(self, columns: HostColumns) -> None:
         self.__dict__.update(vars(columns))  # shared, not copied
@@ -119,6 +120,12 @@ class ScalarHostView(HostView):
         return self._column(
             (sum(vm.current_activity * vm.resources.cpus for vm in h.vms)
              for h in self.hosts), np.float64)
+
+    def vm_activities(self) -> np.ndarray:
+        """(n_vms,) each placed VM's ``current_activity``, host by host
+        (the ``dc.vms`` order)."""
+        return np.array([vm.current_activity for h in self.hosts
+                         for vm in h.vms], dtype=np.float64)
 
     def cpu_utilization(self, hour_index: int) -> np.ndarray:
         # ``Host.cpu_utilization``'s expression, elementwise.
@@ -358,6 +365,12 @@ class HostAccounting(HostView):
         cached = (demand, util, active == 0)
         self._hour_cache[key] = cached
         return cached
+
+    def vm_activities(self) -> np.ndarray:
+        """(n_vms,) each placed VM's ``current_activity``, in ``dc.vms``
+        order (host by host, host-local order): the binding's activity
+        column, permuted."""
+        return self.binding.activity[self._geom()[0]]
 
     def cpu_demand(self, hour_index: int) -> np.ndarray:
         """(n_hosts,) CPU demand ``Σ activity·cpus`` (SLATAH numerator)."""

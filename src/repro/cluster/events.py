@@ -10,8 +10,9 @@ and are skipped on pop (the standard lazy-deletion idiom, cheaper than
 re-heapifying).
 
 Bulk arrivals bypass the heap: :meth:`EventSimulator.run_until` hands a
-sorted block to its consumer a slice at a time, each slice the run of
-entries that precede the heap's top by ``(time, seq)``.
+sorted block of times (a float64 array) to its consumer a slice at a
+time, each slice the run of entries that precede the heap's top by
+``(time, seq)``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
-from bisect import bisect_left, bisect_right
 from typing import Any, Callable
+
+import numpy as np
 
 
 def first_grid_point(first: float, period: float, target: float) -> float:
@@ -80,9 +81,10 @@ class EventSimulator:
         #: The bound :meth:`run_until` is draining to; ``-inf`` outside it.
         self.draining_until = -math.inf
         #: The arrival stream ``(times, consumer, keys, values, seq)``:
-        #: entry ``i`` is due at ``times[i]`` with sequence number
-        #: ``seq + i``; entries before ``_stream_pos`` have run.
-        self._stream: tuple = ([], None, [], [], 0)
+        #: entry ``i`` is due at ``times[i]`` (a float64 array) with
+        #: sequence number ``seq + i``; entries before ``_stream_pos``
+        #: have run.
+        self._stream: tuple = (np.empty(0), None, [], [], 0)
         self._stream_pos = 0
 
     @property
@@ -93,9 +95,10 @@ class EventSimulator:
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now - 1e-9:
+        if not time >= self._now - 1e-9:
             raise ValueError(
-                f"cannot schedule in the past: {time} < now {self._now}")
+                f"cannot schedule at {time}: it is NaN or in the past "
+                f"(now {self._now})")
         ev = Event(time=max(time, self._now), seq=next(self._seq),
                    callback=callback, args=args, owner=self)
         heapq.heappush(self._heap, (ev.time, ev.seq, ev))
@@ -108,9 +111,8 @@ class EventSimulator:
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_stream(self, times: list[float],
-                        consumer: Callable[..., int], keys: list,
-                        values: list) -> None:
+    def schedule_stream(self, times, consumer: Callable[..., int], keys,
+                        values) -> None:
         """Schedule a sorted block of entries, as one :meth:`schedule_at`
         per entry in order would: entry ``i`` is due at ``times[i]`` and
         takes sequence number ``base + i``.  The entries never enter the
@@ -118,6 +120,8 @@ class EventSimulator:
         time (DESIGN.md §10).  The unconsumed rest of the previous block
         moves to the heap, one slice of one entry per event.
 
+        ``times`` is kept as a float64 array (a list is converted);
+        ``keys`` and ``values`` are passed through as given.
         ``consumer(times, keys, values, lo, hi)`` is called with the
         clock at ``times[lo]`` when entries ``lo .. hi - 1`` all come
         before every other event.  It handles entries from ``lo`` in
@@ -125,17 +129,20 @@ class EventSimulator:
         Only the first entry of a call may read the clock or schedule
         anything; the consumer returns right after an entry that did.
         """
-        if not times:
+        times = np.asarray(times, dtype=np.float64)
+        if not times.size:
             return
-        if times[0] < self._now:
+        # Written so that a NaN fails both checks.
+        if not times[0] >= self._now:
             raise ValueError(
-                f"cannot schedule in the past: {times[0]} < now {self._now}")
-        if any(map(operator.lt, times[1:], times)):
-            raise ValueError("stream times must be sorted")
+                f"cannot schedule at {times[0]}: it is NaN or in the past "
+                f"(now {self._now})")
+        if not (times[1:] >= times[:-1]).all():
+            raise ValueError("stream times must be sorted and not NaN")
         rest, cb, rest_keys, rest_values, seq = self._stream
         if self._stream_pos < len(rest):
             for i in range(self._stream_pos, len(rest)):
-                ev = Event(rest[i], seq + i, cb,
+                ev = Event(float(rest[i]), seq + i, cb,
                            (rest, rest_keys, rest_values, i, i + 1), self)
                 self._heap.append((ev.time, ev.seq, ev))
                 self._live += 1
@@ -168,12 +175,13 @@ class EventSimulator:
         times, pos = self._stream[0], self._stream_pos
         if pos == len(times):
             return False
-        return not heap or heap[0][:2] > (times[pos], self._stream[4] + pos)
+        return not heap or heap[0][:2] > (float(times[pos]),
+                                          self._stream[4] + pos)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is drained."""
         if self._stream_leads():
-            return self._stream[0][self._stream_pos]
+            return float(self._stream[0][self._stream_pos])
         return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
@@ -201,13 +209,13 @@ class EventSimulator:
         stream = self._stream
         times, consumer, keys, values, _ = stream
         lo = self._stream_pos
-        self._now = times[lo]
+        self._now = float(times[lo])
         self._stream_pos = lo + 1
         reached = consumer(times, keys, values, lo, hi)
         self.events_processed += reached - lo
         if self._stream is stream:
             self._stream_pos = reached
-            self._now = times[reached - 1]
+            self._now = float(times[reached - 1])
 
     def run_until(self, end_time: float) -> None:
         """Process events up to and including ``end_time``, then advance
@@ -215,9 +223,9 @@ class EventSimulator:
 
         The stream's entries that precede both the heap's top (by
         ``(time, seq)``) and ``end_time`` go to its consumer as one
-        slice, found by bisection; the heap's top is re-read after each
-        hand-off, because the consumer may have scheduled an event before
-        the next entry.
+        slice, found by binary search; the heap's top is re-read after
+        each hand-off, because the consumer may have scheduled an event
+        before the next entry.
 
         While it runs, :attr:`draining_until` is ``end_time``: an event
         a callback would schedule at or before it is certain to fire in
@@ -230,15 +238,21 @@ class EventSimulator:
             while True:
                 times, _, _, _, base = self._stream
                 pos = self._stream_pos
-                hi = bisect_right(times, end_time, pos)
+                hi = pos
+                if pos < len(times):
+                    # Consumed entries are due at or before the clock:
+                    # unless ``end_time`` is behind it, a search of the
+                    # whole block lands at or past ``pos``.
+                    hi = int(times.searchsorted(end_time, "right"))
                 if heap and pos < hi:
                     at, seq = heap[0][0], heap[0][1]
                     if at <= times[hi - 1]:
                         # Entries at the top's time go first only if
                         # their sequence number is lower.
-                        hi = min(bisect_right(times, at, pos, hi),
-                                 max(bisect_left(times, at, pos, hi),
-                                     seq - base))
+                        hi = min(
+                            max(pos, int(times.searchsorted(at, "right"))),
+                            max(pos, int(times.searchsorted(at, "left")),
+                                seq - base))
                 if pos < hi:
                     self._consume(hi)
                     continue

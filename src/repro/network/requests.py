@@ -348,15 +348,17 @@ class RequestLog:
         self.completions.append(completion_s)
         self.woke.append(woke_host)
 
-    def extend(self, arrivals: list[float], vm_names: list[str],
-               service_times: list[float], completions: list[float]) -> None:
-        """Append rows in bulk, one per entry of the equal-length lists,
-        none of which found its host drowsy."""
-        self.arrivals.fromlist(arrivals)
+    def extend(self, arrivals, vm_names: list[str], service_times,
+               completions) -> None:
+        """Append rows in bulk, one per entry of the equal-length float
+        arrays (lists convert) and name list, none of which found its
+        host drowsy.  The floats are copied as bytes, not per row."""
+        for column, values in ((self.arrivals, arrivals),
+                               (self.service_times, service_times),
+                               (self.completions, completions)):
+            column.frombytes(np.asarray(values, dtype=np.float64).tobytes())
         self.vm_names.extend(vm_names)
-        self.service_times.fromlist(service_times)
-        self.completions.fromlist(completions)
-        self.woke.frombytes(bytes(len(completions)))
+        self.woke.frombytes(bytes(len(vm_names)))
 
     def record(self, request: Request) -> None:
         if not request.completed:
@@ -392,7 +394,7 @@ class RequestLog:
         wake = lat[np.array(self.woke, dtype=bool)]
         lat.sort()
         if lat.size:
-            p50, p99, p100 = np.percentile(lat, (50, 99, 100))
+            p50, p99, p100 = _sorted_percentiles(lat, (50, 99, 100))
             sla = float(np.mean(lat <= bound_s))
             mean = float(np.mean(lat))
         else:
@@ -407,3 +409,20 @@ class RequestLog:
             "wake_requests": float(wake.size),
             "max_wake_latency_s": float(wake.max()) if wake.size else 0.0,
         }
+
+
+def _sorted_percentiles(values: np.ndarray, q) -> np.ndarray:
+    """``np.percentile(values, q)`` of a sorted, non-empty float array,
+    bit for bit, by the same ``linear`` rule: the virtual index ``(n -
+    1) * q / 100``, its floor and the next index (clamped at ``n - 1``),
+    and numpy's two-sided ``_lerp``.  Sorted input needs no partition,
+    so no ``np.unique`` either (which imports ``numpy.ma`` on its first
+    call in a process)."""
+    n = values.size
+    virtual = (n - 1) * np.true_divide(q, 100)
+    below = np.floor(virtual).astype(np.intp)
+    a = values[below]
+    b = values[np.minimum(below + 1, n - 1)]
+    t = virtual - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)

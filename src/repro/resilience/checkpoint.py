@@ -51,8 +51,9 @@ log = get_logger("resilience.checkpoint")
 #: 7: a VM builds its idleness model on first read, and the monthly and
 #: yearly slabs are stored day-major;
 #: 8: a data center keeps an address index, and the arrival stream's
-#: consumer takes slices).
-CHECKPOINT_VERSION = 8
+#: consumer takes slices;
+#: 9: the arrival stream holds arrays, keyed by rows of a VM table).
+CHECKPOINT_VERSION = 9
 _MAGIC = "repro-ckpt"
 #: Checkpoint filename suffix (what discovery globs for).
 CHECKPOINT_SUFFIX = ".ckpt"

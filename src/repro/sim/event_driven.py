@@ -29,7 +29,7 @@ from ..cluster.accounting import host_view
 from ..cluster.datacenter import DataCenter
 from ..cluster.events import EventSimulator, first_grid_point
 from ..cluster.host import Host
-from ..cluster.power import PowerState
+from ..cluster.power import ON_CODE, PowerState
 from ..cluster.vm import VM
 from ..core.calendar import time_of_hour
 from ..core.params import DEFAULT_PARAMS, DrowsyParams
@@ -74,6 +74,42 @@ class EventConfig:
             raise ValueError(
                 f"unknown request_streams {self.request_streams!r}; "
                 "expected 'shared' or 'per-vm'")
+
+
+class ArrivalRows:
+    """The keys of an hour's arrival stream (DESIGN.md §10): entry ``i``
+    is for the VM ``names[rows[i]]`` of the hour's VM table, and
+    ``completions[i]`` is its arrival time plus service time, the float
+    ``submit_request`` would add.  Indexing an entry gives its VM name,
+    as in a plain name list."""
+
+    __slots__ = ("names", "rows", "completions")
+
+    def __init__(self, names: list[str], rows: np.ndarray,
+                 completions: np.ndarray) -> None:
+        self.names = np.array(names, dtype=object)
+        self.rows = rows
+        self.completions = completions
+
+    @classmethod
+    def of(cls, names, times, services) -> ArrivalRows:
+        """The rows of a plain sequence of VM names."""
+        table = list(dict.fromkeys(names))
+        index = {name: r for r, name in enumerate(table)}
+        rows = np.fromiter(map(index.__getitem__, names), dtype=np.intp,
+                           count=len(names))
+        return cls(table, rows, np.asarray(times, dtype=np.float64)
+                   + np.asarray(services, dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> str:
+        return self.names[self.rows[i]]
+
+    def names_at(self, lo: int, hi: int) -> list[str]:
+        """The VM names of entries ``lo .. hi - 1``."""
+        return self.names[self.rows[lo:hi]].tolist()
 
 
 class EventDrivenSimulation(HourEngine):
@@ -130,6 +166,9 @@ class EventDrivenSimulation(HourEngine):
         #: request events for the current hour must fall through instead
         #: of faulting on the unknown name.
         self._departed_vms: set[str] = set()
+        #: The arrival consumer's row lookup ((keys, dc.vms, departures,
+        #: placed, host positions, addresses), see :meth:`_fast_rows`).
+        self._rows_cache: tuple | None = None
 
     # ------------------------------------------------------------------
     # main loop
@@ -213,79 +252,100 @@ class EventDrivenSimulation(HourEngine):
         FIFO order per-request events would get from their sequence
         numbers), and the shared stream then draws service times in
         dispatch order.  The block goes to the kernel as one arrival
-        stream, off the heap: bit-identical to drawing each VM's sorted
-        arrivals on its own, scheduling each as its own event and
-        drawing its service time at submit (``tests/oracles.py`` keeps
-        that per-push reference).
+        stream of arrays, off the heap: bit-identical to drawing each
+        VM's sorted arrivals on its own, scheduling each as its own
+        event and drawing its service time at submit (``tests/oracles.py``
+        keeps that per-push reference).
         """
-        vms = [vm for vm in self.dc.vms
-               if vm.interactive and vm.current_activity > 0.0]
-        if not vms:
+        vms = self.dc.vms
+        activities = host_view(self.dc).vm_activities()
+        rows = [i for i in np.flatnonzero(activities > 0.0).tolist()
+                if vms[i].interactive]
+        if not rows:
             return
         streams = self._request_streams
         rngs = (self.rng if streams is None
-                else [streams.for_vm(vm.name) for vm in vms])
+                else [streams.for_vm(vms[i].name) for i in rows])
         times, owners, services = profile.hour_block(
-            rngs, now, [vm.current_activity for vm in vms],
-            hour_index=self._current_hour)
-        names = np.array([vm.name for vm in vms], dtype=object)
-        self.sim.schedule_stream(times.tolist(), self._submit_generated,
-                                 names[owners].tolist(), services.tolist())
+            rngs, now, activities[rows], hour_index=self._current_hour)
+        keys = ArrivalRows([vms[i].name for i in rows], owners,
+                           times + services)
+        self.sim.schedule_stream(times, self._submit_generated, keys,
+                                 services)
 
-    def _submit_generated(self, times: list[float], names: list[str],
-                          services: list[float], lo: int, hi: int) -> int:
+    def _submit_generated(self, times: np.ndarray, keys, services,
+                          lo: int, hi: int) -> int:
         """Consume arrivals ``lo .. hi - 1`` of the hour's stream, which
         come before every other event (DESIGN.md §10); returns the
-        position reached.
+        position reached.  ``keys`` is the stream's :class:`ArrivalRows`,
+        or any sequence of VM names (a stream scheduled by hand).
 
         An arrival is *fast* when its VM has not departed, the active
         waking module is alive and has no drowsy host for the VM's IP,
         the VM's host is ON and the request completes inside the running
         drain.  Such a request wakes nothing and schedules nothing, so
         the leading run of fast arrivals is logged in bulk, exactly as
-        one ``submit_request`` each would log it.  The first arrival
-        that is not fast goes through ``submit_request`` alone, as the
-        first of its own slice: it may read the clock and schedule.
+        one ``submit_request`` each would log it: one verdict mask over
+        the VM table, gathered per arrival, and one ``argmax`` for the
+        first arrival that is not fast.  That arrival goes through
+        ``submit_request`` alone, as the first of its own slice: it may
+        read the clock and schedule.
         """
+        if type(keys) is not ArrivalRows:
+            keys = ArrivalRows.of(keys, times, services)
         switch, waking = self.switch, self.waking
         active = waking.active
-        completions: list[float] = []
         if switch.waking_service is waking and active.alive:
-            bound = self.sim.draining_until
-            mapped = active.state.vm_to_mac
-            departed = self._departed_vms
-            find_vm = self.dc.find_vm
-            on = PowerState.ON
-            # A fast arrival changes no VM's verdict, so each VM's is
-            # taken once per slice.
-            fast: dict[str, bool] = {}
-            append = completions.append
-            for i in range(lo, hi):
-                name = names[i]
-                ok = fast.get(name)
-                if ok is None:
-                    ok = name not in departed
-                    if ok:
-                        vm, host = find_vm(name)
-                        ok = (host.state is on
-                              and vm.ip_address not in mapped)
-                    fast[name] = ok
-                at = times[i] + services[i]
-                if not ok or at > bound:
-                    break
-                append(at)
-        n = len(completions)
-        if n:
-            end = lo + n
-            switch.log.extend(times[lo:end], names[lo:end],
-                              services[lo:end], completions)
-            active.packets_analyzed += n
-            switch.packets_forwarded += n
-            self.sim.events_processed += n  # the inline completions
-            return end
-        if names[lo] not in self._departed_vms:
-            switch.submit_request(names[lo], times[lo], services[lo])
+            slow = ~self._fast_rows(keys, active.state.vm_to_mac)[
+                keys.rows[lo:hi]]
+            slow |= keys.completions[lo:hi] > self.sim.draining_until
+            n = int(slow.argmax())
+            if not slow[n]:
+                n = hi - lo
+            if n:
+                end = lo + n
+                switch.log.extend(times[lo:end], keys.names_at(lo, end),
+                                  services[lo:end], keys.completions[lo:end])
+                active.packets_analyzed += n
+                switch.packets_forwarded += n
+                self.sim.events_processed += n  # the inline completions
+                return end
+        name = keys[lo]
+        if name not in self._departed_vms:
+            switch.submit_request(name, float(times[lo]),
+                                  float(services[lo]))
         return lo + 1
+
+    def _fast_rows(self, keys: ArrivalRows, mapped: dict) -> np.ndarray:
+        """Per row of ``keys``' VM table: would an arrival for the VM
+        be fast now, its completion aside?  The rows' hosts and
+        addresses are looked up once per placement (the ``dc.vms``
+        list) and departure count; host states and the waking map are
+        read live."""
+        dc, departed = self.dc, self._departed_vms
+        vms = dc.vms
+        cached = self._rows_cache
+        if (cached is None or cached[0] is not keys or cached[1] is not vms
+                or cached[2] != len(departed)):
+            placed = np.ones(len(keys.names), dtype=bool)
+            hosts = np.zeros(len(keys.names), dtype=np.intp)
+            ips = [""] * len(keys.names)
+            positions = dc.host_columns.positions
+            for r, name in enumerate(keys.names.tolist()):
+                if name in departed:
+                    placed[r] = False
+                    continue
+                vm, host = dc.find_vm(name)
+                hosts[r] = positions[host.name]
+                ips[r] = vm.ip_address
+            cached = self._rows_cache = (keys, vms, len(departed), placed,
+                                         hosts, ips)
+        _, _, _, placed, hosts, ips = cached
+        fast = placed & (dc.meters.state[hosts] == ON_CODE)
+        if mapped:
+            fast &= ~np.fromiter(map(mapped.__contains__, ips), dtype=bool,
+                                 count=len(ips))
+        return fast
 
     def note_vm_departed(self, vm_name: str) -> None:
         """A VM left the fleet mid-run (scenario churn): swallow its

@@ -384,6 +384,185 @@ class TestArrivalSliceParity:
         assert max(slices) > 100
 
 
+def _depart(engine, name):
+    vm = engine.dc.find_vm(name)[0]
+    engine.dc.remove(vm, engine.sim.now)
+    engine.note_vm_departed(name)
+    engine.rebind_fleet()
+
+
+def _crash_host(engine, name):
+    engine.crash_host(engine.dc.find_vm(name)[1], recover_after_s=300.0)
+
+
+def _map_address(engine, name):
+    """The host stays ON, but the waking map holds its VMs' addresses."""
+    engine.waking.register_suspension(engine.dc.find_vm(name)[1], None)
+
+
+def _kill_primary(engine, name):
+    engine.waking.fail_primary()
+
+
+def _plain_values(value):
+    """Every scalar inside ``value``, through dicts, lists and tuples."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _plain_values(k)
+            yield from _plain_values(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _plain_values(v)
+    else:
+        yield value
+
+
+class TestArrivalSliceBreaks:
+    """Hand-scheduled arrival streams against the per-push oracle (one
+    heap event per arrival), one case per reason an arrival leaves the
+    bulk run: its VM departed, its host is not ON, its address is in the
+    waking map, it completes past the drain's bound, or the waking
+    primary is dead.  The arrival that breaks the run goes alone; the
+    engines agree on every counter, the clock and the request log."""
+
+    STEP = 0.25  # stream spacing; the heartbeat detection takes 3 s
+    N = 20
+    BREAK = 3
+
+    def _engines(self):
+        engines = []
+        for oracle in (False, True):
+            dc = build_fleet(n_hosts=3, n_vms=9, llmi_fraction=0.5,
+                             hours=24, seed=11)
+            config = EventConfig(seed=3, suspend_enabled=False)
+            engine = (PerHostEventSimulation(dc, DrowsyController(dc),
+                                             config=config,
+                                             per_host_checks=False)
+                      if oracle else
+                      EventDrivenSimulation(dc, DrowsyController(dc),
+                                            config=config))
+            engine.run(1)
+            engines.append(engine)
+        return engines
+
+    def _stream(self, engine):
+        """``(times, names, services)``: entry ``BREAK`` is for the first
+        VM of the first occupied host, every other entry for a VM on
+        another host.  The service times are an array, as the engine's
+        own streams hold them."""
+        hosts = [h for h in engine.dc.hosts if h.vms]
+        target = hosts[0].vms[0].name
+        others = [vm.name for h in hosts[1:] for vm in h.vms]
+        assert others
+        names = [others[i % len(others)] for i in range(self.N)]
+        names[self.BREAK] = target
+        times = [3700.0 + self.STEP * i for i in range(self.N)]
+        return times, names, np.full(self.N, 0.05)
+
+    def _observe(self, engine):
+        sim, switch, waking = engine.sim, engine.switch, engine.waking
+        return (sim.now, sim.events_processed, sim.pending,
+                switch.log.requests, switch.packets_forwarded,
+                switch.queued_requests, waking.unanswered_packets,
+                waking.primary.packets_analyzed,
+                waking.mirror.packets_analyzed,
+                waking.primary.wol_sent + waking.mirror.wol_sent,
+                {h.name: list(h.transitions) for h in engine.dc.hosts})
+
+    def _play(self, setup, setup_at=3650.0, past_bound=False):
+        engine, oracle = self._engines()
+        times, names, services = self._stream(engine)
+        if past_bound:
+            services[self.BREAK] = 500.0
+        slices = []
+
+        def consume(times, keys, values, lo, hi):
+            reached = engine._submit_generated(times, keys, values, lo, hi)
+            slices.append((lo, reached))
+            return reached
+
+        def push(name, service):
+            if name not in oracle._departed_vms:
+                oracle.switch.submit_request(name, oracle.sim.now, service)
+
+        for e in (engine, oracle):
+            if setup is not None:
+                e.sim.schedule_at(setup_at, setup, e, names[self.BREAK])
+        engine.sim.schedule_stream(times, consume, names, services)
+        for t, name, service in zip(times, names, services.tolist()):
+            oracle.sim.schedule_at(t, push, name, service)
+        seen = []
+        for bound in (3800.0, 4500.0):
+            for e in (engine, oracle):
+                e.sim.run_until(bound)
+            seen.append(self._observe(engine))
+            assert seen[-1] == self._observe(oracle)
+            # An event the slow arrival scheduled (a completion past the
+            # bound, a WoL's transition) is due at a plain float.
+            assert all(type(t) is float for t, _, _ in engine.sim._heap)
+        assert type(engine.sim.now) is float
+        log = engine.switch.log
+        assert all(type(n) is str for n in log.vm_names)
+        assert {type(c).__name__ for c in (log.arrivals, log.service_times,
+                                           log.completions)} == {"array"}
+        assert len(log) == oracle.switch.packets_forwarded - (
+            oracle.switch.queued_requests)
+        return slices, engine
+
+    def _assert_breaks_alone(self, slices):
+        assert slices[0] == (0, self.BREAK)
+        assert slices[1] == (self.BREAK, self.BREAK + 1)
+        assert max(hi - lo for lo, hi in slices[2:]) > 1
+
+    def test_departed_vm(self):
+        slices, engine = self._play(_depart)
+        self._assert_breaks_alone(slices)
+        assert engine._departed_vms
+
+    def test_host_not_on(self):
+        slices, engine = self._play(_crash_host)
+        self._assert_breaks_alone(slices)
+        assert engine.host_crashes == 1
+        assert engine.switch.log.woke.count(1) == 1  # waited for recovery
+
+    def test_address_in_the_waking_map(self):
+        slices, engine = self._play(_map_address)
+        self._assert_breaks_alone(slices)
+        assert engine.waking.active.wol_sent == 1  # inbound-request
+
+    def test_completion_past_the_bound(self):
+        slices, engine = self._play(None, past_bound=True)
+        self._assert_breaks_alone(slices)
+        assert engine.switch.log.completions[-1] == (
+            3700.0 + self.STEP * self.BREAK + 500.0)
+
+    def test_dead_waking_primary(self):
+        """Killed between entries 2 and 3: until the mirror takes over,
+        three missed heartbeats later, every arrival goes alone."""
+        at = 3700.0 + self.STEP * (self.BREAK - 0.5)
+        slices, engine = self._play(_kill_primary, setup_at=at)
+        assert slices[0] == (0, self.BREAK)
+        # Beats at 3701, 3702 and 3703 s miss; the third promotes.
+        dead = [i for i in range(self.BREAK, self.N)
+                if 3700.0 + self.STEP * i < 3703.0]
+        assert [s for s in slices if s[0] in dead] == [
+            (i, i + 1) for i in dead]
+        assert slices[-1][1] - slices[-1][0] > 1  # bulk again after failover
+        assert engine.waking.failovers == 1
+        assert engine.waking.unanswered_packets >= len(dead)
+
+    def test_run_result_holds_plain_floats(self):
+        """No numpy scalar leaks from the stream's arrays into a result
+        (``repr`` would show it, and the digests with it)."""
+        engine, _ = _build()
+        result = engine.run(3)
+        assert result.request_summary["requests"] > 0
+        for f in dataclasses.fields(result):
+            for value in _plain_values(getattr(result, f.name)):
+                assert not isinstance(value, np.generic), f.name
+        assert type(engine.sim.now) is float
+
+
 # ----------------------------------------------------------------------
 # timer wheel
 # ----------------------------------------------------------------------

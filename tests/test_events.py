@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -46,6 +47,17 @@ class TestScheduling:
             sim.schedule_at(5.0, lambda: None)
         with pytest.raises(ValueError):
             sim.schedule_in(-1.0, lambda: None)
+
+    def test_nan_time_is_refused(self):
+        """A NaN compares false with everything, so a ``time < now``
+        check lets it in, where it fires ahead of any event without
+        moving the clock."""
+        sim = EventSimulator()
+        sim.schedule_at(5.0, lambda: None)
+        for schedule in (sim.schedule_at, sim.schedule_in):
+            with pytest.raises(ValueError, match="NaN"):
+                schedule(float("nan"), lambda: None)
+        assert sim.pending == 1
 
     def test_events_can_schedule_events(self):
         sim = EventSimulator()
@@ -200,6 +212,30 @@ class TestScheduleBatch:
         with pytest.raises(ValueError):
             _stream(sim, [9.0, 1.0, 5.0], [])
         assert sim.pending == 0
+
+    @pytest.mark.parametrize("times", [[1.0, float("nan"), 2.0],
+                                       [float("nan")], [1.0, float("nan")],
+                                       [float("nan"), 1.0]])
+    def test_nan_in_batch_is_refused(self, times):
+        sim = EventSimulator()
+        with pytest.raises(ValueError, match="NaN"):
+            _stream(sim, times, [])
+        assert sim.pending == 0
+
+    def test_times_are_kept_as_an_array_and_read_as_floats(self):
+        """A list block is converted once; the clock (inside the
+        consumer too) and ``peek_time`` still hold plain floats."""
+        sim, clocks = EventSimulator(), []
+        sim.schedule_stream([1.0, 2.5], _each(lambda k, v: clocks.append(
+            sim.now)), [0, 1], [0, 1])
+        assert sim._stream[0].dtype == np.float64
+        assert type(sim.peek_time()) is float
+        sim.run_until(2.0)
+        assert type(sim.now) is float and sim.now == 2.0
+        sim.step()
+        assert type(sim.now) is float and sim.now == 2.5
+        assert clocks == [1.0, 2.5]
+        assert {type(t) for t in clocks} == {float}
 
     def test_count_coalesced(self):
         sim = EventSimulator()

@@ -77,6 +77,10 @@ def _assert_host_parity(hosts, view, hour):
         assert view.host_mean_raw_ip(host, hour) == host.mean_raw_ip(hour)
         assert float(ip_range[k]) == host.ip_range(hour)
         assert float(view.capacity_cpus[k]) == host.capacity.cpus
+    acts = view.vm_activities()
+    assert acts.dtype == np.float64
+    assert acts.tolist() == [vm.current_activity for host in hosts
+                             for vm in host.vms]
 
 
 def _columns(view, hour):
@@ -97,6 +101,7 @@ def _columns(view, hour):
         "capacity_memory_mb": view.capacity_memory_mb,
         "schedulable_cpus": view.schedulable_cpus,
         "name_rank": view.name_rank,
+        "vm_activities": view.vm_activities(),
     }
 
 

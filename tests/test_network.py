@@ -1,5 +1,10 @@
 """Tests for request generation, SLA accounting and the SDN switch."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,6 +90,60 @@ class TestRequestLog:
         log.record(self.make_request(0.1))
         s = log.summary()
         assert {"requests", "sla_fraction", "p99_s", "wake_requests"} <= set(s)
+
+    def test_extend_takes_arrays_and_lists(self):
+        log = RequestLog()
+        log.extend(np.array([1.0, 2.0]), ["a", "b"], np.array([0.1, 0.2]),
+                   np.array([1.1, 2.2]))
+        log.extend([3.0], ["c"], [0.3], [3.3])
+        assert list(log.arrivals) == [1.0, 2.0, 3.0]
+        assert log.vm_names == ["a", "b", "c"]
+        assert list(log.service_times) == [0.1, 0.2, 0.3]
+        assert list(log.completions) == [1.1, 2.2, 3.3]
+        assert list(log.woke) == [0, 0, 0]
+
+
+def _latency_samples():
+    """Latency arrays that stress the percentile rule: ties, a wide
+    dynamic range, and the sizes where the virtual index is integral or
+    lands next to the last element."""
+    rng = np.random.default_rng(42)
+    for n in [*range(1, 50), 99_999, 125_000]:
+        yield rng.lognormal(-3.0, 0.4, n)  # request-like
+        yield rng.integers(0, 4, n) * 0.05  # heavy ties
+        yield np.exp(rng.uniform(-40.0, 40.0, n))  # ~35 decades
+
+
+class TestSummaryPercentiles:
+    """``RequestLog.summary`` computes p50/p99/max without
+    ``np.percentile``; they must be its floats exactly."""
+
+    def test_matches_numpy_percentile(self):
+        for lat in _latency_samples():
+            log = RequestLog()
+            log.extend(np.zeros(lat.size), ["v"] * lat.size, lat, lat)
+            s = log.summary()
+            ref = np.percentile(lat, (50, 99, 100))
+            got = np.array([s["p50_s"], s["p99_s"], s["max_s"]])
+            assert got.tobytes() == ref.tobytes(), lat.size
+
+    def test_event_run_leaves_numpy_ma_unimported(self):
+        """The summary ends every event run; ``np.percentile`` would
+        import ``numpy.ma`` (through ``np.unique``) in the process's
+        first run.  A fresh interpreter shows whether anything does."""
+        code = (
+            "import sys\n"
+            "from repro.api import Simulation\n"
+            "from repro.experiments.common import build_fleet\n"
+            "sim = Simulation(build_fleet(4, 16, 0.5, 24, seed=7),"
+            " 'drowsy', 'event', seed=7)\n"
+            "assert sim.run(3).request_summary['requests'] > 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestSDNSwitch:

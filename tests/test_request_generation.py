@@ -205,10 +205,16 @@ def test_engine_hour_matches_per_vm_generator(case, layout):
         ref_rngs = [streams.for_vm(vm.name) for vm in vms]
     ref_times, ref_owners, ref_services = reference_hour_block(
         profile, ref_rngs, now, acts, hour)
-    times, _, names, services, _ = engine.sim._stream
+    times, _, keys, services, _ = engine.sim._stream
     assert_bits_equal(times, ref_times, "times")
-    assert names == [vms[i].name for i in ref_owners]
+    assert [keys[i] for i in range(len(keys))] == [
+        vms[i].name for i in ref_owners]
     assert_bits_equal(services, ref_services, "service times")
+    if len(keys):  # an hour without traffic schedules no stream
+        assert_bits_equal(keys.completions,
+                          [t + s for t, s in zip(ref_times.tolist(),
+                                                 ref_services.tolist())],
+                          "completions")
     if layout == "shared":
         assert _states(engine.rng) == _states(ref_rngs)
     else:

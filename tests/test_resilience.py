@@ -279,16 +279,16 @@ class TestCheckpointFiles:
             Checkpoint.load(path)
 
     def test_previous_version_refused(self, tmp_path):
-        # Version-7 checkpoints hold data centers without an address
-        # index and per-entry arrival callbacks; this build must not
-        # unpickle that layout.
-        assert CHECKPOINT_VERSION == 8
+        # Version-8 checkpoints hold the arrival stream as lists of
+        # times, names and service times; this build must not unpickle
+        # that layout.
+        assert CHECKPOINT_VERSION == 9
         path = self._one_checkpoint(tmp_path)
         wrapper = pickle.loads(path.read_bytes())
         wrapper["version"] = CHECKPOINT_VERSION - 1
         path.write_bytes(pickle.dumps(wrapper))
         with pytest.raises(CheckpointError,
-                           match=f"format 7; this build reads {CHECKPOINT_VERSION}"):
+                           match=f"format 8; this build reads {CHECKPOINT_VERSION}"):
             Checkpoint.load(path)
 
     def test_round_trip_keeps_model_files(self, tmp_path):
