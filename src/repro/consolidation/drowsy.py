@@ -195,20 +195,22 @@ def group_dispersion(profile: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ``rows`` is ``(C, k)``; entry ``c`` is bit-identical to
     ``float(np.abs(v - v.mean(0)).sum())`` for ``v = profile[rows[c]]``.
     The groups are gathered member-major, ``(k, C, window)``: the axis-0
-    mean adds the ``k`` members in order exactly like the 2-D axis-0
-    mean, one long add per member.  The spread is written back
-    group-major, so each group's sum is numpy's pairwise sum over the
-    same contiguous ``k * window`` block.  Groups under two VMs have no
-    spread.
+    ``add.reduce`` adds the ``k`` members in order exactly like the 2-D
+    axis-0 mean, one long add per member, and divides by ``k`` as
+    ``ndarray.mean`` does.  The spread is copied group-major for the sum,
+    so each group's sum is numpy's pairwise sum over the same contiguous
+    ``k * window`` block.  Groups under two VMs have no spread.
     """
     c, k = rows.shape
     if k < 2:
         return np.zeros(c)
-    block = profile[rows.T]
-    spread = np.empty((c, k, profile.shape[1]))
-    np.subtract(block, block.mean(axis=0), out=spread.transpose(1, 0, 2))
-    np.abs(spread, out=spread)
-    return spread.reshape(c, -1).sum(axis=1)
+    block = profile.take(rows.T, axis=0)
+    mean = np.add.reduce(block, axis=0)
+    np.true_divide(mean, k, out=mean)
+    np.subtract(block, mean, out=block)
+    np.abs(block, out=block)
+    spread = block.transpose(1, 0, 2).reshape(c, k * profile.shape[1])
+    return np.add.reduce(spread, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -218,25 +220,75 @@ def _shape(k1: int, k2: int) -> tuple:
     moves ``<- b`` (never onto an emptied host: splitting a group onto
     idle metal is anti-consolidation).
 
-    Returns ``(a, b, parts)`` as positions into a pair's rows
-    ``g1 + g2 + [-1]``.  ``a``/``b`` give the VM each candidate takes out
-    of ``g1``/``g2``; the trailing ``-1`` (no VM) marks a one-way move.
+    Returns ``(take, parts)`` as positions into a pair's rows
+    ``g1 + g2``.  ``take`` is ``(C, 2)``: the VM each candidate takes
+    out of ``g1`` and out of ``g2``, ``-1`` (no VM) for a one-way move.
     ``parts`` lists the candidates' new groups by size, as ``(size,
-    positions, slots)``: ``slots`` index a ``2C`` row of dispersions (the
-    ``C`` new ``g1`` groups, then the ``C`` new ``g2`` groups).  Groups
-    under two VMs have no spread and no part.
+    positions, slots)``: slot ``2c`` is candidate ``c``'s new ``g1``
+    group, slot ``2c + 1`` its new ``g2`` group.  Groups under two VMs
+    have no spread and no part.
     """
     g1, g2 = range(k1), range(k1, k1 + k2)
     moves = ([(x, y) for x in g1 for y in g2]
              + [(x, -1) for x in g1] + [(-1, y) for y in g2])
-    new = ([[p for p in g1 if p != x] + ([y] if y >= 0 else []) for x, y in moves]
-           + [[p for p in g2 if p != y] + ([x] if x >= 0 else []) for x, y in moves])
+    new = [group for x, y in moves for group in (
+        [p for p in g1 if p != x] + ([y] if y >= 0 else []),
+        [p for p in g2 if p != y] + ([x] if x >= 0 else []))]
     by_size: dict[int, list[int]] = {}
     for slot, group in enumerate(new):
         by_size.setdefault(len(group), []).append(slot)
-    parts = tuple((k, np.array([new[s] for s in slots]), slots)
+    parts = tuple((k, np.array([new[s] for s in slots]), np.array(slots))
                   for k, slots in by_size.items() if k >= 2)
-    return np.array([x for x, _ in moves]), np.array([y for _, y in moves]), parts
+    return np.array(moves).reshape(-1, 2), parts
+
+
+# Consecutive hours repeat a fleet's chunk layouts; the bound keeps a
+# large fleet, whose chunks rarely repeat, from holding every table it
+# ever built.
+@lru_cache(maxsize=16)
+def _chunk_table(shapes: tuple[tuple[int, int], ...]) -> tuple:
+    """The candidate table of a chunk whose pairs have groups of
+    ``shapes`` sizes, in order: every candidate of every pair, laid out
+    pair after pair from the :func:`_shape` templates.
+
+    Positions index the chunk's rows: each pair's ``g1 + g2`` in order,
+    then ``-1`` (no VM) last.  Returns ``(owner, take, parts, pad)``:
+
+    * ``owner``: ``(C,)``, each candidate's pair;
+    * ``take``: ``(C, 2)``, the positions of the VMs it takes out of
+      ``g1`` and ``g2`` (``-1`` reads the trailing no-VM row);
+    * ``parts``: the new groups by size, ``(size, positions, slots)``;
+      slot ``2c`` / ``2c + 1`` is candidate ``c``'s new ``g1`` / ``g2``;
+    * ``pad``: ``(P, W)``, each pair's candidates in order, padded to
+      the widest pair with ``C``, a score slot that is always ``-inf``.
+
+    The table holds positions only, never rows or floats, so reusing it
+    for any chunk of the same shapes is exact.  Its arrays are shared
+    by every such chunk and read-only.
+    """
+    templates = [_shape(k1, k2) for k1, k2 in shapes]
+    counts = np.array([len(t) for t, _ in templates])
+    owner = np.repeat(np.arange(len(shapes)), counts)
+    # Each pair's first row and first candidate.
+    row0 = np.cumsum([0, *(k1 + k2 for k1, k2 in shapes[:-1])])
+    cand0 = np.cumsum(counts) - counts
+    take = np.concatenate([t for t, _ in templates])
+    take = np.where(take < 0, -1, take + row0[owner, None])
+    by_size: dict[int, list] = {}
+    for p, (_, parts) in enumerate(templates):
+        for k, at, slots in parts:
+            by_size.setdefault(k, []).append((p, at, slots))
+    parts = []
+    for k, items in by_size.items():
+        of = np.repeat([p for p, _, _ in items], [len(s) for _, _, s in items])
+        at = np.concatenate([at for _, at, _ in items]) + row0[of, None]
+        slots = np.concatenate([s for _, _, s in items]) + 2 * cand0[of]
+        parts.append((k, at, slots))
+    col = np.arange(counts.max())
+    pad = np.where(col < counts[:, None], cand0[:, None] + col, len(owner))
+    for a in (owner, take, pad, *(a for _, *arrays in parts for a in arrays)):
+        a.flags.writeable = False
+    return owner, take, tuple(parts), pad
 
 
 class PairSearch:
@@ -247,9 +299,9 @@ class PairSearch:
     two groups, so :attr:`known` keeps each scored pair's result (a
     move, or None) until a move changes either group; a pair known to
     have no move is settled and skipped.  Unknown pairs are scored
-    together, in pass order, bucketed by group sizes: every candidate
-    group of one size, across all pairs, is one :func:`group_dispersion`
-    call.
+    together, in pass order, from one candidate table
+    (:func:`_chunk_table`): every candidate group of one size, across
+    all pairs, is one :func:`group_dispersion` call.
     """
 
     def __init__(self, profile: np.ndarray, groups: list[list[int]],
@@ -315,46 +367,38 @@ class PairSearch:
     def _score(self, pairs: list[tuple[int, int]]) -> None:
         """Score ``pairs``' best moves into :attr:`known`."""
         self.known.update(dict.fromkeys(pairs))
-        buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, j in pairs:
-            if self.groups[i] and self.groups[j]:
-                shape = (len(self.groups[i]), len(self.groups[j]))
-                buckets.setdefault(shape, []).append((i, j))
-        # Per bucket: its pairs, the rows each candidate takes out of g1
-        # and g2, and the candidates' new-group dispersions (filled size
-        # by size below).
-        scored = []
-        by_size: dict[int, list] = {}
-        for shape, ps in buckets.items():
-            a, b, parts = _shape(*shape)
-            rows = np.array([self.groups[i] + self.groups[j] + [-1]
-                             for i, j in ps], dtype=np.intp)
-            new = np.zeros((len(ps), 2 * len(a)))
-            for k, at, slots in parts:
-                by_size.setdefault(k, []).append((rows[:, at], new, slots))
-            scored.append((ps, rows[:, a], rows[:, b], new))
-        for k, parts in by_size.items():
-            disp = group_dispersion(self.profile, np.concatenate(
-                [r.reshape(-1, k) for r, _, _ in parts]))
-            start = 0
-            for r, new, slots in parts:
-                end = start + r.shape[0] * r.shape[1]
-                new[:, slots] = disp[start:end].reshape(r.shape[:2])
-                start = end
-        for ps, a, b, new in scored:
-            i, j = np.array(ps, dtype=np.intp).T
-            c = a.shape[1]
-            gains = ((self.disp[i] + self.disp[j])[:, None]
-                     - (new[:, :c] + new[:, c:]))
-            # Capacity is a hard constraint in *both* directions: with
-            # heterogeneous flavors (the scenario fleets) even a swap is
-            # not capacity-neutral.
-            ra, rb = self.res[a], self.res[b]
-            ok = ((self.used[i, None] - ra + rb <= self.cap[i, None]).all(axis=2)
-                  & (self.used[j, None] - rb + ra <= self.cap[j, None]).all(axis=2)
-                  & (gains > self.threshold))
-            # The first of equal gains wins; a candidate that breaks
-            # capacity or misses the tolerance scores -inf.
-            best = np.where(ok, gains, -np.inf).argmax(axis=1)
-            for p in np.flatnonzero(ok.any(axis=1)).tolist():
-                self.known[ps[p]] = (int(a[p, best[p]]), int(b[p, best[p]]))
+        groups = self.groups
+        live = [(i, j) for i, j in pairs if groups[i] and groups[j]]
+        if not live:
+            return
+        owner, take, parts, pad = _chunk_table(
+            tuple((len(groups[i]), len(groups[j])) for i, j in live))
+        rows = np.array([*itertools.chain.from_iterable(
+            groups[i] + groups[j] for i, j in live), -1], dtype=np.intp)
+        # The candidates' new-group dispersions, interleaved g1, g2.
+        new = np.zeros(2 * len(owner))
+        for k, at, slots in parts:
+            new[slots] = group_dispersion(self.profile, rows.take(at))
+        new = new.reshape(-1, 2)
+        hosts = np.array(live, dtype=np.intp).take(owner, axis=0)
+        base = self.disp.take(hosts)
+        gains = (base[:, 0] + base[:, 1]) - (new[:, 0] + new[:, 1])
+        # Capacity is a hard constraint in *both* directions: with
+        # heterogeneous flavors (the scenario fleets) even a swap is
+        # not capacity-neutral.  Per candidate, host i gives up the VM
+        # taken out of g1 and receives the one taken out of g2, host j
+        # the reverse; all four (host, resource) checks must hold.
+        taken = rows.take(take)
+        fits = (self.used.take(hosts, axis=0) - self.res.take(taken, axis=0)
+                + self.res.take(taken[:, ::-1], axis=0)
+                <= self.cap.take(hosts, axis=0)).reshape(-1, 4)
+        ok = fits[:, 0] & fits[:, 1] & fits[:, 2] & fits[:, 3]
+        # The first of equal gains wins; a candidate that breaks
+        # capacity or misses the tolerance scores -inf, as does the
+        # padding after a pair's last candidate.
+        score = np.full(len(owner) + 1, -np.inf)
+        np.copyto(score[:-1], gains, where=ok & (gains > self.threshold))
+        best = pad[np.arange(len(live)), score.take(pad).argmax(axis=1)]
+        moves = taken.take(best, axis=0).tolist()
+        for p in np.flatnonzero(score.take(best) > -np.inf).tolist():
+            self.known[live[p]] = tuple(moves[p])

@@ -31,13 +31,12 @@ class PlacementPolicy(Protocol):
 
 class _Candidates:
     """One planning round's per-candidate-host columns (``hosts``
-    order): capacity, load, name rank and, on request, mean raw IP and
-    CPU demand, read from the hosts' view.  ``used_*`` are the round's
+    order): capacity, load and name rank, read from the hosts' view;
+    mean raw IP and CPU demand on request.  ``used_*`` are the round's
     own copies: planned VMs are added to them.
     """
 
-    def __init__(self, hosts: list[Host], hour_index: int,
-                 mean_ip: bool = False, demand: bool = False) -> None:
+    def __init__(self, hosts: list[Host]) -> None:
         self.hosts = hosts
         view, pos = host_list_view(hosts)
         #: The hosts' positions in the view.
@@ -48,10 +47,22 @@ class _Candidates:
         self.used_mem = view.used_memory_mb()[pos]
         self.used_cpu = view.used_cpus()[pos]
         self.rank = view.name_rank[pos]
-        if mean_ip:
-            self.mean_ip = view.mean_raw_ip(hour_index)[pos]
-        if demand:
-            self.demand = view.cpu_demand(hour_index)[pos]
+
+    def mean_ip(self, hour_index: int) -> np.ndarray:
+        return self._view.mean_raw_ip(hour_index)[self._pos]
+
+    def demand(self, hour_index: int) -> np.ndarray:
+        return self._view.cpu_demand(hour_index)[self._pos]
+
+    def any_fits(self, vms: list[VM]) -> bool:
+        """Whether some VM fits on some host, by :meth:`fitting`'s test
+        on each distinct flavor.  Planned VMs only use up room, so a
+        round without such a pair places nothing."""
+        flavors = np.array(list({(vm.resources.memory_mb, vm.resources.cpus)
+                                 for vm in vms})).reshape(-1, 2)
+        fit = ((self.used_mem + flavors[:, :1] <= self.cap_mem)
+               & (self.used_cpu + flavors[:, 1:] <= self.sched_cpus))
+        return bool(fit.any())
 
     def fitting(self, vm: VM, source: Host | None) -> np.ndarray:
         """Indices of the hosts ``vm`` fits on, ``source`` excluded."""
@@ -96,15 +107,18 @@ class PowerAwareBestFitDecreasing:
         """Each VM (decreasing demand) to the fitting host whose power
         draw rises least, ties by name; every candidate scored in one
         numpy pass, host loads updated as VMs are planned."""
+        cols = _Candidates(hosts)
+        if not cols.any_fits(vms):
+            return {}
         placement: dict[str, Host] = {}
-        cols = _Candidates(hosts, hour_index, demand=True)
+        demand_col = cols.demand(hour_index)
         planned = np.zeros(len(hosts))
         model = self.power_model
         for vm in decreasing_demand(vms):
             cand = cols.fitting(vm, current_host.get(vm.name))
             if cand.size == 0:
                 continue
-            demand = cols.demand[cand] + planned[cand]
+            demand = demand_col[cand] + planned[cand]
             cap = cols.cap_cpus[cand]
             extra = vm.current_activity * vm.resources.cpus
             before = model.s0_power(np.minimum((demand + 0.0) / cap, 1.0))
@@ -133,9 +147,12 @@ class IPAwarePlacement:
         """Every candidate host for a VM scored in one numpy pass: the
         lexicographic minimum of (IP-distance bucket, free memory, name
         rank) over the fitting hosts."""
+        cols = _Candidates(hosts)
+        if not cols.any_fits(vms):
+            return {}
         placement: dict[str, Host] = {}
         tol = self.params.ip_distance_tolerance
-        cols = _Candidates(hosts, hour_index, mean_ip=True)
+        mean_ip = cols.mean_ip(hour_index)
         free_mem = (cols.cap_mem - cols.used_mem).astype(np.float64)
         ordered = sorted(vms, key=lambda vm: (-vm.resources.memory_mb,
                                               -vm.resources.cpus, vm.name))
@@ -145,7 +162,7 @@ class IPAwarePlacement:
             if cand.size == 0:
                 continue
             if tol > 0:
-                bucket = np.trunc(np.abs(cols.mean_ip[cand] - vm_ip) / tol)
+                bucket = np.trunc(np.abs(mean_ip[cand] - vm_ip) / tol)
             else:
                 bucket = np.zeros(cand.size)
             k = int(cand[_lexmin(bucket, free_mem[cand], cols.rank[cand])])

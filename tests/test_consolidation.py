@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import DataCenter, Host, HostCapacity, ResourceSpec, VM
+from repro.cluster.accounting import HostAccounting, ScalarHostView
 from repro.consolidation import (
     DrowsyController,
     IPAwarePlacement,
@@ -21,6 +22,7 @@ from repro.consolidation import (
     select_until_not_overloaded,
     underloaded_candidates,
 )
+from repro.core.binding import FleetBinding
 from repro.core.params import DEFAULT_PARAMS
 from repro.traces.synthetic import always_idle_trace
 
@@ -154,6 +156,23 @@ class TestPlacement:
         hosts[1].add_vm(idle_mate)
         placement = IPAwarePlacement().place([cand], hosts, 14 * 24, {})
         assert placement["c"].name == "h1"
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_full_hosts_place_nothing_before_any_column(self, bound,
+                                                        monkeypatch):
+        """With no (VM, host) pair that fits, both policies return an
+        empty plan without reading the mean-IP or demand column."""
+        dc = build_dc([[0.5] * 4, [0.2] * 4])
+        if bound:
+            FleetBinding.try_bind(dc, DEFAULT_PARAMS)
+        vm = make_vm("extra", 0.3)
+        for cls in (ScalarHostView, HostAccounting):
+            for name in ("mean_raw_ip", "cpu_demand"):
+                monkeypatch.setattr(cls, name, None)
+        for policy in (PowerAwareBestFitDecreasing(), IPAwarePlacement()):
+            assert policy.place([vm], dc.hosts, 0, {}) == {}
+            assert policy.place(list(dc.hosts[0].vms), dc.hosts[1:], 0,
+                                {}) == {}
 
 
 def build_dc(activities_by_host, params=DEFAULT_PARAMS):

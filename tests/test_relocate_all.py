@@ -1,8 +1,9 @@
 """``DrowsyController.relocate_all`` against its original per-candidate loop.
 
 The controller's search (``repro.consolidation.drowsy.PairSearch``)
-scores every unknown host pair of a pass in one size-bucketed batch and
-keeps each pair's result until a move changes either of its groups.
+scores every unknown host pair of a pass in chunks, each from one
+candidate table kept in a small LRU keyed by the chunk's group sizes,
+and keeps each pair's result until a move changes either of its groups.
 :func:`reference_relocate_all` below is the original implementation,
 kept verbatim as the oracle: one ``dispersion`` reduction per candidate
 group, every pair re-scored on every visit.  Both must produce the same
@@ -10,7 +11,9 @@ placement, in the same per-host VM order, and report the same migration
 count.  The pinned examples each catch one wrong reuse of a result: a
 pair visited earlier in the pass left settled after a move, a pass that
 walks only the pairs unknown at its start, and a batched result used
-after one of its hosts moved.
+after one of its hosts moved.  :class:`TestChunkTables` reuses tables:
+after a one-way move reshapes a chunk, across hours whose chunks hold
+other VMs, and over many small chunks.
 """
 
 import warnings
@@ -250,6 +253,77 @@ class TestMatchesReference:
                 assert np.array_equal(np.stack(columns, axis=1), expected)
 
 
+def relocate_both(fleet: dict, hours):
+    """Relocate a reference and a fleet-bound copy of ``fleet`` at each
+    of ``hours`` in turn, yielding each hour's migration count; the
+    layouts and counts must agree after every hour."""
+    ref_dc, new_dc = build_fleet(**fleet), build_fleet(**fleet)
+    FleetBinding.try_bind(new_dc, DEFAULT_PARAMS)
+    ref, new = DrowsyController(ref_dc), DrowsyController(new_dc)
+    for t in hours:
+        expected = reference_relocate_all(ref, t, t * 3600.0)
+        moved = new.relocate_all(t, t * 3600.0)
+        assert layout(new_dc) == layout(ref_dc)
+        assert moved == expected
+        yield moved
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """Log each scored chunk as ``(sizes, groups)``, from an empty LRU."""
+    log = []
+    score = drowsy.PairSearch._score
+
+    def logged(search, pairs):
+        g = search.groups
+        log.append((tuple((len(g[i]), len(g[j])) for i, j in pairs),
+                    [(tuple(g[i]), tuple(g[j])) for i, j in pairs]))
+        score(search, pairs)
+
+    monkeypatch.setattr(drowsy.PairSearch, "_score", logged)
+    drowsy._chunk_table.cache_clear()
+    return log
+
+
+class TestChunkTables:
+    def test_one_way_move_reshapes_a_scored_chunk(self, scored):
+        """A one-way move in the first pass changes two group sizes, so
+        the second pass scores the first chunk's pairs with another
+        table than the one the LRU holds for them."""
+        assert list(relocate_both({"seed": 4, "n_hosts": 3, "max_vms": 4},
+                                  [TRAINED_HOURS])) == [4]
+        first = scored[0][0]
+        assert len(first) == 3  # all the pairs of three hosts
+        assert any(len(sizes) == 3 and sizes != first
+                   for sizes, _ in scored[1:])
+
+    def test_next_hour_reuses_a_table_for_other_vms(self, scored):
+        """Two hours on one fleet: the second hour's first chunk has the
+        sizes of a chunk the first hour scored, so it reuses that table,
+        but the first hour's moves put other VMs in its groups."""
+        hours = relocate_both({"seed": 20, "n_hosts": 4, "max_vms": 4},
+                              [TRAINED_HOURS + 3, TRAINED_HOURS + 4])
+        assert next(hours) > 0
+        n, hits = len(scored), drowsy._chunk_table.cache_info().hits
+        next(hours)
+        sizes, groups = scored[n]
+        assert all(map(min, sizes))  # no empty host: the LRU key is sizes
+        assert any(s == sizes and g != groups for s, g in scored[:n])
+        assert drowsy._chunk_table.cache_info().hits > hits
+
+    def test_small_chunks_share_tables(self, scored, monkeypatch):
+        """Chunks of a few pairs of mixed widths, so most tables pad:
+        many chunks per pass, more layouts than the LRU holds, and some
+        chunks read from tables it kept."""
+        monkeypatch.setattr(drowsy, "_CHUNK_ROWS", 200)
+        moved = relocate_both({"seed": 3, "n_hosts": 8, "max_vms": 5},
+                              range(TRAINED_HOURS, TRAINED_HOURS + 3))
+        assert sum(moved) > 0
+        info = drowsy._chunk_table.cache_info()
+        assert len(scored) > 28
+        assert info.hits > 0 and info.misses > info.maxsize
+
+
 def calendar_fleet(params) -> DataCenter:
     """Six VMs trained on the first days of the year, around the end of
     January and around the year's end, so day-long profile windows read
@@ -284,3 +358,9 @@ class TestGroupDispersion:
                 warnings.simplefilter("ignore", RuntimeWarning)  # k == 0
                 expected = float(np.abs(v - v.mean(0)).sum())
             assert batched[c] == expected
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_no_groups(self, k):
+        """``C = 0`` groups of any size give an empty float column."""
+        out = group_dispersion(np.ones((3, 24)), np.zeros((0, k), dtype=np.intp))
+        assert out.shape == (0,) and out.dtype == np.float64
